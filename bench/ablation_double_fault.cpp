@@ -22,9 +22,9 @@
 // plans replay on the decoded VM engine by default; --engine reference
 // selects the structural interpreter and --engine jit the native tier
 // (identical tallies by construction).
-// Plan campaigns use the convergence early-exit on the final continuation
-// by default; --no-converge disables it (tallies are bit-identical either
-// way — only wall-clock time changes).
+// --no-converge is accepted for symmetry with fault_coverage; plan
+// campaigns run every continuation concretely either way, so it changes
+// nothing.
 //
 //===----------------------------------------------------------------------===//
 

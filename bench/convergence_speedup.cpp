@@ -4,16 +4,16 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Measures what the convergence early-exit (CampaignOptions::Converge)
-// buys on the Theorem 4 sweep: every Figure 10 kernel is swept twice on
-// the raw-semantics campaign — once with the fingerprint timeline and
-// convergence probe enabled, once with full runs — and the harness
-// compares wall-clock time and asserts the verdict tables and violation
-// lists are bit-identical (the early exit is an optimization, never a
-// semantic change). Masked faults dominate the sweep and re-join the
-// reference run within a short divergence window, so the accelerated
-// classifier replaces O(remaining program) per masked injection with
-// O(window); the pruned sweep targets a >= 3x overall speedup.
+// Measures what convergence acceleration (CampaignOptions::Converge, the
+// sparse differential replay) buys on the Theorem 4 sweep: every
+// Figure 10 kernel is swept twice on the raw-semantics campaign — once
+// with the replay armed, once with full runs — and the harness compares
+// wall-clock time and asserts the verdict tables and violation lists are
+// bit-identical (the replay is an optimization, never a semantic change).
+// Register faults whose taint drains, or is never read again, resolve
+// without stepping the machine, so the accelerated classifier replaces
+// O(remaining program) per such injection with O(events touching the
+// taint).
 //
 //   convergence_speedup [--threads N] [--engine reference|vm|jit]
 //                       [--no-prune] [--json [FILE]]
@@ -93,7 +93,7 @@ struct KernelRow {
   bool Identical = false;
 };
 
-/// The whole-campaign cost: reference phase (which pays the timeline
+/// The whole-campaign cost: reference phase (which pays the access-log
 /// recording when convergence is on) plus the injection phase.
 double campaignSeconds(const CampaignResult &R) {
   return R.Stats.ReferenceSeconds + R.Stats.WallSeconds;

@@ -63,8 +63,8 @@
 //                 Record-only: verdict tables are bit-identical either
 //                 way. A nonzero violation count is a hard analysis bug —
 //                 the static sets missed a target a real run took.
-//   --no-converge disable the convergence early-exit (fingerprint
-//                 timeline + full-equality probe) in the classifier.
+//   --no-converge disable convergence acceleration (the sparse
+//                 differential replay) in the classifier.
 //                 Verdict tables are bit-identical either way — the
 //                 nightly workflow asserts exactly that — so this is
 //                 purely a baseline/escape hatch for timing the

@@ -12,12 +12,12 @@
 // wall-clock time and asserts the verdict tables and violation lists
 // are bit-identical (batching is an optimization, never a semantic
 // change). Same-snapshot injections share one fetch/decode/boundary
-// pass per step and skip per-write fingerprint maintenance (registers
-// are re-hashed only at probe boundaries), so the per-injection cost
-// amortizes across the lane width; the pruned sweep targets a >= 3x
-// overall speedup. Both configurations keep the convergence early-exit
-// on, so the number reported here is the payoff of batching on top of
-// the already-accelerated sweep.
+// pass per step and run the ALU families row-at-a-time, so the
+// per-injection cost amortizes across the lane width. Both
+// configurations keep the differential replay on, so the number
+// reported here is the payoff of batching on top of the
+// already-accelerated sweep. Lane groups serve interpreted engines only:
+// under a native --engine jit both sides run scalar and the ratio is 1.
 //
 //   lane_speedup [--threads N] [--engine reference|vm|jit] [--no-prune]
 //                [--lane-width N] [--json [FILE]]
@@ -104,7 +104,7 @@ struct KernelRow {
   bool Identical = false;
 };
 
-/// The whole-campaign cost: reference phase (timeline recording) plus
+/// The whole-campaign cost: reference phase (access-log recording) plus
 /// the injection phase.
 double campaignSeconds(const CampaignResult &R) {
   return R.Stats.ReferenceSeconds + R.Stats.WallSeconds;

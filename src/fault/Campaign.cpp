@@ -300,7 +300,12 @@ struct AccessLog {
 /// transitions are exactly the even step indices and the record of
 /// execute step k lives at index k/2 - 1.
 struct ExecRec {
-  Inst I;
+  /// The instruction's opcode and operand names; an immediate operand is
+  /// SrcRt. (Not the whole Inst: the log holds one record per executed
+  /// instruction, so every byte here counts on long reference runs.)
+  Opcode Op = Opcode::Mov;
+  bool HasImm = false;
+  Reg Rd, Rs, Rt;
   /// Pre-step val(Rs) — the ALU first operand, the Ld/St address/value
   /// source, or the Bz test register (rz == Rs).
   int64_t SrcRs = 0;
@@ -311,26 +316,16 @@ struct ExecRec {
   int64_t Result = 0;
 };
 
-/// Everything the convergence machinery needs: the per-step fingerprint
-/// timeline of the reference run, dense snapshots to reconstruct an
-/// arbitrary reference state from (Snaps[k].Steps == k * Stride by
-/// construction), the register access log and the recorded instruction
-/// stream driving the differential replay (null in plan campaigns, whose
-/// earlier injections already diverged the state).
+/// Everything the differential replay needs: dense snapshots to
+/// reconstruct an arbitrary reference state from (Snaps[k].Steps ==
+/// k * Stride by construction), the register access log and the recorded
+/// instruction stream.
 struct ConvergenceContext {
-  const std::vector<uint64_t> *Timeline = nullptr;
   const std::vector<UntypedSnapshot> *Snaps = nullptr;
   uint64_t Stride = 1;
   const AccessLog *Accesses = nullptr;
   const std::vector<ExecRec> *Execs = nullptr;
 };
-
-/// Probe only every 16th fetch boundary (ExecEngine::ConvergenceProbe's
-/// Mask). Thinning the probe is verdict-neutral (see the struct's doc);
-/// it exists because the fingerprint compose and timeline load are pure
-/// overhead on continuations that never converge, which dominate the
-/// detect-heavy kernels.
-constexpr uint64_t ProbeMask = 15;
 
 /// The faulty payloads of a differential replay: (dense register index,
 /// value) pairs for exactly the registers whose payload differs from the
@@ -377,24 +372,23 @@ void patchTaint(MachineState &S, const TaintMap &T) {
   }
 }
 
-/// One task's convergence outcome, written by classifyContinuation and
+/// One task's differential-replay outcome, written by the classifier and
 /// merged deterministically after the parallel phase.
 struct ConvergenceHit {
   bool Hit = false;
-  uint64_t Window = 0; ///< Steps from injection to the convergence point.
+  uint64_t Window = 0; ///< Steps from injection to the taint draining.
   uint64_t Saved = 0;  ///< Reference-tail steps skipped by the early exit.
   uint64_t Skipped = 0; ///< Lockstep-prefix steps discharged unsimulated.
 };
 
-/// Phase-1 collector for the convergence machinery: the per-step
-/// fingerprint timeline, the register access log, and the dense
-/// reconstruction snapshots. The snapshot stride starts small and doubles
-/// (dropping the odd-indexed half) whenever the cap is hit, bounding
-/// memory at MaxSnaps states while preserving the indexing invariant
-/// Snaps[k].Steps == k * Stride.
+/// Phase-1 collector for the differential replay: the register access
+/// log, the executed-instruction records and the dense reconstruction
+/// snapshots. The snapshot stride starts small and doubles (dropping the
+/// odd-indexed half) whenever the cap is hit, bounding memory at MaxSnaps
+/// states while preserving the indexing invariant Snaps[k].Steps ==
+/// k * Stride.
 struct ConvergenceRecorder {
   bool Enabled = false;
-  std::vector<uint64_t> Timeline;
   AccessLog Accesses;
   std::vector<ExecRec> Execs;
   std::vector<UntypedSnapshot> Snaps;
@@ -404,7 +398,6 @@ struct ConvergenceRecorder {
   void start(const MachineState &S) {
     if (!Enabled)
       return;
-    Timeline.push_back(S.fingerprint());
     Snaps.push_back({S, 0, 0});
   }
 
@@ -420,7 +413,11 @@ struct ConvergenceRecorder {
            "fetch/execute alternation broken");
     const Inst &I = *S.IR;
     ExecRec Rec;
-    Rec.I = I;
+    Rec.Op = I.Op;
+    Rec.HasImm = I.HasImm;
+    Rec.Rd = I.Rd;
+    Rec.Rs = I.Rs;
+    Rec.Rt = I.Rt;
     Rec.SrcRs = S.Regs.val(I.Rs);
     Rec.SrcRt = I.HasImm ? I.Imm.N : S.Regs.val(I.Rt);
     Execs.push_back(Rec);
@@ -432,8 +429,7 @@ struct ConvergenceRecorder {
     // Execute transitions are the even steps; patch the freshly executed
     // record with the written result (post-step val(Rd)).
     if ((Steps & 1) == 0 && !Execs.empty())
-      Execs.back().Result = S.Regs.val(Execs.back().I.Rd);
-    Timeline.push_back(S.fingerprint());
+      Execs.back().Result = S.Regs.val(Execs.back().Rd);
     if (Steps % Stride)
       return;
     if (Snaps.size() >= MaxSnaps) {
@@ -450,10 +446,10 @@ struct ConvergenceRecorder {
 };
 
 /// Sparse differential replay of one register-site continuation against
-/// the recorded reference instruction stream: the big accelerator for
-/// runs that never re-join the reference (long-latency Detected runs and
-/// color-divergent Masked runs), which full-state simulation can only
-/// classify step by step.
+/// the recorded reference instruction stream: the campaign's convergence
+/// shortcut. Faults whose taint drains, long-latency Detected runs and
+/// color-divergent Masked runs all resolve here without stepping the
+/// machine, where full-state simulation would classify them step by step.
 ///
 /// The soundness backbone is *structural lockstep*: as long as every
 /// register payload that differs from the reference is confined to the
@@ -462,11 +458,12 @@ struct ConvergenceRecorder {
 /// through stB commits, and a commit whose inputs are tainted is never
 /// reached differentially (its stG or stB is an event that bails first),
 /// so memory and queue stay reference-equal throughout; similarly a
-/// control transition with tainted inputs bails. Every transition whose
-/// accessed registers are all untainted therefore reads reference values,
-/// fires the reference rule, writes reference values and emits the
-/// reference outputs — only the *events*, the transitions the access log
-/// says may touch a tainted register, need attention:
+/// control transition bails unless it is a bz that falls through in both
+/// runs with d untainted. Every transition whose accessed registers are
+/// all untainted therefore reads reference values, fires the reference
+/// rule, writes reference values and emits the reference outputs — only
+/// the *events*, the transitions the access log says may touch a tainted
+/// register, need attention:
 ///
 ///   - alu: the faulty result is evalAluOp over the recorded source
 ///     values with taint overrides; equal to the recorded result it
@@ -476,10 +473,11 @@ struct ConvergenceRecorder {
 ///   - ld with an untainted address: reads reference-equal memory (and,
 ///     for ldG, a reference-equal queue), so Rd gets the reference
 ///     result, killing its taint; a tainted address bails;
-///   - bz whose target and d are untainted and whose faulty test value
-///     agrees with the reference direction (both fall through): no
-///     register writes, taint unchanged; any disagreement bails;
-///   - everything else (st, jmp, tainted control inputs) bails to the
+///   - bz with d untainted that falls through in both runs: a
+///     fall-through reads only the test register and d, so even a
+///     tainted target register is never read; no register writes, taint
+///     unchanged. A branch taken in either run bails;
+///   - everything else (st, jmp, a tainted d) bails to the
 ///     concrete classifier.
 ///
 /// Three ways out, all verdict-exact against the full simulation:
@@ -504,7 +502,8 @@ struct ConvergenceRecorder {
 ///
 /// Event processing costs an order of magnitude more than one raw
 /// interpreter step, so a run whose taint is touched at nearly every
-/// instruction caps its event count and bails instead of losing the race.
+/// instruction caps its event count and bails instead of losing the race
+/// (see GateEvents below).
 struct DeferredBail {
   /// Absolute reference step to resume from (post-fetch: the event
   /// instruction is in flight there and re-executes for real).
@@ -512,6 +511,25 @@ struct DeferredBail {
   /// The register payloads that differ from the reference at Resume.
   TaintMap Taint;
 };
+
+/// The replay's progress gate: once GateEvents events have been processed,
+/// the replay bails to concrete simulation unless they discharged at
+/// least GateStepsPerEvent reference steps each. One event (access-log
+/// search, taint update) costs about as much as 20-30 native JIT steps,
+/// so dense taint is cheaper to simulate than to replay. Chosen by an
+/// interleaved sweep over both default paths on the fifteen Figure 10
+/// kernels (pruned jit at stride steps/24; unpruned vm with lanes at
+/// steps/6), eight rounds on a 4-vCPU x86-64 VM, median injection
+/// seconds per path (the first four tie within noise; (8, 32) is kept):
+///
+///   (GateEvents, GateStepsPerEvent)   jit    vm
+///   (8, 32)                           0.354  0.121
+///   (16, 32)                          0.360  0.125
+///   (8, 64)                           0.356  0.122
+///   (16, 64)                          0.355  0.120
+///   (32, 8), the previous gate        0.746  0.193
+constexpr uint64_t GateEvents = 8;
+constexpr uint64_t GateStepsPerEvent = 32;
 
 std::optional<Verdict>
 differentialReplay(const ExecEngine &E, const StepPolicy &Policy,
@@ -551,52 +569,52 @@ differentialReplay(const ExecEngine &E, const StepPolicy &Policy,
     }
     assert((K & 1) == 0 && K / 2 <= Execs.size() &&
            "event is not a recorded execute transition");
-    // Progress gate: an event costs several interpreter steps, so the
-    // replay only pays off while events stay sparse. Dense taint (many
-    // hot registers) discharges few steps per event; hand such runs to
-    // the concrete classifier before the bookkeeping loses the race.
-    if (++Events >= 32 && K - InjectedAt < 8 * Events) {
+    // Progress gate: the replay only pays off while events stay sparse.
+    // Dense taint (many hot registers) discharges few steps per event;
+    // hand such runs to the concrete classifier before the bookkeeping
+    // loses the race.
+    if (++Events >= GateEvents &&
+        K - InjectedAt < GateStepsPerEvent * Events) {
       Bail = K;
       break;
     }
     const ExecRec &Rec = Execs[K / 2 - 1];
-    const Inst &I = Rec.I;
     bool Handled = true;
-    switch (I.Op) {
+    switch (Rec.Op) {
     case Opcode::Add:
     case Opcode::Sub:
     case Opcode::Mul: {
-      const int64_t *TA = T.find(I.Rs.denseIndex());
+      const int64_t *TA = T.find(Rec.Rs.denseIndex());
       int64_t A = TA ? *TA : Rec.SrcRs;
       int64_t B = Rec.SrcRt;
-      if (!I.HasImm)
-        if (const int64_t *TB = T.find(I.Rt.denseIndex()))
+      if (!Rec.HasImm)
+        if (const int64_t *TB = T.find(Rec.Rt.denseIndex()))
           B = *TB;
-      int64_t R = evalAluOp(I.Op, A, B);
+      int64_t R = evalAluOp(Rec.Op, A, B);
       if (R == Rec.Result)
-        T.erase(I.Rd.denseIndex());
+        T.erase(Rec.Rd.denseIndex());
       else
-        T.set(I.Rd.denseIndex(), R);
+        T.set(Rec.Rd.denseIndex(), R);
       break;
     }
     case Opcode::Mov:
-      T.erase(I.Rd.denseIndex());
+      T.erase(Rec.Rd.denseIndex());
       break;
     case Opcode::Ld:
-      if (T.find(I.Rs.denseIndex()))
+      if (T.find(Rec.Rs.denseIndex()))
         Handled = false;
       else
-        T.erase(I.Rd.denseIndex());
+        T.erase(Rec.Rd.denseIndex());
       break;
     case Opcode::Bz: {
-      if (T.find(I.Rd.denseIndex()) || T.find(Reg::dest().denseIndex())) {
+      if (T.find(Reg::dest().denseIndex())) {
         Handled = false;
         break;
       }
-      const int64_t *TZ = T.find(I.Rs.denseIndex());
+      const int64_t *TZ = T.find(Rec.Rs.denseIndex());
       int64_t Zf = TZ ? *TZ : Rec.SrcRs;
-      if ((Zf == 0) != (Rec.SrcRs == 0) || Zf == 0)
-        Handled = false; // direction differs (or, defensively, taken)
+      if (Zf == 0 || Rec.SrcRs == 0)
+        Handled = false; // taken in either run
       break;
     }
     default:
@@ -649,7 +667,7 @@ differentialReplay(const ExecEngine &E, const StepPolicy &Policy,
 /// Maps a finished continuation's RunStatus to its verdict — the single
 /// source of truth shared by the scalar classifier and the batched lane
 /// path, so the two can never drift. Only the Halted case consults the
-/// final state; Converged was already proven Masked by the probe's Verify.
+/// final state.
 Verdict verdictForStatus(RunStatus St, const PrefixTracker &Prefix,
                          const OutputTrace &RefTrace, ZapTag Z,
                          const MachineState &S, const MachineState &RefFinal) {
@@ -660,8 +678,6 @@ Verdict verdictForStatus(RunStatus St, const PrefixTracker &Prefix,
     return Verdict::Stuck;
   case RunStatus::FaultDetected:
     return Prefix.Diverged ? Verdict::DetectedBadPrefix : Verdict::Detected;
-  case RunStatus::Converged:
-    return Verdict::Masked;
   case RunStatus::Halted:
     break;
   }
@@ -680,21 +696,8 @@ Verdict verdictForStatus(RunStatus St, const PrefixTracker &Prefix,
 /// engines are observationally identical, for every engine.
 ///
 /// With \p Conv, the differential replay above tries to discharge the run
-/// first; what it cannot discharge is simulated concretely, with fetch
-/// boundaries probing for re-convergence: a fingerprint match at step
-/// index Idx gates a reconstruction of the reference state at Idx
-/// (nearest snapshot + replay) and a full state-equality check. When the
-/// states are exactly equal, the outputs so far are exactly the reference
-/// prefix at Idx and the tracker never diverged, determinism makes the
-/// rest of the run identical to the reference tail: it halts, completes
-/// the reference trace and lands in the reference final state — which
-/// similarStates accepts reflexively — so the full run's verdict would be
-/// Masked. Hence RunStatus::Converged maps to Verdict::Masked with the
-/// remaining RefSteps - Idx transitions skipped, and the accelerated
-/// table folds bit-identically onto the baseline. (The budget never cuts
-/// a converged run short of what the probe proves: remaining budget at
-/// Idx is RefSteps - Idx + ExtraSteps, and the exit check runs before the
-/// budget check.)
+/// first; what it cannot discharge is simulated concretely from the point
+/// where the replay bailed.
 Verdict classifyContinuation(const ExecEngine &E, Addr ExitAddr,
                              const StepPolicy &Policy, uint64_t ExtraSteps,
                              const OutputTrace &RefTrace,
@@ -704,7 +707,6 @@ Verdict classifyContinuation(const ExecEngine &E, Addr ExitAddr,
                              const ConvergenceContext *Conv = nullptr,
                              ConvergenceHit *Hit = nullptr) {
   ZapTag Z = ZapTag::color(faultColor(S, Site));
-  uint64_t InjectedAt = AtSteps;
 
   if (Conv && Conv->Accesses && Conv->Execs && !Conv->Execs->empty() &&
       Site.K == FaultSite::Kind::Register && !Site.R.isPC()) {
@@ -722,50 +724,9 @@ Verdict classifyContinuation(const ExecEngine &E, Addr ExitAddr,
 
   uint64_t Budget = RefSteps - AtSteps + ExtraSteps;
   PrefixTracker Prefix{RefTrace, TraceLen};
-
-  ExecEngine::ConvergenceProbe Probe;
-  const ExecEngine::ConvergenceProbe *ProbePtr = nullptr;
-  uint64_t ConvIdx = 0;
-  if (Conv) {
-    Probe.Timeline = Conv->Timeline->data();
-    Probe.Size = Conv->Timeline->size();
-    Probe.StartStep = AtSteps;
-    Probe.Mask = ProbeMask;
-    Probe.Verify = [&](const MachineState &FS, uint64_t Idx) {
-      // A diverged output can never fold into Masked; let the run finish
-      // and classify naturally.
-      if (Prefix.Diverged)
-        return false;
-      // Reconstruct the reference state at Idx from the nearest snapshot
-      // at or below it; counting the replay's outputs also recovers the
-      // reference trace length at Idx.
-      const UntypedSnapshot &Base = (*Conv->Snaps)[Idx / Conv->Stride];
-      assert(Base.Steps <= Idx && "snapshot stride invariant violated");
-      MachineState Ref = Base.S;
-      OutputTrace Replayed;
-      E.replaySteps(Ref, Idx - Base.Steps, Replayed, Policy);
-      if (Prefix.MatchPos != Base.TraceLen + Replayed.size())
-        return false;
-      if (!(FS == Ref))
-        return false; // fingerprint collision — the guard held
-      ConvIdx = Idx;
-      return true;
-    };
-    ProbePtr = &Probe;
-  }
-
   RunStatus St = E.runContinuation(
       S, ExitAddr, Budget, Policy,
-      [&Prefix](const QueueEntry &Out) { Prefix.track(Out); }, ProbePtr);
-
-  if (St == RunStatus::Converged && Hit) {
-    Hit->Hit = true;
-    // The window is measured from the injection, not the skip's resume
-    // point: the skipped prefix is part of the divergence window even
-    // though it was never simulated.
-    Hit->Window = ConvIdx - InjectedAt;
-    Hit->Saved = RefSteps - ConvIdx;
-  }
+      [&Prefix](const QueueEntry &Out) { Prefix.track(Out); });
   return verdictForStatus(St, Prefix, RefTrace, Z, S, RefFinal);
 }
 
@@ -964,7 +925,7 @@ std::unique_ptr<CfiTable> buildCfiTable(const Program &Prog,
   return Table;
 }
 
-/// Phase 2: the full work list in the order the serial checker visits it,
+/// Phase 2: the work list in the order the serial checker visits it,
 /// so merged violation lists match it exactly. \p StateAt resolves the
 /// reference state of snapshot \p SI (typed and untyped campaigns store
 /// snapshots differently). With \p Prune, provably-dead register sites are
@@ -993,78 +954,105 @@ std::unique_ptr<CfiTable> buildCfiTable(const Program &Prog,
 ///   to succeed (it must: the reference completed), which overwrites both
 ///   pcs with the verified target and reproduces the reference state
 ///   exactly (Masked).
+///
+/// Only shard \p Shard of \p Shards is kept: the contiguous slice
+/// [I*T/N, (I+1)*T/N) of the T tasks in enumeration order (none for an
+/// out-of-range shard), with T returned in \p Total. A sharded call counts
+/// the tasks in a first walk, so no shard ever holds the whole work list.
 std::vector<InjectionTask>
 enumerateTasks(const Program &Prog, const TheoremConfig &Config,
                size_t NumSnaps,
                const std::function<const MachineState &(size_t)> &StateAt,
                const analysis::ZapCoverage *Prune, VerdictTable &Table,
-               const std::vector<uint8_t> *CtrlAhead = nullptr) {
+               const std::vector<uint8_t> *CtrlAhead, unsigned Shard,
+               unsigned Shards, uint64_t &Total) {
   std::set<unsigned> UsedRegs;
   if (Config.OnlyMentionedRegisters)
     UsedRegs = mentionedRegisters(Prog);
   std::vector<int64_t> Corruptions = representativeCorruptions(Prog);
 
-  std::vector<InjectionTask> Tasks;
-  for (size_t SI = 0; SI != NumSnaps; ++SI) {
-    const MachineState &S = StateAt(SI);
-    // The pcs are only bumped when the next rule fires, so pcG's payload
-    // is the address of the instruction the next transition executes —
-    // whether or not it is already fetched into IR.
-    Addr Here = S.pcG().N;
-    for (const FaultSite &Site : enumerateFaultSites(S)) {
-      if (Config.OnlyMentionedRegisters &&
-          Site.K == FaultSite::Kind::Register &&
-          !UsedRegs.count(Site.R.denseIndex()))
-        continue;
-      int64_t Current = currentValueAt(S, Site);
-      if (Prune && Site.K == FaultSite::Kind::Register &&
-          Prune->deadRegisterSite(Here, Site.R)) {
-        for (int64_t Corruption : Corruptions)
-          if (Corruption != Current)
-            ++Table[Verdict::StaticallyMasked];
-        continue;
-      }
-      if (Prune && CtrlAhead && Site.K == FaultSite::Kind::Register &&
-          (Site.R.isDest() || Site.R.isPC())) {
-        Verdict V;
-        if (Site.R.isDest()) {
-          V = (*CtrlAhead)[SI] ? Verdict::StaticallyDetected
-                               : Verdict::StaticallyMasked;
-        } else {
-          bool CommitInFlight =
-              S.IR && S.IR->isControlFlow() && S.IR->C == Color::Blue &&
-              (S.IR->Op == Opcode::Jmp || S.Regs.val(S.IR->rz()) == 0);
-          V = CommitInFlight ? Verdict::StaticallyMasked
-                             : Verdict::StaticallyDetected;
+  // Visits every triple in enumeration order, tallying the static
+  // discharges into Tab and handing each task left to simulate to Emit.
+  auto Walk = [&](VerdictTable &Tab, auto &&Emit) {
+    for (size_t SI = 0; SI != NumSnaps; ++SI) {
+      const MachineState &S = StateAt(SI);
+      // The pcs are only bumped when the next rule fires, so pcG's
+      // payload is the address of the instruction the next transition
+      // executes — whether or not it is already fetched into IR.
+      Addr Here = S.pcG().N;
+      for (const FaultSite &Site : enumerateFaultSites(S)) {
+        if (Config.OnlyMentionedRegisters &&
+            Site.K == FaultSite::Kind::Register &&
+            !UsedRegs.count(Site.R.denseIndex()))
+          continue;
+        int64_t Current = currentValueAt(S, Site);
+        if (Prune && Site.K == FaultSite::Kind::Register &&
+            Prune->deadRegisterSite(Here, Site.R)) {
+          for (int64_t Corruption : Corruptions)
+            if (Corruption != Current)
+              ++Tab[Verdict::StaticallyMasked];
+          continue;
         }
-        for (int64_t Corruption : Corruptions)
-          if (Corruption != Current)
-            ++Table[V];
-        continue;
-      }
-      for (int64_t Corruption : Corruptions) {
-        if (Corruption == Current)
-          continue; // reg-zap replaces the value with a *different* one.
-        Tasks.push_back({(uint32_t)SI, Site, Corruption});
+        if (Prune && CtrlAhead && Site.K == FaultSite::Kind::Register &&
+            (Site.R.isDest() || Site.R.isPC())) {
+          Verdict V;
+          if (Site.R.isDest()) {
+            V = (*CtrlAhead)[SI] ? Verdict::StaticallyDetected
+                                 : Verdict::StaticallyMasked;
+          } else {
+            bool CommitInFlight =
+                S.IR && S.IR->isControlFlow() && S.IR->C == Color::Blue &&
+                (S.IR->Op == Opcode::Jmp || S.Regs.val(S.IR->rz()) == 0);
+            V = CommitInFlight ? Verdict::StaticallyMasked
+                               : Verdict::StaticallyDetected;
+          }
+          for (int64_t Corruption : Corruptions)
+            if (Corruption != Current)
+              ++Tab[V];
+          continue;
+        }
+        for (int64_t Corruption : Corruptions) {
+          if (Corruption == Current)
+            continue; // reg-zap replaces the value with a *different* one.
+          Emit(InjectionTask{(uint32_t)SI, Site, Corruption});
+        }
       }
     }
+  };
+
+  uint64_t Lo = 0, Hi = ~uint64_t{0};
+  if (Shards > 1 || Shard != 0) {
+    VerdictTable Ignored;
+    uint64_t T = 0;
+    Walk(Ignored, [&T](const InjectionTask &) { ++T; });
+    Lo = Shard < Shards ? T * Shard / Shards : 0;
+    Hi = Shard < Shards ? T * (Shard + 1) / Shards : 0;
   }
+  std::vector<InjectionTask> Tasks;
+  if (Hi != ~uint64_t{0})
+    Tasks.reserve(Hi - Lo);
+  uint64_t Idx = 0;
+  Walk(Table, [&](const InjectionTask &T) {
+    if (Idx >= Lo && Idx < Hi)
+      Tasks.push_back(T);
+    ++Idx;
+  });
+  Total = Idx;
   return Tasks;
 }
 
-/// Replaces \p Tasks with the contiguous slice the requested shard covers
-/// ([I*T/N, (I+1)*T/N) of the T enumerated tasks) and records the shard
-/// provenance in \p R. Enumeration is deterministic and tasks classify
+/// Records in \p R the provenance of the shard enumerateTasks kept out of
+/// \p Total tasks. Enumeration is deterministic and tasks classify
 /// independently, so folding the N shard results in index order
 /// (foldShardResult) reproduces the unsharded campaign bit for bit.
 /// Returns false (with a campaign-level violation) on an out-of-range
 /// shard index.
 bool applyShardSlice(const CampaignOptions &Opts, const TheoremConfig &Config,
-                     std::vector<InjectionTask> &Tasks, CampaignResult &R) {
+                     uint64_t Total, CampaignResult &R) {
   unsigned Count = std::max(1u, Opts.ShardCount);
   R.Stats.ShardCount = Count;
   R.Stats.ShardIndex = Opts.ShardIndex;
-  R.Stats.TotalTasks = Tasks.size();
+  R.Stats.TotalTasks = Total;
   if (Count == 1 && Opts.ShardIndex == 0)
     return true;
   if (Opts.ShardIndex >= Count) {
@@ -1073,13 +1061,9 @@ bool applyShardSlice(const CampaignOptions &Opts, const TheoremConfig &Config,
       R.Violations.push_back(formatv("shard index %u out of range for %u "
                                      "shard(s)",
                                      Opts.ShardIndex, Count));
-    Tasks.clear();
     return false;
   }
-  uint64_t T = Tasks.size();
-  uint64_t Lo = T * Opts.ShardIndex / Count;
-  uint64_t Hi = T * (uint64_t)(Opts.ShardIndex + 1) / Count;
-  R.Stats.ShardFirstTask = Lo;
+  R.Stats.ShardFirstTask = Total * Opts.ShardIndex / Count;
   // Statically pruned sites are tallied during enumeration, which every
   // shard repeats; assign them to shard 0 alone so the N shard tables sum
   // to the unsharded table exactly.
@@ -1087,25 +1071,21 @@ bool applyShardSlice(const CampaignOptions &Opts, const TheoremConfig &Config,
     R.Table[Verdict::StaticallyMasked] = 0;
     R.Table[Verdict::StaticallyDetected] = 0;
   }
-  Tasks.erase(Tasks.begin() + (ptrdiff_t)Hi, Tasks.end());
-  Tasks.erase(Tasks.begin(), Tasks.begin() + (ptrdiff_t)Lo);
   return true;
 }
 
 /// Phase 3, untyped: classifies every task in parallel on the raw
 /// semantics — with or without the recovery layer — and merges verdicts,
-/// violations and recovery stats into \p R deterministically. A non-empty
-/// \p Timeline (per-step reference fingerprints, recorded by phase 1 when
-/// convergence is on) arms the early-exit probe; \p ConvSnaps are the
-/// dense reconstruction snapshots (stride \p ConvStride) shared by the
-/// probe's Verify and the lockstep-prefix skip, which \p Accesses drives.
+/// violations and recovery stats into \p R deterministically. Non-empty
+/// \p ConvSnaps (dense reconstruction snapshots at stride \p ConvStride,
+/// recorded by phase 1 when convergence is on) arm the differential
+/// replay, which \p Accesses and \p Execs drive.
 void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
                           const CampaignOptions &Opts,
                           const std::vector<InjectionTask> &Tasks,
                           const std::vector<UntypedSnapshot> &Snaps,
                           const OutputTrace &RefTrace,
                           const MachineState &RefFinal, uint64_t RefSteps,
-                          const std::vector<uint64_t> &Timeline,
                           const std::vector<UntypedSnapshot> &ConvSnaps,
                           uint64_t ConvStride, const AccessLog *Accesses,
                           const std::vector<ExecRec> *Execs,
@@ -1140,11 +1120,10 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
   }
 
   bool Recover = Config.Recovery.Enabled;
-  bool Converge =
-      !Recover && Opts.Converge && !Timeline.empty() && !ConvSnaps.empty();
+  bool Converge = !Recover && Opts.Converge && !ConvSnaps.empty();
   R.Stats.Converge = Converge;
-  ConvergenceContext Conv{&Timeline, &ConvSnaps,
-                          std::max<uint64_t>(1, ConvStride), Accesses, Execs};
+  ConvergenceContext Conv{&ConvSnaps, std::max<uint64_t>(1, ConvStride),
+                          Accesses, Execs};
   Addr ExitAddr = Prog.exitAddress();
   std::vector<uint8_t> Verdicts(Tasks.size(), 0);
   std::vector<std::string> Details(Tasks.size());
@@ -1199,7 +1178,14 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
   // --no-converge), register continuations group by snapshot and run
   // from the injection point. Per-task result slots keep the merge
   // deterministic regardless of how tasks were batched.
-  bool UseLanes = !Recover && Opts.Lanes && !Tasks.empty();
+  //
+  // Lane groups execute vm micro-ops, so they pay only against an
+  // interpreted engine: continuations that would run native JIT code
+  // (a native JitEngine without --cfi-check, which routes it to its vm
+  // fallback) stay on the scalar path, where one native entry usually
+  // runs a whole continuation.
+  bool NativeScalar = JE && JE->native() && !Config.Policy.Cfi;
+  bool UseLanes = !Recover && Opts.Lanes && !NativeScalar && !Tasks.empty();
   R.Stats.Lanes = UseLanes;
   if (UseLanes) {
     uint64_t Width = std::max(1u, Opts.LaneWidth);
@@ -1252,11 +1238,9 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
       std::vector<MachineState> States;
       std::vector<ZapTag> Zs;
       std::vector<PrefixTracker> Prefixes;
-      std::vector<uint64_t> ConvIdx;
       std::vector<LaneOutcome> Outs;
       explicit LaneScratch(unsigned W)
-          : Bank(W), States(W), Zs(W, ZapTag::color(Color::Green)),
-            ConvIdx(W, 0), Outs(W) {
+          : Bank(W), States(W), Zs(W, ZapTag::color(Color::Green)), Outs(W) {
         Prefixes.reserve(W);
       }
       /// Rebinds slot \p L to a fresh copy of \p Base minus the value
@@ -1276,8 +1260,44 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
       }
     };
 
-    // One lane group: resume + inject W same-snapshot tasks, run them in
-    // lockstep, map each lane's outcome through the shared verdict logic.
+    // Runs the W lanes \p SC holds — states, zap tags and prefix
+    // trackers already set up, every lane at reference step \p At over
+    // the shared value memory \p Mem — in lockstep, and maps each lane's
+    // outcome through the shared verdict logic into task TaskOf(L)'s slot.
+    auto RunGroup = [&](LaneScratch &SC, unsigned W, uint64_t At,
+                        const ValueMemory &Mem, LaneBlockStats &BS,
+                        auto TaskOf) {
+      LaneGroupSpec GSpec;
+      GSpec.ExitAddr = ExitAddr;
+      GSpec.Budget = RefSteps - At + Config.ExtraSteps;
+      GSpec.Policy = Config.Policy;
+      GSpec.SharedMem = &Mem;
+      GSpec.OnOutput = [&SC](unsigned L, const QueueEntry &Out) {
+        SC.Prefixes[L].track(Out);
+      };
+      LaneOutcome *Outs = SC.Outs.data();
+      LE.run(SC.States.data(), W, GSpec, Outs, SC.Bank);
+
+      ++BS.Groups;
+      for (unsigned L = 0; L != W; ++L) {
+        uint64_t I = TaskOf(L);
+        const InjectionTask &T = Tasks[I];
+        Verdict V = verdictForStatus(Outs[L].Status, SC.Prefixes[L], RefTrace,
+                                     SC.Zs[L], SC.States[L], RefFinal);
+        Verdicts[I] = (uint8_t)V;
+        if (!isBenign(V))
+          Details[I] = describeInjection(T.Site, T.Value,
+                                         Snaps[T.SnapIdx].Steps,
+                                         abnormalMessage(V));
+        ++BS.LaneTasks;
+        if (Outs[L].Deviated)
+          ++BS.Deviations;
+        BS.Steps += Outs[L].GroupSteps;
+      }
+    };
+
+    // One lane group: resume + inject W same-snapshot tasks and run them
+    // from the snapshot.
     auto RunLaneGroup = [&](LaneScratch &SC, const uint64_t *Idx, unsigned W,
                             LaneBlockStats &BS) {
       const UntypedSnapshot &Snap = Snaps[Tasks[Idx[0]].SnapIdx];
@@ -1296,7 +1316,6 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
       }
       const MachineState &Base = *BasePtr;
       std::vector<PrefixTracker> &Prefixes = SC.Prefixes;
-      std::vector<uint64_t> &ConvIdx = SC.ConvIdx;
       Prefixes.clear();
       for (unsigned L = 0; L != W; ++L) {
         const InjectionTask &T = Tasks[Idx[L]];
@@ -1305,74 +1324,8 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
         injectFault(S, T.Site, T.Value);
         Prefixes.push_back(PrefixTracker{RefTrace, TraceLen});
       }
-
-      LaneGroupSpec GSpec;
-      GSpec.ExitAddr = ExitAddr;
-      GSpec.Budget = RefSteps - Snap.Steps + Config.ExtraSteps;
-      GSpec.Policy = Config.Policy;
-      GSpec.SharedMem = &Base.Mem;
-      GSpec.OnOutput = [&Prefixes](unsigned L, const QueueEntry &Out) {
-        Prefixes[L].track(Out);
-      };
-
-      // Lanes probe the same boundary indices in lockstep, so the
-      // reference reconstruction is cached across the group — one
-      // snapshot replay serves up to W fingerprint matches.
-      struct RefCache {
-        uint64_t Idx = ~uint64_t{0};
-        MachineState Ref;
-        size_t TraceLen = 0;
-      } Cache;
-      LaneProbe Probe;
-      if (Converge) {
-        Probe.Timeline = Timeline.data();
-        Probe.Size = Timeline.size();
-        Probe.StartStep = Snap.Steps;
-        Probe.Mask = ProbeMask;
-        Probe.Verify = [&](unsigned L, const MachineState &FS, uint64_t Idx) {
-          if (Prefixes[L].Diverged)
-            return false;
-          if (Cache.Idx != Idx) {
-            const UntypedSnapshot &Base = ConvSnaps[Idx / Conv.Stride];
-            assert(Base.Steps <= Idx && "snapshot stride invariant violated");
-            MachineState Ref = Base.S;
-            OutputTrace Replayed;
-            E.replaySteps(Ref, Idx - Base.Steps, Replayed, Config.Policy);
-            Cache = {Idx, std::move(Ref), Base.TraceLen + Replayed.size()};
-          }
-          if (Prefixes[L].MatchPos != Cache.TraceLen)
-            return false;
-          if (!(FS == Cache.Ref))
-            return false; // fingerprint collision — the guard held
-          ConvIdx[L] = Idx;
-          return true;
-        };
-        GSpec.Probe = &Probe;
-      }
-
-      LaneOutcome *Outs = SC.Outs.data();
-      LE.run(SC.States.data(), W, GSpec, Outs, SC.Bank);
-
-      ++BS.Groups;
-      for (unsigned L = 0; L != W; ++L) {
-        uint64_t I = Idx[L];
-        const InjectionTask &T = Tasks[I];
-        if (Outs[L].Status == RunStatus::Converged && Converge) {
-          Hits[I].Hit = true;
-          Hits[I].Window = ConvIdx[L] - Snap.Steps;
-          Hits[I].Saved = RefSteps - ConvIdx[L];
-        }
-        Verdict V = verdictForStatus(Outs[L].Status, Prefixes[L], RefTrace,
-                                     SC.Zs[L], SC.States[L], RefFinal);
-        Verdicts[I] = (uint8_t)V;
-        if (!isBenign(V))
-          Details[I] =
-              describeInjection(T.Site, T.Value, Snap.Steps, abnormalMessage(V));
-        ++BS.LaneTasks;
-        if (Outs[L].Deviated)
-          ++BS.Deviations;
-        BS.Steps += Outs[L].GroupSteps;
-      }
+      RunGroup(SC, W, Snap.Steps, Base.Mem, BS,
+               [Idx](unsigned L) { return Idx[L]; });
     };
 
     // A register continuation the differential replay could not settle,
@@ -1388,24 +1341,22 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
     // step \p Resume, where the caller's rolled reconstruction \p Ref
     // already sits; each lane is that state with its own taint payloads
     // patched in (exactly the repositioned state the scalar bail path
-    // builds). The lanes then run only the post-bail tail, probing for
-    // re-convergence on the way, and map through the shared verdict
-    // logic.
+    // builds). The lanes then run only the post-bail tail and map
+    // through the shared verdict logic.
     auto RunLaneGroupAtResume = [&](LaneScratch &SC, const BailEntry *Ent,
                                     unsigned W, LaneBlockStats &BS,
                                     const MachineState &Ref,
                                     size_t TraceLenAt) {
       uint64_t Resume = Ent[0].Resume;
       std::vector<PrefixTracker> &Prefixes = SC.Prefixes;
-      std::vector<uint64_t> &ConvIdx = SC.ConvIdx;
       Prefixes.clear();
       for (unsigned L = 0; L != W; ++L) {
         const InjectionTask &T = Tasks[Ent[L].Task];
         const UntypedSnapshot &Snap = Snaps[T.SnapIdx];
         SC.Zs[L] = Ent[L].Z;
         // Registers, queue and in-flight instruction are per-lane copies
-        // of the base; the value memory stays shared (SharedMem below) —
-        // taints only touch register payloads.
+        // of the base; the value memory stays shared (RunGroup passes it
+        // as the group's SharedMem) — taints only touch register payloads.
         MachineState &S = SC.rebind(L, Ref);
         patchTaint(S, Ent[L].Taint);
         Prefixes.push_back(PrefixTracker{RefTrace, TraceLenAt});
@@ -1415,85 +1366,8 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
         if (Resume > Snap.Steps + 64)
           Hits[Ent[L].Task].Skipped = Resume - Snap.Steps;
       }
-
-      LaneGroupSpec GSpec;
-      GSpec.ExitAddr = ExitAddr;
-      GSpec.Budget = RefSteps - Resume + Config.ExtraSteps;
-      GSpec.Policy = Config.Policy;
-      GSpec.SharedMem = &Ref.Mem;
-      GSpec.OnOutput = [&Prefixes](unsigned L, const QueueEntry &Out) {
-        Prefixes[L].track(Out);
-      };
-
-      struct RefCache {
-        uint64_t Idx = ~uint64_t{0};
-        MachineState Ref;
-        size_t TraceLen = 0;
-      } Cache;
-      LaneProbe Probe;
-      Probe.Timeline = Timeline.data();
-      Probe.Size = Timeline.size();
-      Probe.StartStep = Resume;
-      Probe.Mask = ProbeMask;
-      Probe.Verify = [&](unsigned L, const MachineState &FS, uint64_t Idx) {
-        if (Prefixes[L].Diverged)
-          return false;
-        if (Cache.Idx != Idx) {
-          // Reconstruct from whichever reference state sits closest below
-          // Idx: the previous cache entry (probe indices only grow, so it
-          // rolls forward in place), the group base at Resume, or the
-          // stride snapshot.
-          const UntypedSnapshot &B = ConvSnaps[Idx / Conv.Stride];
-          assert(B.Steps <= Idx && "snapshot stride invariant violated");
-          OutputTrace Rep;
-          if (Cache.Idx != ~uint64_t{0} && Cache.Idx <= Idx &&
-              Cache.Idx >= B.Steps && Cache.Idx >= Resume) {
-            E.replaySteps(Cache.Ref, Idx - Cache.Idx, Rep, Config.Policy);
-            Cache.TraceLen += Rep.size();
-            Cache.Idx = Idx;
-          } else if (Resume >= B.Steps) {
-            MachineState R2 = Ref;
-            E.replaySteps(R2, Idx - Resume, Rep, Config.Policy);
-            Cache = {Idx, std::move(R2), TraceLenAt + Rep.size()};
-          } else {
-            MachineState R2 = B.S;
-            E.replaySteps(R2, Idx - B.Steps, Rep, Config.Policy);
-            Cache = {Idx, std::move(R2), B.TraceLen + Rep.size()};
-          }
-        }
-        if (Prefixes[L].MatchPos != Cache.TraceLen)
-          return false;
-        if (!(FS == Cache.Ref))
-          return false; // fingerprint collision — the guard held
-        ConvIdx[L] = Idx;
-        return true;
-      };
-      GSpec.Probe = &Probe;
-
-      LaneOutcome *Outs = SC.Outs.data();
-      LE.run(SC.States.data(), W, GSpec, Outs, SC.Bank);
-
-      ++BS.Groups;
-      for (unsigned L = 0; L != W; ++L) {
-        uint64_t I = Ent[L].Task;
-        const InjectionTask &T = Tasks[I];
-        const UntypedSnapshot &Snap = Snaps[T.SnapIdx];
-        if (Outs[L].Status == RunStatus::Converged) {
-          Hits[I].Hit = true;
-          Hits[I].Window = ConvIdx[L] - Snap.Steps;
-          Hits[I].Saved = RefSteps - ConvIdx[L];
-        }
-        Verdict V = verdictForStatus(Outs[L].Status, Prefixes[L], RefTrace,
-                                     SC.Zs[L], SC.States[L], RefFinal);
-        Verdicts[I] = (uint8_t)V;
-        if (!isBenign(V))
-          Details[I] =
-              describeInjection(T.Site, T.Value, Snap.Steps, abnormalMessage(V));
-        ++BS.LaneTasks;
-        if (Outs[L].Deviated)
-          ++BS.Deviations;
-        BS.Steps += Outs[L].GroupSteps;
-      }
+      RunGroup(SC, W, Resume, Ref.Mem, BS,
+               [Ent](unsigned L) { return Ent[L].Task; });
     };
 
     auto RunBlock = [&](uint64_t B) {
@@ -1687,11 +1561,10 @@ CampaignResult talft::runFaultToleranceCampaign(TypeContext &TC,
       Snaps.push_back({Run.state(), Run.steps(), Run.trace().size()});
   };
 
-  // The convergence recorder: the per-step fingerprint timeline (8
-  // bytes/step) the probe compares faulty continuations against, the
-  // register access log for the lockstep-prefix skip, and dense
-  // reconstruction snapshots. Typed and recovery campaigns never probe,
-  // so they skip the recording.
+  // The convergence recorder: the register access log and instruction
+  // records the differential replay walks, and the dense snapshots its
+  // bails resume from. Typed and recovery campaigns never replay, so they
+  // skip the recording.
   ConvergenceRecorder CR;
   CR.Enabled = !Typed && !Config.Recovery.Enabled && Opts.Converge;
 
@@ -1743,19 +1616,21 @@ CampaignResult talft::runFaultToleranceCampaign(TypeContext &TC,
     for (size_t I = 0; I != Snaps.size(); ++I)
       CtrlAhead[I] = LastCtrl >= 0 && (uint64_t)LastCtrl >= Snaps[I].Steps;
   }
+  uint64_t TotalTasks = 0;
   std::vector<InjectionTask> Tasks = enumerateTasks(
       *CP.Prog, Config, Typed ? TypedSnaps.size() : Snaps.size(),
       [&](size_t SI) -> const MachineState & {
         return Typed ? TypedSnaps[SI].S : Snaps[SI].S;
       },
       Oracle ? &*Oracle : nullptr, R.Table,
-      SpecialDischarge ? &CtrlAhead : nullptr);
+      SpecialDischarge ? &CtrlAhead : nullptr, Opts.ShardIndex,
+      std::max(1u, Opts.ShardCount), TotalTasks);
   R.Stats.ReferenceSeconds = secondsSince(RefStart);
   if (Expected<MachineState> Init = CP.Prog->initialState())
     R.ProgramHash =
         programContentHash(CP.Prog->code(), CP.Prog->entryAddress(),
                            CP.Prog->exitAddress(), *Init);
-  if (!applyShardSlice(Opts, Config, Tasks, R)) {
+  if (!applyShardSlice(Opts, Config, TotalTasks, R)) {
     FinishCfi();
     return R;
   }
@@ -1803,7 +1678,7 @@ CampaignResult talft::runFaultToleranceCampaign(TypeContext &TC,
     }
   } else {
     classifyUntypedTasks(*CP.Prog, Config, Opts, Tasks, Snaps, RefFinal.Trace,
-                         RefFinal.S, RefFinal.Steps, CR.Timeline, CR.Snaps,
+                         RefFinal.S, RefFinal.Steps, CR.Snaps,
                          CR.Stride, &CR.Accesses, &CR.Execs, R);
   }
 
@@ -1906,15 +1781,17 @@ CampaignResult talft::runSingleFaultCampaign(const Program &Prog,
     for (size_t I = 0; I != Snaps.size(); ++I)
       CtrlAhead[I] = LastCtrl >= 0 && (uint64_t)LastCtrl >= Snaps[I].Steps;
   }
+  uint64_t TotalTasks = 0;
   std::vector<InjectionTask> Tasks =
       enumerateTasks(Prog, Config, Snaps.size(),
                      [&](size_t SI) -> const MachineState & {
                        return Snaps[SI].S;
                      },
                      Oracle ? &*Oracle : nullptr, R.Table,
-                     SpecialDischarge ? &CtrlAhead : nullptr);
+                     SpecialDischarge ? &CtrlAhead : nullptr, Opts.ShardIndex,
+                     std::max(1u, Opts.ShardCount), TotalTasks);
   R.Stats.ReferenceSeconds = secondsSince(RefStart);
-  if (!applyShardSlice(Opts, Config, Tasks, R)) {
+  if (!applyShardSlice(Opts, Config, TotalTasks, R)) {
     FinishCfi();
     return R;
   }
@@ -1926,7 +1803,7 @@ CampaignResult talft::runSingleFaultCampaign(const Program &Prog,
 
   Clock::time_point InjectStart = Clock::now();
   classifyUntypedTasks(Prog, Config, Opts, Tasks, Snaps, Trace, S, Steps,
-                       CR.Timeline, CR.Snaps, CR.Stride, &CR.Accesses,
+                       CR.Snaps, CR.Stride, &CR.Accesses,
                        &CR.Execs, R);
   if (Opts.ShardRetiredHook)
     Opts.ShardRetiredHook(R.Stats.ShardIndex, R.Stats.ShardCount);
@@ -1940,21 +1817,11 @@ CampaignResult talft::runSingleFaultCampaign(const Program &Prog,
 namespace {
 
 /// Classifies one explicit injection plan on the raw semantics via \p E.
-/// Convergence probing applies only to the final continuation — the
-/// interim replays between scheduled injections must execute for real,
-/// since the next injection re-diverges the run anyway. The early exit is
-/// sound by the same argument as the single-fault classifier: exact state
-/// equality plus an exact output prefix at the same step index makes the
-/// rest of the run identical to the reference tail, whose verdict here is
-/// Masked (similarStates is reflexive and the cross-color guard only
-/// *skips* the similarity check).
 Verdict classifyPlan(const ExecEngine &E, const Program &Prog,
                      const StepPolicy &Policy, uint64_t ExtraSteps,
                      const OutputTrace &RefTrace, const MachineState &RefFinal,
                      uint64_t RefSteps, MachineState S,
-                     const InjectionPlan &Plan,
-                     const ConvergenceContext *Conv = nullptr,
-                     ConvergenceHit *Hit = nullptr) {
+                     const InjectionPlan &Plan) {
   PrefixTracker Prefix{RefTrace, 0};
 
   uint64_t Now = 0;
@@ -1980,36 +1847,10 @@ Verdict classifyPlan(const ExecEngine &E, const Program &Prog,
     injectFault(S, P.Site, P.Value);
   }
 
-  ExecEngine::ConvergenceProbe Probe;
-  const ExecEngine::ConvergenceProbe *ProbePtr = nullptr;
-  uint64_t ConvIdx = 0;
-  if (Conv) {
-    Probe.Timeline = Conv->Timeline->data();
-    Probe.Size = Conv->Timeline->size();
-    Probe.StartStep = Now;
-    Probe.Mask = ProbeMask;
-    Probe.Verify = [&](const MachineState &FS, uint64_t Idx) {
-      if (Prefix.Diverged)
-        return false;
-      const UntypedSnapshot &Base = (*Conv->Snaps)[Idx / Conv->Stride];
-      assert(Base.Steps <= Idx && "snapshot stride invariant violated");
-      MachineState Ref = Base.S;
-      OutputTrace Replayed;
-      E.replaySteps(Ref, Idx - Base.Steps, Replayed, Policy);
-      if (Prefix.MatchPos != Base.TraceLen + Replayed.size())
-        return false;
-      if (!(FS == Ref))
-        return false;
-      ConvIdx = Idx;
-      return true;
-    };
-    ProbePtr = &Probe;
-  }
-
   uint64_t Budget = (RefSteps > Now ? RefSteps - Now : 0) + ExtraSteps;
   RunStatus St = E.runContinuation(
       S, Prog.exitAddress(), Budget, Policy,
-      [&Prefix](const QueueEntry &Out) { Prefix.track(Out); }, ProbePtr);
+      [&Prefix](const QueueEntry &Out) { Prefix.track(Out); });
   switch (St) {
   case RunStatus::OutOfSteps:
     return Verdict::BudgetExhausted;
@@ -2017,13 +1858,6 @@ Verdict classifyPlan(const ExecEngine &E, const Program &Prog,
     return Verdict::Stuck;
   case RunStatus::FaultDetected:
     return Prefix.Diverged ? Verdict::DetectedBadPrefix : Verdict::Detected;
-  case RunStatus::Converged:
-    if (Hit) {
-      Hit->Hit = true;
-      Hit->Window = ConvIdx - Now;
-      Hit->Saved = RefSteps - ConvIdx;
-    }
-    return Verdict::Masked;
   case RunStatus::Halted:
     break;
   }
@@ -2079,42 +1913,8 @@ CampaignResult talft::runInjectionPlans(const PlanCampaign &Spec,
   R.ProgramHash =
       programContentHash(Spec.Prog->code(), Spec.Prog->entryAddress(),
                          Spec.Prog->exitAddress(), *S0);
-  // With convergence on, the reference run goes stepwise so the per-step
-  // fingerprint timeline and periodic snapshots can be recorded; the loop
-  // mirrors talft::run's stopping conditions exactly (budget before exit).
-  RunResult RefRun;
-  std::vector<uint64_t> Timeline;
-  std::vector<UntypedSnapshot> PlanSnaps;
-  constexpr uint64_t PlanStride = 64;
-  if (Opts.Converge) {
-    Timeline.push_back(Final.fingerprint());
-    PlanSnaps.push_back({Final, 0, 0});
-    RefRun.Status = RunStatus::OutOfSteps;
-    while (RefRun.Steps < Spec.MaxReferenceSteps) {
-      if (atExit(Final, Spec.Prog->exitAddress())) {
-        RefRun.Status = RunStatus::Halted;
-        break;
-      }
-      StepResult SR = E.step(Final, Spec.Policy);
-      if (SR.Status == StepStatus::Stuck) {
-        RefRun.Status = RunStatus::Stuck;
-        break;
-      }
-      ++RefRun.Steps;
-      if (SR.Output)
-        RefRun.Trace.push_back(*SR.Output);
-      if (SR.Status == StepStatus::Fault) {
-        RefRun.Status = RunStatus::FaultDetected;
-        break;
-      }
-      Timeline.push_back(Final.fingerprint());
-      if (RefRun.Steps % PlanStride == 0)
-        PlanSnaps.push_back({Final, RefRun.Steps, RefRun.Trace.size()});
-    }
-  } else {
-    RefRun = E.run(Final, Spec.Prog->exitAddress(), Spec.MaxReferenceSteps,
-                   Spec.Policy);
-  }
+  RunResult RefRun = E.run(Final, Spec.Prog->exitAddress(),
+                           Spec.MaxReferenceSteps, Spec.Policy);
   if (RefRun.Status != RunStatus::Halted) {
     R.Ok = false;
     R.Violations.push_back(formatv("reference run did not halt (%s after %llu steps)",
@@ -2134,16 +1934,11 @@ CampaignResult talft::runInjectionPlans(const PlanCampaign &Spec,
   R.Stats.ThreadsUsed = (unsigned)std::min<uint64_t>(
       Threads, std::max<size_t>(1, Spec.Plans.size()));
 
-  bool Converge = Opts.Converge && !Timeline.empty();
-  R.Stats.Converge = Converge;
-  ConvergenceContext Conv{&Timeline, &PlanSnaps, PlanStride};
   std::vector<uint8_t> Verdicts(Spec.Plans.size(), 0);
-  std::vector<ConvergenceHit> Hits(Converge ? Spec.Plans.size() : 0);
   auto RunOne = [&](uint64_t I) {
-    Verdicts[I] = (uint8_t)classifyPlan(
-        E, *Spec.Prog, Spec.Policy, Spec.ExtraSteps, RefRun.Trace, Final,
-        RefRun.Steps, *S0, Spec.Plans[I], Converge ? &Conv : nullptr,
-        Converge ? &Hits[I] : nullptr);
+    Verdicts[I] = (uint8_t)classifyPlan(E, *Spec.Prog, Spec.Policy,
+                                        Spec.ExtraSteps, RefRun.Trace, Final,
+                                        RefRun.Steps, *S0, Spec.Plans[I]);
   };
   dispatchTasks(Threads, Spec.Plans.size(), RunOne, Opts.ProgressInterval,
                 Opts.Progress);
@@ -2151,12 +1946,6 @@ CampaignResult talft::runInjectionPlans(const PlanCampaign &Spec,
   for (size_t I = 0; I != Spec.Plans.size(); ++I) {
     Verdict V = (Verdict)Verdicts[I];
     R.Table[V] += 1;
-    if (Converge && Hits[I].Hit) {
-      ++R.Stats.EarlyExits;
-      R.Stats.WindowSum += Hits[I].Window;
-      R.Stats.MaxWindow = std::max(R.Stats.MaxWindow, Hits[I].Window);
-      R.Stats.StepsSaved += Hits[I].Saved;
-    }
     // Multi-fault plans legitimately produce SilentCorruption (that is what
     // the double-fault ablation demonstrates); only a wedged machine is a
     // campaign-level violation here.

@@ -166,37 +166,40 @@ struct CampaignOptions {
   /// without this flag; a nonzero violation count is a hard analysis bug
   /// surfaced in Stats.CfiViolations / CampaignResult::CfiFirstViolation.
   bool CfiCheck = false;
-  /// Convergence acceleration: the reference phase records a per-step
-  /// fingerprint timeline, a register access log and dense snapshots,
-  /// which buy two sound shortcuts for faulty continuations. (1) Early
-  /// exit: a continuation stops as soon as a full state-equality check
-  /// (gated by a fingerprint match at the same step index) proves it has
-  /// re-joined the reference run — determinism makes the remainder
-  /// identical, so the verdict is Masked without executing the rest of
-  /// the program. (2) Sparse differential replay: a register-site
-  /// continuation provably executes the reference instruction stream
-  /// with divergence confined to a small set of register payloads, so
-  /// the classifier walks only the reference transitions that touch a
-  /// tainted register (jumping between them through the access log)
-  /// instead of simulating every step, and hands off to concrete
-  /// simulation the moment an event falls outside the provable cases.
-  /// Verdict tables and violation lists are bit-identical with and
+  /// Convergence acceleration by sparse differential replay: the
+  /// reference phase records a register access log, the operands and
+  /// result of every executed instruction, and dense snapshots. A
+  /// register-site continuation provably executes the reference
+  /// instruction stream with divergence confined to a small set of
+  /// register payloads, so the classifier walks only the reference
+  /// transitions that touch a tainted register (jumping between them
+  /// through the access log) instead of simulating every step. A run
+  /// whose taint drains has re-joined the reference exactly and is
+  /// Masked without executing the rest of the program; a run whose taint
+  /// is never touched again reduces to a similarity check; anything
+  /// outside the provable cases resumes concretely from a reconstructed
+  /// state. Verdict tables and violation lists are bit-identical with and
   /// without this flag (the differential oracle asserts the fold); only
   /// wall-clock time changes. Ignored by recovery campaigns (rollback
-  /// replays re-diverge from the reference) and typed campaigns (they
-  /// must type every intermediate state).
+  /// replays re-diverge from the reference), typed campaigns (they must
+  /// type every intermediate state) and plan campaigns (an earlier
+  /// injection already diverged the state).
   bool Converge = true;
   /// Batched lane execution: tasks that resume from the same reference
   /// step are grouped and advanced in lockstep through one decoded
-  /// micro-op stream (vm/LaneEngine.h), amortizing fetch, boundary checks
-  /// and fingerprint maintenance across the group. Register sites on the
-  /// program counters stay scalar (their continuations diverge at the
-  /// very next fetch); with Converge on, register-site tasks still go
-  /// through the differential replay first and only the bailed residue is
-  /// batched. Verdict tables and violation lists are bit-identical with
-  /// and without lanes, for every width, engine, thread count and resume
-  /// mode; only wall-clock time and the lane statistics change. Ignored
-  /// by recovery campaigns, typed campaigns and plan campaigns.
+  /// micro-op stream (vm/LaneEngine.h), amortizing fetch and boundary
+  /// checks across the group. Register sites on the program counters
+  /// stay scalar (their continuations diverge at the very next fetch);
+  /// with Converge on, register-site tasks still go through the
+  /// differential replay first and only the bailed residue is batched.
+  /// Lane groups run vm micro-ops, so they serve the interpreted engines
+  /// only: when continuations would execute native code (a native JIT
+  /// engine without CfiCheck) the campaign classifies on the scalar path
+  /// and reports Stats.Lanes false. Verdict tables and violation lists
+  /// are bit-identical with and without lanes, for every width, engine,
+  /// thread count and resume mode; only wall-clock time and the lane
+  /// statistics change. Ignored by recovery campaigns, typed campaigns
+  /// and plan campaigns.
   bool Lanes = true;
   /// Lanes per group (1 = degenerate scalar batching, useful for
   /// differential testing). Groups narrower than this form when a
@@ -250,16 +253,18 @@ struct CampaignStats {
   bool CfiChecked = false;
   /// Committed indirect transfers observed / flagged by the CFI hook.
   /// Commit counts are an execution-strategy diagnostic (lane grouping
-  /// and convergence shortcuts legitimately change how many commits
+  /// and the differential replay legitimately change how many commits
   /// execute); the soundness claim is CfiViolations == 0.
   uint64_t CfiCommits = 0;
   uint64_t CfiViolations = 0;
-  /// True when convergence probing was active for this campaign.
+  /// True when the differential replay was armed for this campaign.
   bool Converge = false;
-  /// Continuations classified Masked by a convergence early-exit.
+  /// Register-site continuations the differential replay classified
+  /// Masked because their taint drained: the faulty state re-joined the
+  /// reference exactly, so the rest of the run was never executed.
   uint64_t EarlyExits = 0;
-  /// Sum and max of the divergence windows (steps executed between the
-  /// injection and the proven re-convergence) over all early exits.
+  /// Sum and max of the divergence windows (reference steps between the
+  /// injection and the taint draining) over all early exits.
   uint64_t WindowSum = 0;
   uint64_t MaxWindow = 0;
   /// Reference-tail steps the early exits skipped (what the full runs
@@ -298,10 +303,11 @@ struct CampaignStats {
   uint64_t JitCodeBytes = 0;
   /// Native-to-driver transitions during this campaign. Like the lane
   /// counters this describes the execution strategy, not the outcome:
-  /// thread scheduling and lane grouping legitimately change it.
+  /// the replay's bail points and the continuation budgets shape it.
   uint64_t JitSideExits = 0;
   /// int64 lanes per vector op in the batched lane banks (vm/LaneSimd.h):
-  /// 4 = AVX2, 2 = SSE2, 1 = portable scalar build.
+  /// 4 = AVX2, 2 = SSE2, 1 = portable scalar build; 0 when the campaign
+  /// ran no lane groups (Lanes false).
   unsigned SimdLaneWidth = 0;
   /// Shard provenance: which contiguous slice of the enumerated task list
   /// this result covers. ShardCount 1 / TotalTasks == Tasks describes an

@@ -1,115 +1,32 @@
-//===- isa/Fingerprint.h - Incremental state fingerprints -----------------===//
+//===- isa/Fingerprint.h - The 64-bit mixer behind content hashes ---------===//
 //
 // Part of the TALFT project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Primitives for the 64-bit Zobrist-style machine-state fingerprint the
-/// fault campaign uses to detect re-convergence with the reference run.
-/// Every mutable component of a MachineState maintains its own fingerprint
-/// in O(1) per write:
-///
-///   - RegisterFile and ValueMemory XOR one pseudorandom word per cell
-///     (classic Zobrist hashing, except the "random table" is a mix of the
-///     slot salt and the unbounded cell value);
-///   - StoreQueue uses a polynomial hash in an odd base B over positions
-///     counted from the back, so both pushFront (append the highest-degree
-///     term) and popBack (subtract the constant term, divide by B — B is
-///     odd, hence invertible mod 2^64) stay O(1) while the hash remains a
-///     function of the queue *contents only*, not its history.
-///
-/// Fingerprints are advisory: equal states always have equal fingerprints,
-/// but the campaign treats a fingerprint match only as a gate before a full
-/// state-equality check — a collision must never change a verdict.
+/// The bijective 64-bit mixer every content hash in the project is built
+/// from: the whole-program hash (isa/ProgramHash.h) and the serve layer's
+/// campaign-options digest. Both are memo keys that outlive a process —
+/// the disk memo tier and the write-ahead log store them — so the mixer
+/// is fixed bit for bit.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef TALFT_ISA_FINGERPRINT_H
 #define TALFT_ISA_FINGERPRINT_H
 
-#include "isa/Inst.h"
-#include "isa/Value.h"
-
 #include <cstdint>
 
 namespace talft::fp {
 
 /// The splitmix64 finalizer: a cheap bijective 64-bit mixer with good
-/// avalanche behavior, the workhorse of every hash below.
+/// avalanche behavior.
 constexpr uint64_t mix(uint64_t X) {
   X += 0x9e3779b97f4a7c15ull;
   X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
   X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
   return X ^ (X >> 31);
-}
-
-/// Domain-separation salts so a register cell, a memory cell and a queue
-/// entry holding the same integers never share a hash by construction.
-inline constexpr uint64_t RegDomain = 0x517cc1b727220a95ull;
-inline constexpr uint64_t MemDomain = 0x2b2f159e1ad6f4dbull;
-inline constexpr uint64_t QueueDomain = 0x9ae16a3b2f90404full;
-inline constexpr uint64_t IrDomain = 0xc2b2ae3d27d4eb4full;
-
-/// Fingerprint of the distinguished fault state (whose other fields are
-/// meaningless and excluded from hashing).
-inline constexpr uint64_t FaultedState = mix(0xdeadfa0317ull);
-/// Contribution of an empty instruction register (the paper's ·).
-inline constexpr uint64_t EmptyIR = mix(IrDomain);
-
-/// Hash of a colored value in register slot \p DenseIdx.
-constexpr uint64_t regCell(unsigned DenseIdx, const Value &V) {
-  return mix(mix(RegDomain + DenseIdx) ^ mix((uint64_t)V.N) ^
-             (V.C == Color::Blue ? 0x94d049bb133111ebull : 0));
-}
-
-/// Hash of a defined value-memory cell.
-constexpr uint64_t memCell(Addr A, int64_t V) {
-  return mix(mix(MemDomain + (uint64_t)A) ^ mix((uint64_t)V));
-}
-
-/// Hash of one store-queue (address, value) pair, position-independent;
-/// the polynomial base supplies the position weighting.
-constexpr uint64_t queueEntry(Addr A, int64_t V) {
-  return mix(mix(QueueDomain + (uint64_t)A) ^ mix((uint64_t)V));
-}
-
-/// The polynomial base for the store-queue hash. Odd, so it is a unit in
-/// Z/2^64 and popBack can divide the hash by it.
-inline constexpr uint64_t QueueBase = 0x2545f4914f6cdd1dull;
-
-/// Modular inverse of QueueBase mod 2^64 via Newton iteration (each round
-/// doubles the number of correct low bits; 6 rounds cover 64).
-constexpr uint64_t inverseOdd(uint64_t B) {
-  uint64_t Inv = B; // correct to 3 bits for odd B
-  for (int I = 0; I != 6; ++I)
-    Inv *= 2 - B * Inv;
-  return Inv;
-}
-inline constexpr uint64_t QueueBaseInv = inverseOdd(QueueBase);
-static_assert(QueueBase * QueueBaseInv == 1, "QueueBase must be invertible");
-
-/// Hash of a fetched instruction sitting in the instruction register.
-inline uint64_t instHash(const Inst &I) {
-  uint64_t H = mix(IrDomain + (uint64_t)I.Op);
-  H = mix(H ^ ((uint64_t)(I.C == Color::Blue) | ((uint64_t)I.HasImm << 1)));
-  H = mix(H ^ (uint64_t)I.Rd.denseIndex());
-  H = mix(H ^ (uint64_t)I.Rs.denseIndex());
-  H = mix(H ^ (uint64_t)I.Rt.denseIndex());
-  H = mix(H ^ mix((uint64_t)I.Imm.N) ^
-          (I.Imm.C == Color::Blue ? 0xbf58476d1ce4e5b9ull : 0));
-  return H;
-}
-
-/// Composes the component fingerprints of an ordinary (non-fault) state.
-/// The chain is deliberately asymmetric so swapping two equal component
-/// hashes (or cancelling one against another) changes the result.
-constexpr uint64_t composeState(uint64_t Regs, uint64_t Mem, uint64_t Queue,
-                                uint64_t Ir) {
-  uint64_t F = mix(Regs + 0x6a09e667f3bcc909ull);
-  F = mix(F ^ Mem);
-  F = mix(F ^ Queue);
-  return F ^ Ir;
 }
 
 } // namespace talft::fp

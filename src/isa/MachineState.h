@@ -57,46 +57,10 @@ struct MachineState {
   Value pcG() const { return Regs.get(Reg::pcG()); }
   Value pcB() const { return Regs.get(Reg::pcB()); }
 
-  /// The 64-bit Zobrist fingerprint of the state: an O(1) composition of
-  /// the incrementally-maintained component fingerprints (registers, value
-  /// memory, store queue) plus the instruction-register contribution. Code
-  /// memory is immutable and shared, so it does not participate. Equal
-  /// states always have equal fingerprints; the converse is only
-  /// probabilistic, so consumers must confirm with full equality.
-  uint64_t fingerprint() const {
-    if (Faulted)
-      return fp::FaultedState;
-    return fp::composeState(Regs.fingerprint(), Mem.fingerprint(),
-                            Queue.fingerprint(),
-                            IR ? fp::instHash(*IR) : fp::EmptyIR);
-  }
-
   /// Full structural equality (code memory by identity — campaign states
-  /// share one immutable CodeMemory). This is the expensive check a
-  /// fingerprint match merely gates.
+  /// share one immutable CodeMemory).
   bool operator==(const MachineState &O) const = default;
 };
-
-/// Recomputes the fingerprint of \p S from scratch in O(|state|), walking
-/// every component through its public API. The incremental-maintenance
-/// oracle: must agree with S.fingerprint() after any step sequence.
-inline uint64_t recomputeFingerprint(const MachineState &S) {
-  if (S.Faulted)
-    return fp::FaultedState;
-  uint64_t Regs = 0;
-  for (unsigned I = 0; I != Reg::NumRegs; ++I)
-    Regs ^= fp::regCell(I, S.Regs.get(Reg::fromDenseIndex(I)));
-  uint64_t Mem = 0;
-  for (const auto &[A, V] : S.Mem)
-    Mem ^= fp::memCell(A, V);
-  uint64_t Queue = 0;
-  // Horner from the front: the front entry (highest degree, farthest from
-  // the back) accumulates the most QueueBase factors.
-  for (const QueueEntry &E : S.Queue)
-    Queue = Queue * fp::QueueBase + fp::queueEntry(E.Address, E.Val);
-  return fp::composeState(Regs, Mem, Queue,
-                          S.IR ? fp::instHash(*S.IR) : fp::EmptyIR);
-}
 
 } // namespace talft
 

@@ -8,10 +8,9 @@
 /// A deterministic 64-bit content hash of a laid-out program: the ordered
 /// (address, instruction) pairs of its code memory, its entry and exit
 /// addresses, and the initial machine state (which folds in the data
-/// section and the precondition registers). Built from the same Zobrist
-/// primitives as the per-step state fingerprint (isa/Fingerprint.h), so
-/// one instruction, one data cell or one precondition value changing
-/// changes the hash.
+/// section and the precondition registers), hashed from scratch with the
+/// isa/Fingerprint.h mixer, so one instruction, one data cell or one
+/// precondition value changing changes the hash.
 ///
 /// The hash is the identity half of the certification server's memo key —
 /// (program hash × campaign-options digest) addresses a cached verdict
@@ -36,8 +35,9 @@ class CodeMemory;
 struct MachineState;
 
 /// The 64-bit content hash of a program: code memory (in ascending address
-/// order), entry/exit addresses and the initial state's fingerprint,
-/// chained asymmetrically so reordered or swapped components cannot cancel.
+/// order), entry/exit addresses and a hash of the initial state's
+/// contents, chained asymmetrically so reordered or swapped components
+/// cannot cancel.
 uint64_t programContentHash(const CodeMemory &Code, Addr Entry, Addr Exit,
                             const MachineState &Initial);
 

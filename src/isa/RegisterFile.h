@@ -19,7 +19,6 @@
 #ifndef TALFT_ISA_REGISTERFILE_H
 #define TALFT_ISA_REGISTERFILE_H
 
-#include "isa/Fingerprint.h"
 #include "isa/Reg.h"
 #include "isa/Value.h"
 
@@ -37,8 +36,6 @@ public:
       V = Value::green(0);
     Regs[Reg::pcB().denseIndex()] = Value::blue(Entry);
     Regs[Reg::pcG().denseIndex()] = Value::green(Entry);
-    for (unsigned I = 0; I != Reg::NumRegs; ++I)
-      Fp ^= fp::regCell(I, Regs[I]);
   }
 
   /// R(a): the full colored value in register \p A.
@@ -49,41 +46,23 @@ public:
   Color col(Reg A) const { return get(A).C; }
 
   /// R[a |-> v].
-  void set(Reg A, Value V) {
-    unsigned I = A.denseIndex();
-    Fp ^= fp::regCell(I, Regs[I]) ^ fp::regCell(I, V);
-    Regs[I] = V;
-  }
+  void set(Reg A, Value V) { Regs[A.denseIndex()] = V; }
 
   /// R++: increments both program counters by one (preserving colors).
   void incrementPCs() {
-    Value &G = Regs[Reg::pcG().denseIndex()];
-    Value &B = Regs[Reg::pcB().denseIndex()];
-    constexpr unsigned GI = NumGeneralRegs + 1, BI = NumGeneralRegs + 2;
-    Fp ^= fp::regCell(GI, G) ^ fp::regCell(BI, B);
-    G.N += 1;
-    B.N += 1;
-    Fp ^= fp::regCell(GI, G) ^ fp::regCell(BI, B);
+    Regs[Reg::pcG().denseIndex()].N += 1;
+    Regs[Reg::pcB().denseIndex()].N += 1;
   }
 
-  /// Zobrist fingerprint of the bank, maintained O(1) per write: the XOR
-  /// of one pseudorandom word per (slot, colored value) pair.
-  uint64_t fingerprint() const { return Fp; }
-
-  /// Raw dense-cell access for execution tiers that batch fingerprint
-  /// maintenance (the JIT writes cells natively, then the driver folds
-  /// old-cell ^ new-cell terms for the dirty slots in one pass). Callers
-  /// mutating through rawCells() own restoring the fingerprint invariant
-  /// via rawSetFingerprint() before the state is observed.
+  /// Raw dense-cell access for execution tiers that address registers by
+  /// dense index (the JIT's native templates write the cells in place).
   Value *rawCells() { return Regs.data(); }
   const Value *rawCells() const { return Regs.data(); }
-  void rawSetFingerprint(uint64_t NewFp) { Fp = NewFp; }
 
   bool operator==(const RegisterFile &O) const = default;
 
 private:
   std::array<Value, Reg::NumRegs> Regs;
-  uint64_t Fp = 0;
 };
 
 } // namespace talft

@@ -170,9 +170,16 @@ bool Server::start(std::string *Err) {
 }
 
 void Server::requestDrain() {
-  bool Expected = false;
-  if (!Draining.compare_exchange_strong(Expected, true))
-    return;
+  {
+    // The flag flips under QueueMu: a handler holds the mutex from
+    // evaluating its wait predicate until it blocks, so it either sees
+    // Draining or is already waiting when the notify below fires. A flag
+    // set outside the mutex could land in between and the wake-up would
+    // be lost, leaving stop() joining a handler that never returns.
+    std::lock_guard<std::mutex> Lock(QueueMu);
+    if (Draining.exchange(true))
+      return;
+  }
   // Wake the accept loop; pending connections are refused by the workers.
   if (ListenFd >= 0)
     ::shutdown(ListenFd, SHUT_RDWR);

@@ -8,19 +8,13 @@
 /// The engine-agnostic handoff between the fault campaign's work list and a
 /// batched lane executor (vm/LaneEngine.h): the campaign collects faulty
 /// continuations that share one resume point — same reference step, hence
-/// the same program counters, step budget and probe schedule — and hands
-/// the whole batch over as one lane group. The executor advances every
-/// lane through the shared instruction stream and reports, per lane, the
-/// same RunStatus the scalar ExecEngine::runContinuation contract defines,
-/// so the caller's verdict logic is oblivious to how the continuation was
-/// executed.
-///
-/// The contract deliberately mirrors ExecEngine::ConvergenceProbe and the
-/// OutputSink, with a lane index threaded through each callback: outputs
-/// feed per-lane prefix trackers, and a probe Verify confirms one lane's
-/// re-convergence (the reference-state reconstruction it performs can be
-/// cached across lanes of a group, which probe the same boundary indices
-/// in lockstep).
+/// the same program counters and step budget — and hands the whole batch
+/// over as one lane group. The executor advances every lane through the
+/// shared instruction stream and reports, per lane, the same RunStatus the
+/// scalar ExecEngine::runContinuation contract defines, so the caller's
+/// verdict logic is oblivious to how the continuation was executed. The
+/// output sink mirrors ExecEngine::OutputSink with a lane index threaded
+/// through, so outputs feed per-lane prefix trackers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,27 +27,6 @@
 
 namespace talft {
 
-/// The convergence early-exit contract for a lane group: identical to
-/// ExecEngine::ConvergenceProbe except that Verify names the lane, letting
-/// the caller consult per-lane output trackers and share the reference
-/// reconstruction across lanes. Probing happens at fetch boundaries, after
-/// the exit check and before the budget check, exactly as in the scalar
-/// engines — so a lane's probe sequence is the one its scalar run would
-/// have seen.
-struct LaneProbe {
-  /// Timeline[k] = fingerprint of the reference state after k steps.
-  const uint64_t *Timeline = nullptr;
-  size_t Size = 0;
-  /// Absolute reference-step index of the group's starting states.
-  uint64_t StartStep = 0;
-  /// Probe only boundary indices Idx with (Idx & Mask) == 0.
-  uint64_t Mask = 0;
-  /// Full-equality confirmation for one lane; called only on a
-  /// fingerprint match. Returning true retires the lane as Converged.
-  std::function<bool(unsigned Lane, const MachineState &S, uint64_t Idx)>
-      Verify;
-};
-
 /// One lane group's execution parameters — the runContinuation arguments,
 /// shared by every lane (the grouping invariant: all lanes resume from the
 /// same reference step).
@@ -63,14 +36,13 @@ struct LaneGroupSpec {
   StepPolicy Policy;
   /// Invoked for each committed store, tagged with the emitting lane.
   std::function<void(unsigned Lane, const QueueEntry &)> OnOutput;
-  const LaneProbe *Probe = nullptr;
   /// When set, the caller guarantees every lane's value memory equals
   /// *SharedMem at entry and passes the lane states with an *empty* Mem
   /// field; the executor reads the shared memory and gives a lane its own
   /// copy only on its first store (fault continuations rarely live long
   /// enough to commit one, so most lanes never pay the copy). The pointee
-  /// must outlive the run. Lane states handed back (or to probe Verify)
-  /// always carry a materialized memory.
+  /// must outlive the run. Lane states handed back always carry a
+  /// materialized memory.
   const ValueMemory *SharedMem = nullptr;
 };
 

@@ -20,8 +20,6 @@ const char *talft::runStatusName(RunStatus St) {
     return "stuck";
   case RunStatus::OutOfSteps:
     return "out-of-steps";
-  case RunStatus::Converged:
-    return "converged";
   }
   talft_unreachable("unknown run status");
 }

@@ -41,11 +41,6 @@ enum class RunStatus : uint8_t {
   Stuck,
   /// The step budget ran out.
   OutOfSteps,
-  /// A convergence probe proved the run has re-joined the reference
-  /// execution (continuation runs only; see ExecEngine::ConvergenceProbe).
-  /// Determinism makes the rest of the run identical to the reference, so
-  /// the campaign classifies without executing it.
-  Converged,
 };
 
 /// Human-readable status name.

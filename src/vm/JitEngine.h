@@ -8,8 +8,8 @@
 /// The JIT engine: lowers the decoded micro-op array to native x86-64 at
 /// construction (JitEmitter.h) and drives it behind the unchanged
 /// ExecEngine contract. The C++ driver owns every boundary decision —
-/// exit, convergence probe, budget, pc agreement, fetch misses — in the
-/// exact per-mode order of the vm engine; native code only executes whole
+/// exit, budget, pc agreement, fetch misses — in the exact per-mode order
+/// of the vm engine; native code only executes whole
 /// instruction runs between boundaries, side-exiting whenever a boundary
 /// condition needs attention. That split keeps the engine observationally
 /// bit-identical to vm/reference on every state the fault model produces,
@@ -67,8 +67,7 @@ public:
                            const StepPolicy &Policy) const override;
   RunStatus runContinuation(MachineState &S, Addr ExitAddr, uint64_t Budget,
                             const StepPolicy &Policy,
-                            const OutputSink &OnOutput,
-                            const ConvergenceProbe *Probe) const override;
+                            const OutputSink &OnOutput) const override;
 
 private:
   struct NativeExit {
@@ -77,7 +76,6 @@ private:
   };
   NativeExit enterNative(MachineState &S, const StepPolicy &Policy,
                          Addr ExitAddr, uint64_t Avail,
-                         const ConvergenceProbe *Probe, uint64_t BoundaryIdx,
                          void (*OutFn)(JitFrame *, int64_t, int64_t),
                          void *OutCtx, const uint8_t *Body) const;
   const uint8_t *bodyFor(Addr A) const {

@@ -7,30 +7,26 @@
 /// \file
 /// The batched lane engine: advances a group of faulty continuations — all
 /// resumed from the same reference step, so they start under the same
-/// program counters with the same step budget and probe schedule — in
-/// lockstep through one decoded micro-op stream. Each fetch (boundary
-/// check, array lookup, budget arithmetic) is paid once per group instead
-/// of once per continuation, and the SoA register bank (LaneState) skips
-/// per-write fingerprint maintenance, recomputing lane hashes only at the
-/// sparse probe boundaries.
+/// program counters with the same step budget — in lockstep through one
+/// decoded micro-op stream. Each fetch (boundary check, array lookup,
+/// budget arithmetic) is paid once per group instead of once per
+/// continuation, and the ALU families run row-at-a-time over the SoA
+/// register bank (LaneState, LaneSimd.h).
 ///
 /// Lanes leave the group individually, the moment their fate is known:
 ///
 ///   - a lane whose program counters diverge from the group pc (a fault
 ///     steered its control flow, or corrupted a pc outright) is masked off
-///     and finished on the embedded scalar vm::Engine, with the remaining
-///     budget and a probe continued at the current boundary — the scalar
-///     boundary checks are idempotent, so the handoff is exact;
-///   - a lane whose Zobrist fingerprint matches the reference timeline at
-///     a probe boundary retires as Converged once the caller's Verify
-///     confirms full equality;
+///     and finished on the embedded scalar vm::Engine with the remaining
+///     budget — the scalar boundary checks are idempotent, so the handoff
+///     is exact;
 ///   - a lane that trips a cross-check (stB mismatch, jmp/bz guard, wild
 ///     load under Trap) retires as FaultDetected in place.
 ///
 /// Every lane ends with exactly the RunStatus, output trace, step
 /// accounting and final MachineState its own scalar runContinuation would
 /// have produced: the group loop replicates the scalar boundary order
-/// (exit check, convergence probe, budget, pc agreement, fetch) — verdict
+/// (exit check, budget, pc agreement, fetch) — verdict
 /// tables built on top of lane groups are bit-identical to unbatched runs.
 ///
 //===----------------------------------------------------------------------===//
@@ -61,8 +57,8 @@ public:
   /// counter payloads and in-flight instruction register contents (both
   /// asserted in debug builds; single faults on non-pc registers, memory
   /// and queue cells never break either). On return States[L] holds lane
-  /// L's final state and Spec-level callbacks have seen its outputs and
-  /// convergence, exactly as if each lane had run alone through
+  /// L's final state and the Spec's output sink has seen its outputs,
+  /// exactly as if each lane had run alone through
   /// Engine::runContinuation(States[L], Spec.ExitAddr, Spec.Budget, ...).
   void run(MachineState *States, unsigned N, const LaneGroupSpec &Spec,
            LaneOutcome *Out) const;

@@ -17,8 +17,8 @@
 /// 64-bit multiply has no packed form below AVX-512DQ, so the mul rows
 /// stay scalar on every tier; adds, subs, broadcasts and fills vectorize.
 ///
-/// These operate on raw rows and know nothing about colors, fingerprints
-/// or active-lane sets — LaneEngine only dispatches here for full-width
+/// These operate on raw rows and know nothing about colors or active-lane
+/// sets — LaneEngine only dispatches here for full-width
 /// groups, where "every lane" and "the whole row" coincide.
 ///
 //===----------------------------------------------------------------------===//

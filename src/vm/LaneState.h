@@ -12,10 +12,10 @@
 /// intention register d) are split into a lane-major payload array and a
 /// lane-major color array (both indexed [dense * Width + lane], with dense
 /// indices straight from MicroOp operands); store queues stay per-lane
-/// objects — they are tiny, already O(1)-hashed, and mutate nearly every
-/// step. Value memories are copy-on-write against an optional shared base
-/// (shareMemory): campaign lanes start from one reference state and most
-/// retire before committing a store, so they never own a memory at all.
+/// objects — they are tiny and mutate nearly every step. Value memories
+/// are copy-on-write against an optional shared base (shareMemory):
+/// campaign lanes start from one reference state and most retire before
+/// committing a store, so they never own a memory at all.
 ///
 /// The program counters are *group* state, not lane state: lanes advance in
 /// lockstep precisely while their pcs agree, so one (pcG, pcB) pair serves
@@ -24,20 +24,10 @@
 /// group (LaneEngine hands it to the scalar engine) before the group pc
 /// moves, so the shared pair always matches every member's pc.
 ///
-/// Fingerprints follow the same split, but lazily: register writes only
-/// mark their row dirty (saving the row's pre-window contents once), and
-/// the two Zobrist cell mixes per write that RegisterFile::set pays
-/// eagerly are folded in bulk at the sparse probe boundaries that consult
-/// the fingerprint (flushFingerprints). Rewrites of the same register
-/// within a probe window cancel to a single old/new fold, lanes that
-/// retire mid-window never pay for their pending writes, and the pc
-/// contribution is recomputed from the group pair only at the boundary —
-/// together the single biggest per-step saving of the batched engine.
-///
-/// Lanes retire in place (convergence, detection, deviation): the retired
-/// lane leaves the dense active-index list and the dispatch loops skip it;
-/// take() moves its memory and queue out into an ordinary MachineState for
-/// the scalar verdict logic.
+/// Lanes retire in place (detection, deviation, the group's end): the
+/// retired lane leaves the dense active-index list and the dispatch loops
+/// skip it; take() moves its memory and queue out into an ordinary
+/// MachineState for the scalar verdict logic.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,7 +36,6 @@
 
 #include "isa/MachineState.h"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 #include <vector>
@@ -67,13 +56,9 @@ public:
 
   explicit LaneState(unsigned Width)
       : Width(Width), RegV(size_t(NumDataRegs) * Width, 0),
-        RegC(size_t(NumDataRegs) * Width, Color::Green),
-        SaveV(size_t(NumDataRegs) * Width, 0),
-        SaveC(size_t(NumDataRegs) * Width, Color::Green), FpData(Width, 0),
-        RowDirty(NumDataRegs, 0), Mems(Width), MemDirty(Width, 0),
-        Queues(Width), Live(Width, 0) {
+        RegC(size_t(NumDataRegs) * Width, Color::Green), Mems(Width),
+        MemDirty(Width, 0), Queues(Width), Live(Width, 0) {
     Act.reserve(Width);
-    DirtyRows.reserve(NumDataRegs);
   }
 
   unsigned width() const { return Width; }
@@ -87,7 +72,6 @@ public:
     assert(L < Width && "lane index out of range");
     assert(!S.isFault() && "loading the fault state into a lane");
     assert(!S.IR && "lane loads take states with an empty IR");
-    assert(DirtyRows.empty() && "lane load with deferred writes pending");
     for (unsigned I = 0; I != NumDataRegs; ++I) {
       const Value &V = S.Regs.get(Reg::fromDenseIndex(I));
       RegV[size_t(I) * Width + L] = V.N;
@@ -95,11 +79,6 @@ public:
     }
     const Value &G = S.Regs.get(Reg::pcG());
     const Value &B = S.Regs.get(Reg::pcB());
-    // The data-bank hash is the register file's incrementally-maintained
-    // bank hash with the two pc cells backed out: two cell mixes instead
-    // of one per data register.
-    FpData[L] =
-        S.Regs.fingerprint() ^ fp::regCell(PcGIdx, G) ^ fp::regCell(PcBIdx, B);
     if (Act.empty()) {
       PcG = G;
       PcB = B;
@@ -107,9 +86,8 @@ public:
       assert(G == PcG && B == PcB && "lane group mixes program counters");
     }
     // An empty incoming memory under a shared base means "the base": the
-    // lane stays copy-on-write clean. Anything else (including a probe
-    // collision reload, whose take() materialized a copy) becomes the
-    // lane's own memory.
+    // lane stays copy-on-write clean. Anything else becomes the lane's own
+    // memory.
     if (BaseMem && S.Mem.size() == 0) {
       MemDirty[L] = 0;
     } else {
@@ -185,18 +163,8 @@ public:
     return Value(col(I, L), val(I, L));
   }
 
-  /// SoA register write. Fingerprint maintenance is deferred: the first
-  /// write to a row since the last flushFingerprints() snapshots the whole
-  /// row, and the hash delta is folded per lane at the next flush — so the
-  /// common case is two stores and a predictable branch, with no mixes.
+  /// SoA register write.
   void set(unsigned I, unsigned L, Value V) {
-    if (!RowDirty[I]) {
-      RowDirty[I] = 1;
-      DirtyRows.push_back(I);
-      size_t Row = size_t(I) * Width;
-      std::copy_n(&RegV[Row], Width, &SaveV[Row]);
-      std::copy_n(&RegC[Row], Width, &SaveC[Row]);
-    }
     size_t Slot = size_t(I) * Width + L;
     RegV[Slot] = V.N;
     RegC[Slot] = V.C;
@@ -209,66 +177,18 @@ public:
   /// dead cells to clobber bookkeeping for.
   bool fullWidthActive() const { return Act.size() == Width; }
 
-  /// Opens row \p I for a full-row write: takes the deferred-fingerprint
-  /// snapshot set() would take on the row's first write this window. The
-  /// caller then writes the row storage directly via rowV()/rowC().
-  void beginRowWrite(unsigned I) {
-    if (!RowDirty[I]) {
-      RowDirty[I] = 1;
-      DirtyRows.push_back(I);
-      size_t Row = size_t(I) * Width;
-      std::copy_n(&RegV[Row], Width, &SaveV[Row]);
-      std::copy_n(&RegC[Row], Width, &SaveC[Row]);
-    }
-  }
-
-  /// Raw storage of data-register row \p I ([I * Width, (I + 1) * Width)).
-  /// Writes require a preceding beginRowWrite(I) in the same window.
+  /// Raw storage of data-register row \p I ([I * Width, (I + 1) * Width)),
+  /// for full-row writes.
   int64_t *rowV(unsigned I) { return &RegV[size_t(I) * Width]; }
   const int64_t *rowV(unsigned I) const { return &RegV[size_t(I) * Width]; }
   Color *rowC(unsigned I) { return &RegC[size_t(I) * Width]; }
   const Color *rowC(unsigned I) const { return &RegC[size_t(I) * Width]; }
 
-  /// Folds all deferred register writes into the active lanes' data-bank
-  /// hashes: for each dirty row, each lane whose cell changed since the
-  /// window opened XORs the old cell hash out and the new one in. Must run
-  /// before fingerprint() is consulted and before any load() that reuses a
-  /// retired slot — LaneEngine calls it once per probe boundary, where the
-  /// per-window folds replace per-write mixes.
-  void flushFingerprints() {
-    for (unsigned I : DirtyRows) {
-      size_t Row = size_t(I) * Width;
-      for (unsigned L : Act) {
-        size_t Slot = Row + L;
-        if (RegV[Slot] == SaveV[Slot] && RegC[Slot] == SaveC[Slot])
-          continue;
-        FpData[L] ^= fp::regCell(I, Value(SaveC[Slot], SaveV[Slot])) ^
-                     fp::regCell(I, Value(RegC[Slot], RegV[Slot]));
-      }
-      RowDirty[I] = 0;
-    }
-    DirtyRows.clear();
-  }
-
-  /// Drops deferred register-write bookkeeping left over from a finished
-  /// group. Runs end by taking or retiring every lane — often mid-window
-  /// (exit drains and fallbacks precede the boundary flush) — so pending
-  /// deltas belong to dead lanes and must be discarded, not folded, when
-  /// a scratch bank is reused for the next group.
-  void resetDeferredWrites() {
-    assert(Act.empty() && "dropping deferred writes with lanes active");
-    for (unsigned I : DirtyRows)
-      RowDirty[I] = 0;
-    DirtyRows.clear();
-  }
-
   /// The shared group program counters.
   const Value &pcG() const { return PcG; }
   const Value &pcB() const { return PcB; }
 
-  /// R++ for the whole group: one pair of payload bumps per step. No
-  /// fingerprint work — the pc contribution is recomputed lazily at probe
-  /// boundaries.
+  /// R++ for the whole group: one pair of payload bumps per step.
   void incrementPCs() {
     PcG.N += 1;
     PcB.N += 1;
@@ -296,42 +216,16 @@ public:
   }
   StoreQueue &queue(unsigned L) { return Queues[L]; }
 
-  /// The pc-pair contribution to the register-bank hash, shared by every
-  /// lane; callers amortize it over the group at a probe boundary.
-  uint64_t pcFingerprint() const {
-    return fp::regCell(PcGIdx, PcG) ^ fp::regCell(PcBIdx, PcB);
-  }
-
-  /// Full state fingerprint of lane \p L at a fetch boundary (IR empty by
-  /// construction), given the precomputed group pc contribution \p PcFp.
-  /// Matches MachineState::fingerprint() of take(L, ...). Requires a
-  /// flushed window (no deferred writes pending).
-  uint64_t fingerprint(unsigned L, uint64_t PcFp) const {
-    assert(DirtyRows.empty() && "fingerprint consulted with deferred writes");
-    return fp::composeState(FpData[L] ^ PcFp, memRead(L).fingerprint(),
-                            Queues[L].fingerprint(), fp::EmptyIR);
-  }
-
 private:
   unsigned Width;
   /// Lane-major payloads and colors: data register row I occupies
   /// [I * Width, (I + 1) * Width).
   std::vector<int64_t> RegV;
   std::vector<Color> RegC;
-  /// Pre-window snapshots of the rows written since the last flush: row I
-  /// of SaveV/SaveC is valid iff RowDirty[I], and holds the row contents
-  /// from when the current probe window opened.
-  std::vector<int64_t> SaveV;
-  std::vector<Color> SaveC;
-  /// Per-lane Zobrist hash of the data bank (rows < NumDataRegs), exact
-  /// only after flushFingerprints().
-  std::vector<uint64_t> FpData;
-  std::vector<uint8_t> RowDirty;
-  std::vector<unsigned> DirtyRows;
   Value PcG, PcB;
   /// Copy-on-write backing: when BaseMem is set, MemDirty[L] == 0 means
   /// lane L still reads *BaseMem and Mems[L] is meaningless; a first store
-  /// (or a reload with a materialized memory) flips the lane to Mems[L].
+  /// flips the lane to Mems[L].
   const ValueMemory *BaseMem = nullptr;
   std::vector<ValueMemory> Mems;
   std::vector<uint8_t> MemDirty;

@@ -12,8 +12,7 @@
 //
 //   1. direct LaneEngine groups against per-lane scalar runs — including
 //      lanes that deviate at a blue control transfer (bz/jmp split and
-//      scalar fallback), lanes that retire mid-group on a cross-check,
-//      and lanes that converge at a probed boundary;
+//      scalar fallback) and lanes that retire mid-group on a cross-check;
 //   2. the degenerate width-1 group, which must be indistinguishable from
 //      the scalar engine;
 //   3. the copy-on-write shared-memory contract (LaneGroupSpec::SharedMem)
@@ -21,8 +20,7 @@
 //   4. campaign-level fold oracles across widths, engines, thread counts,
 //      resume modes, pruning and convergence;
 //   5. the explicit-plan API (the double-fault ablation's path) with every
-//      {Converge, Lanes} combination — plans ignore lanes, and
-//      --no-converge must not change a verdict.
+//      {Converge, Lanes} combination — plans ignore both.
 //
 //===----------------------------------------------------------------------===//
 
@@ -74,10 +72,9 @@ Program parseOrDie(TypeContext &TC, const NamedProgram &NP) {
   return std::move(*P);
 }
 
-/// The reference run unrolled: state and fingerprint after every step.
+/// The reference run unrolled: the state after every step.
 struct UnrolledRun {
   std::vector<MachineState> States;
-  std::vector<uint64_t> Timeline;
   uint64_t Steps = 0;
 };
 
@@ -89,12 +86,10 @@ UnrolledRun unroll(const Program &P, const StepPolicy &Policy) {
   U.Steps = RR.Steps;
   MachineState S = *P.initialState();
   U.States.push_back(S);
-  U.Timeline.push_back(S.fingerprint());
   for (uint64_t I = 0; I != RR.Steps; ++I) {
     StepResult SR = referenceEngine().step(S, Policy);
     EXPECT_EQ(SR.Status, StepStatus::Ok);
     U.States.push_back(S);
-    U.Timeline.push_back(S.fingerprint());
   }
   return U;
 }
@@ -136,21 +131,20 @@ std::vector<MachineState> injectedLanes(const Program &P,
 }
 
 /// Tallies of what the direct group runs exercised, so the suite can
-/// assert the interesting paths (deviation, detection, convergence)
-/// actually fired somewhere.
+/// assert the interesting paths (deviation, detection) actually fired
+/// somewhere.
 struct PathCounts {
   uint64_t Deviated = 0;
   uint64_t Detected = 0;
-  uint64_t Converged = 0;
 };
 
 /// Runs \p Lanes through the lane engine in groups of \p Width and each
-/// lane through the scalar vm engine alone, with identical budgets and
-/// probe schedules, and asserts per-lane observable equality.
+/// lane through the scalar vm engine alone, with identical budgets, and
+/// asserts per-lane observable equality.
 void compareGroupsToScalar(const char *Name, const Program &P,
                            const UnrolledRun &U, uint64_t K,
                            std::vector<MachineState> Lanes, unsigned Width,
-                           uint64_t Mask, PathCounts &PC) {
+                           PathCounts &PC) {
   vm::LaneEngine LE(P.code());
   uint64_t Budget = U.Steps - K + 64;
 
@@ -161,38 +155,20 @@ void compareGroupsToScalar(const char *Name, const Program &P,
     std::vector<OutputTrace> LaneOuts(N);
     std::vector<LaneOutcome> Outs(N);
 
-    LaneProbe Probe;
-    Probe.Timeline = U.Timeline.data();
-    Probe.Size = U.Timeline.size();
-    Probe.StartStep = K;
-    Probe.Mask = Mask;
-    Probe.Verify = [&](unsigned, const MachineState &S, uint64_t Idx) {
-      return Idx < U.States.size() && S == U.States[Idx];
-    };
-
     LaneGroupSpec Spec;
     Spec.ExitAddr = P.exitAddress();
     Spec.Budget = Budget;
     Spec.OnOutput = [&](unsigned L, const QueueEntry &E) {
       LaneOuts[L].push_back(E);
     };
-    Spec.Probe = &Probe;
     LE.run(Group.data(), N, Spec, Outs.data());
 
     for (unsigned L = 0; L != N; ++L) {
       MachineState S = Lanes[At + L];
       OutputTrace ScalarOut;
-      ExecEngine::ConvergenceProbe SP;
-      SP.Timeline = U.Timeline.data();
-      SP.Size = U.Timeline.size();
-      SP.StartStep = K;
-      SP.Mask = Mask;
-      SP.Verify = [&](const MachineState &FS, uint64_t Idx) {
-        return Idx < U.States.size() && FS == U.States[Idx];
-      };
       RunStatus St = LE.scalar().runContinuation(
           S, P.exitAddress(), Budget, StepPolicy(),
-          [&](const QueueEntry &E) { ScalarOut.push_back(E); }, &SP);
+          [&](const QueueEntry &E) { ScalarOut.push_back(E); });
 
       std::string At2 = std::string(Name) + " step " + std::to_string(K) +
                         " lane " + std::to_string(At + L) + " width " +
@@ -202,16 +178,13 @@ void compareGroupsToScalar(const char *Name, const Program &P,
       ASSERT_TRUE(Group[L] == S) << At2;
       PC.Deviated += Outs[L].Deviated;
       PC.Detected += St == RunStatus::FaultDetected;
-      PC.Converged += St == RunStatus::Converged;
     }
   }
 }
 
 // Contract 1: multi-lane groups are observably identical to per-lane
-// scalar runs, across every program, several resume boundaries and probe
-// masks — and the sweep genuinely exercises deviation (a lane leaving the
-// lockstep group at a divergent control transfer), mid-group cross-check
-// detection, and probed convergence.
+// scalar runs, across every program and several resume boundaries — and
+// the sweep genuinely exercises mid-group cross-check detection.
 TEST(LaneEngine, GroupsMatchScalarLaneByLane) {
   PathCounts PC;
   for (const NamedProgram &NP : allPrograms()) {
@@ -221,7 +194,7 @@ TEST(LaneEngine, GroupsMatchScalarLaneByLane) {
     for (uint64_t K : boundaries(U, 3)) {
       std::vector<MachineState> Lanes = injectedLanes(P, U.States[K]);
       ASSERT_FALSE(Lanes.empty());
-      compareGroupsToScalar(NP.Name, P, U, K, Lanes, 8, 3, PC);
+      compareGroupsToScalar(NP.Name, P, U, K, Lanes, 8, PC);
     }
   }
   // The interesting retirement paths fired somewhere in the sweep. (No
@@ -231,7 +204,6 @@ TEST(LaneEngine, GroupsMatchScalarLaneByLane) {
   // test below forces the fallback path with legitimately disagreeing
   // lanes instead.)
   EXPECT_GT(PC.Detected, 0u);
-  EXPECT_GT(PC.Converged, 0u);
 }
 
 // The control-flow split: lanes from different iterations of the same
@@ -281,7 +253,7 @@ TEST(LaneEngine, DivergentBranchFallsBackToScalar) {
     OutputTrace ScalarOut;
     RunStatus St = LE.scalar().runContinuation(
         S, P.exitAddress(), Spec.Budget, StepPolicy(),
-        [&](const QueueEntry &E) { ScalarOut.push_back(E); }, nullptr);
+        [&](const QueueEntry &E) { ScalarOut.push_back(E); });
     EXPECT_EQ(Outs[L].Status, St) << "lane " << L;
     EXPECT_EQ(St, RunStatus::Halted) << "lane " << L;
     EXPECT_EQ(LaneOuts[L], ScalarOut) << "lane " << L;
@@ -294,9 +266,7 @@ TEST(LaneEngine, DivergentBranchFallsBackToScalar) {
   EXPECT_LT(Deviated, N);
 }
 
-// Contract 2: a width-1 group is the degenerate case — still bit-exact,
-// with the per-boundary probe (mask 0 probes every boundary, stressing
-// the deferred-fingerprint flush on minimal windows).
+// Contract 2: a width-1 group is the degenerate case — still bit-exact.
 TEST(LaneEngine, WidthOneMatchesScalar) {
   PathCounts PC;
   for (const char *Source : {progs::PairedStore, progs::CountdownLoop}) {
@@ -306,7 +276,7 @@ TEST(LaneEngine, WidthOneMatchesScalar) {
     UnrolledRun U = unroll(P, StepPolicy());
     for (uint64_t K : boundaries(U, 2))
       compareGroupsToScalar(NP.Name, P, U, K, injectedLanes(P, U.States[K]),
-                            1, 0, PC);
+                            1, PC);
   }
 }
 
@@ -339,10 +309,10 @@ TEST(LaneEngine, SharedMemoryCopyOnWriteMatchesPrivateCopies) {
     std::vector<MachineState> RanP = Private;
     LE.run(RanP.data(), N, Spec, OutP.data());
 
-    uint64_t BaseFpBefore = Base.Mem.fingerprint();
+    ValueMemory BaseBefore = Base.Mem;
     Spec.SharedMem = &Base.Mem;
     LE.run(Shared.data(), N, Spec, OutS.data());
-    EXPECT_EQ(Base.Mem.fingerprint(), BaseFpBefore) << NP.Name;
+    EXPECT_TRUE(Base.Mem == BaseBefore) << NP.Name;
 
     for (unsigned L = 0; L != N; ++L) {
       std::string At = std::string(NP.Name) + " lane " + std::to_string(L);
@@ -491,10 +461,10 @@ TEST(LaneFold, PrunedFaultToleranceCampaignsBitIdentical) {
 }
 
 // Contract 5: the explicit-plan API — the double-fault ablation's path.
-// Plan campaigns ignore lanes, and convergence acceleration must not
-// change a verdict there either: every {Converge, Lanes} combination of
-// the ablation's cross-color double-fault sweep folds bit-identically
-// (the regression pin for `ablation_double_fault --no-converge`).
+// Plan campaigns ignore both lanes and convergence: every
+// {Converge, Lanes} combination of the ablation's cross-color
+// double-fault sweep folds bit-identically (the regression pin for
+// `ablation_double_fault --no-converge`).
 TEST(LaneFold, DoubleFaultPlansIgnoreLanesAndConverge) {
   TypeContext TC;
   NamedProgram NP{"plans", progs::PairedStore, true};

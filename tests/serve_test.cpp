@@ -13,8 +13,9 @@
 //      campaign entry points; an out-of-range shard index is a violation,
 //      not silence;
 //   2. the whole-program content hash is stable across recompiles of the
-//      same source and sensitive to program edits, so it can anchor the
-//      memo key;
+//      same source, sensitive to program edits, and pinned bit for bit on
+//      the Figure 10 kernels and the examples, so it can anchor the memo
+//      key of entries persisted by earlier builds;
 //   3. the memo store answers resubmissions (hit), refuses to answer for
 //      any changed campaign option (distinct digests → miss), resumes
 //      partial folds, bounds its memory footprint by LRU eviction, and
@@ -25,7 +26,8 @@
 //      shard and serves a campaign bit-identical to a directly-run one; a
 //      resubmission is a cache hit that streams zero shard events; a
 //      drained server leaves a resumable partial entry that a restarted
-//      server (same cache directory) finishes from where it stopped;
+//      server (same cache directory) finishes from where it stopped; and
+//      stop() returns promptly however it races idle handler threads;
 //   6. crash isolation: shards run on forked worker processes; a worker
 //      crashing at the shard boundary (the chaos hook) is retried on a
 //      fresh worker and the served table stays bit-identical; a
@@ -52,6 +54,8 @@
 #include "serve/SubmitLog.h"
 #include "support/Crc32.h"
 #include "tal/Parser.h"
+#include "wile/Codegen.h"
+#include "wile/Kernels.h"
 
 #include "TestPrograms.h"
 
@@ -61,7 +65,10 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <future>
+#include <map>
 #include <netinet/in.h>
+#include <sstream>
 #include <string>
 #include <sys/socket.h>
 #include <thread>
@@ -245,6 +252,66 @@ TEST(ProgramHash, StringFormRoundTrips) {
   EXPECT_FALSE(parseProgramHash("", Back));
   EXPECT_FALSE(parseProgramHash("0xzz", Back));
   EXPECT_FALSE(parseProgramHash("-1", Back));
+}
+
+// Memo keys, the disk memo tier and the write-ahead log all persist
+// program hashes, so the hash of a given program must never move. These
+// values are the "program_hash" fields of campaign JSON written by an
+// earlier build, whose state-hash half was maintained incrementally
+// inside MachineState; today's from-scratch hash must reproduce them.
+TEST(ProgramHash, PinnedOnFig10KernelsAndExamples) {
+  const std::map<std::string, std::string> Pinned = {
+      {"164.gzip", "0x7ff41e4ef2573762"},
+      {"175.vpr", "0x459c30f1f2c1c533"},
+      {"176.gcc", "0x435e373c8003b694"},
+      {"181.mcf", "0xe5d103fbe880378d"},
+      {"186.crafty", "0x2f2150674403cae7"},
+      {"197.parser", "0x288171ca7f2f6dee"},
+      {"254.gap", "0xc2d3525eeb73aa1d"},
+      {"255.vortex", "0x0ff45e9324cc6262"},
+      {"256.bzip2", "0x1db7fd5264d35081"},
+      {"300.twolf", "0x64151b92715523eb"},
+      {"adpcm", "0xb5f1e629da38084a"},
+      {"epic", "0x128dca12829a9bf3"},
+      {"g721", "0xb1d596ee6a9c176b"},
+      {"pegwit", "0x46670e0bef91eb00"},
+      {"jpeg", "0x3516cd7e8f003b10"},
+      {"wile_demo.tal", "0xf7be931d1c65cc04"},
+      {"checksum.wile", "0x7a015c3ad764906d"},
+  };
+
+  auto HashOf = [](const Program &P) {
+    Expected<MachineState> S0 = P.initialState();
+    EXPECT_TRUE(bool(S0));
+    return programHashString(programContentHash(P.code(), P.entryAddress(),
+                                                 P.exitAddress(),
+                                                 S0 ? *S0 : MachineState()));
+  };
+  auto CompileWile = [&](const std::string &Name, const std::string &Source) {
+    TypeContext TC;
+    DiagnosticEngine Diags;
+    Expected<wile::CompiledProgram> CP = wile::compileWile(
+        TC, Source, wile::CodegenMode::FaultTolerant, Diags);
+    ASSERT_TRUE(bool(CP)) << Name << ": " << CP.message();
+    EXPECT_EQ(HashOf(CP->Prog), Pinned.at(Name)) << Name;
+  };
+  auto ReadExample = [](const std::string &File) {
+    std::ifstream In(std::string(TALFT_EXAMPLES_DIR) + "/" + File);
+    EXPECT_TRUE(In.good()) << File;
+    std::ostringstream SS;
+    SS << In.rdbuf();
+    return SS.str();
+  };
+
+  for (const wile::Kernel &K : wile::benchmarkKernels())
+    CompileWile(K.Name, K.Source);
+  CompileWile("checksum.wile", ReadExample("checksum.wile"));
+  TypeContext TC;
+  DiagnosticEngine Diags;
+  Expected<Program> Demo =
+      parseAndLayoutTalProgram(TC, ReadExample("wile_demo.tal"), Diags);
+  ASSERT_TRUE(bool(Demo)) << Diags.str();
+  EXPECT_EQ(HashOf(*Demo), Pinned.at("wile_demo.tal"));
 }
 
 // The campaign records the same hash the serve layer computes for the
@@ -507,6 +574,35 @@ TEST(ServeEndToEnd, MalformedRequestsAreErrorsNotCrashes) {
   EXPECT_FALSE(O.GotResult);
 
   S.stop();
+}
+
+// Start -> stop cycles racing the handler threads as they park: the drain
+// flag flips under the queue mutex, so no handler can check its wait
+// predicate, miss the drain notification and block forever. Every stop()
+// gets a deadline instead of hanging the suite; a server whose stop()
+// missed it is leaked with its stopper thread, so the stuck thread never
+// touches freed memory.
+TEST(ServeEndToEnd, StopWakesIdleHandlersEveryTime) {
+  for (int Cycle = 0; Cycle != 300; ++Cycle) {
+    ServerOptions SO;
+    SO.Workers = 8;
+    SO.PoolWorkers = 0;
+    auto *S = new Server(SO);
+    std::string Err;
+    ASSERT_TRUE(S->start(&Err)) << Err;
+    std::promise<void> Stopped;
+    std::future<void> Done = Stopped.get_future();
+    std::thread Stopper([S, P = std::move(Stopped)]() mutable {
+      S->stop();
+      P.set_value();
+    });
+    if (Done.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+      Stopper.detach();
+      FAIL() << "stop() missed its deadline in cycle " << Cycle;
+    }
+    Stopper.join();
+    delete S;
+  }
 }
 
 // Drain + resume across a server restart: the partial fold persists

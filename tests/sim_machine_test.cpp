@@ -73,7 +73,6 @@ TEST(RunStatusTest, Names) {
   EXPECT_STREQ(runStatusName(RunStatus::FaultDetected), "fault-detected");
   EXPECT_STREQ(runStatusName(RunStatus::Stuck), "stuck");
   EXPECT_STREQ(runStatusName(RunStatus::OutOfSteps), "out-of-steps");
-  EXPECT_STREQ(runStatusName(RunStatus::Converged), "converged");
 }
 
 } // namespace

@@ -304,12 +304,6 @@ void compareFusedLoops(const ExecEngine &A, const ExecEngine &B,
       ASSERT_EQ(RA.Steps, RB.Steps) << At << " (run)";
       EXPECT_EQ(RA.Trace, RB.Trace) << At << " (run)";
       expectSameState(SA, SB, At + " (run)");
-      if (!SA.Faulted) {
-        EXPECT_EQ(SA.fingerprint(), recomputeFingerprint(SA))
-            << At << " (run fingerprint invariant)";
-        EXPECT_EQ(SB.fingerprint(), recomputeFingerprint(SB))
-            << At << " (run fingerprint invariant)";
-      }
     }
     {
       MachineState SA = S0, SB = S0;
@@ -446,8 +440,8 @@ TEST(JitDifferential, CampaignsAgreeWithVm) {
 
 TEST(JitDifferential, Fig10KernelCampaignsAgreeWithVm) {
   // The full engine ladder over every Figure 10 kernel: the jit campaign
-  // (convergence + lanes on, the production configuration) must fold
-  // bit-identically onto the vm campaign.
+  // (default options: scalar native continuations) must fold
+  // bit-identically onto the vm campaign (default options: lane groups).
   unsigned Checked = 0;
   for (const wile::Kernel &K : wile::benchmarkKernels()) {
     TypeContext TC;
