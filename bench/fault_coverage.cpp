@@ -63,21 +63,19 @@
 //                 Record-only: verdict tables are bit-identical either
 //                 way. A nonzero violation count is a hard analysis bug —
 //                 the static sets missed a target a real run took.
-//   --no-converge disable convergence acceleration (the sparse
-//                 differential replay) in the classifier.
-//                 Verdict tables are bit-identical either way — the
-//                 nightly workflow asserts exactly that — so this is
-//                 purely a baseline/escape hatch for timing the
-//                 unaccelerated sweep.
-//   --no-lanes    disable the batched structure-of-arrays lane engine
-//                 (vm/LaneEngine.h) and classify every injection on the
-//                 scalar path. Verdict tables are bit-identical either
-//                 way — the lane-determinism CI job asserts exactly
-//                 that — so this is purely a baseline/escape hatch for
-//                 timing the unbatched sweep.
-//   --lane-width N
-//                 lanes advanced in lockstep per group (default 16).
-//                 Any width yields the same verdict tables.
+//   --no-converge skip the classifier's first stage, the sparse
+//                 differential replay: every injection runs from its
+//                 injection step. Verdict tables are bit-identical
+//                 either way — the nightly workflow asserts exactly
+//                 that — so this is the reference configuration fold
+//                 checks compare against.
+//   --no-lanes    run every injection continuation by continuation on
+//                 the engine instead of in lockstep groups of 16 on the
+//                 batched structure-of-arrays lane engine
+//                 (vm/LaneEngine.h). Verdict tables are bit-identical
+//                 either way — the lane-determinism CI job asserts
+//                 exactly that — so this is the reference configuration
+//                 fold checks compare against.
 //   --shards N    deterministically partition every campaign's task list
 //                 into N contiguous shards and run only one of them
 //                 (fault/Campaign.h applyShardSlice semantics: shard I
@@ -214,7 +212,6 @@ struct Cli {
   bool CfiCheck = false;
   bool Converge = true;
   bool Lanes = true;
-  unsigned LaneWidth = 16;
   unsigned Shards = 1;
   unsigned ShardIndex = 0;
 };
@@ -225,7 +222,7 @@ void usage(const char *Argv0) {
                "[--engine reference|vm|jit] [--json [FILE]] [--recover] "
                "[--checkpoint-interval N] [--retry-budget N] [--fig10] "
                "[--prune] [--cfi-check] [--no-converge] [--no-lanes] "
-               "[--lane-width N] [--shards N] [--shard-index I]\n",
+               "[--shards N] [--shard-index I]\n",
                Argv0);
 }
 
@@ -259,11 +256,6 @@ bool parseCli(int Argc, char **Argv, Cli &C) {
       C.Converge = false;
     } else if (std::strcmp(A, "--no-lanes") == 0) {
       C.Lanes = false;
-    } else if (std::strcmp(A, "--lane-width") == 0) {
-      uint64_t N;
-      if (!NumArg(N) || N == 0)
-        return false;
-      C.LaneWidth = (unsigned)N;
     } else if (std::strcmp(A, "--shards") == 0) {
       uint64_t N;
       if (!NumArg(N) || N == 0)
@@ -364,7 +356,6 @@ bool runSweep(const Cli &C, const char *Name, uint64_t Stride, TypeContext &TC,
   Opts.CfiCheck = C.CfiCheck;
   Opts.Converge = C.Converge;
   Opts.Lanes = C.Lanes;
-  Opts.LaneWidth = C.LaneWidth;
   Opts.ShardCount = C.Shards;
   Opts.ShardIndex = C.ShardIndex;
   // Engines are bound to one CodeMemory, so they are built per program.
@@ -471,7 +462,6 @@ bool sweepFig10(const Cli &C, std::vector<SweepRow> &Rows) {
     Opts.CfiCheck = C.CfiCheck;
     Opts.Converge = C.Converge;
     Opts.Lanes = C.Lanes;
-    Opts.LaneWidth = C.LaneWidth;
     Opts.ShardCount = C.Shards;
     Opts.ShardIndex = C.ShardIndex;
     CampaignResult R = runSingleFaultCampaign(CP->Prog, Config, Opts);
@@ -501,7 +491,7 @@ std::string reportJson(const Cli &C, const std::vector<SweepRow> &Rows,
   S += "  \"cfi_check\": " + std::string(C.CfiCheck ? "true" : "false") + ",\n";
   S += "  \"converge\": " + std::string(C.Converge ? "true" : "false") + ",\n";
   S += "  \"lanes\": " + std::string(C.Lanes ? "true" : "false") + ",\n";
-  S += "  \"lane_width\": " + std::to_string(C.LaneWidth) + ",\n";
+  S += "  \"lane_width\": " + std::to_string(LaneGroupWidth) + ",\n";
   S += "  \"shards\": " + std::to_string(C.Shards) + ",\n";
   S += "  \"shard_index\": " + std::to_string(C.ShardIndex) + ",\n";
   S += "  \"ok\": " + std::string(Ok ? "true" : "false") + ",\n";

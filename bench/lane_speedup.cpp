@@ -20,14 +20,13 @@
 // under a native --engine jit both sides run scalar and the ratio is 1.
 //
 //   lane_speedup [--threads N] [--engine reference|vm|jit] [--no-prune]
-//                [--lane-width N] [--json [FILE]]
+//                [--json [FILE]]
 //
 //   --threads N     worker threads (default 1; 0 = hardware concurrency).
 //   --engine E      engine for the scalar-path continuations (default vm).
 //   --no-prune      keep statically-dead sites in the simulated sweep
 //                   (the headline number is measured on the pruned sweep,
 //                   matching the nightly workflow).
-//   --lane-width N  lanes advanced in lockstep per group (default 16).
 //   --json [FILE]   emit a machine-readable report (schema talft-bench-v1;
 //                   the nightly workflow uploads it as BENCH_lanes.json)
 //                   to FILE (written atomically) or stdout, with the
@@ -60,7 +59,6 @@ struct Cli {
   unsigned Threads = 1;
   std::string Engine = "vm";
   bool Prune = true;
-  unsigned LaneWidth = 16;
   bool Json = false;
   std::string JsonPath;
 };
@@ -78,11 +76,6 @@ bool parseCli(int Argc, char **Argv, Cli &C) {
         return false;
     } else if (std::strcmp(A, "--no-prune") == 0) {
       C.Prune = false;
-    } else if (std::strcmp(A, "--lane-width") == 0) {
-      uint64_t N;
-      if (!cli::numArg(Argc, Argv, I, N) || N == 0)
-        return false;
-      C.LaneWidth = (unsigned)N;
     } else if (std::strcmp(A, "--json") == 0) {
       C.Json = true;
       if (I + 1 < Argc && Argv[I + 1][0] != '-')
@@ -117,7 +110,7 @@ int main(int Argc, char **Argv) {
   if (!parseCli(Argc, Argv, C)) {
     std::fprintf(stderr,
                  "usage: %s [--threads N] [--engine reference|vm|jit] "
-                 "[--no-prune] [--lane-width N] [--json [FILE]]\n",
+                 "[--no-prune] [--json [FILE]]\n",
                  Argv[0]);
     return 2;
   }
@@ -129,7 +122,7 @@ int main(int Argc, char **Argv) {
                "verdict table,\nviolations and reference steps match the "
                "scalar baseline bit-for-bit)\n\n",
                C.Prune ? "pruned" : "all", C.Threads,
-               C.Threads == 1 ? "" : "s", C.Engine.c_str(), C.LaneWidth);
+               C.Threads == 1 ? "" : "s", C.Engine.c_str(), LaneGroupWidth);
   std::fprintf(Out, "%-12s %10s %9s %9s %8s %7s %9s %8s %10s\n", "kernel",
                "injections", "scalar(s)", "lanes(s)", "speedup", "groups",
                "deviated", "steps", "identical");
@@ -182,7 +175,6 @@ int main(int Argc, char **Argv) {
     Opts.Threads = C.Threads;
     Opts.Engine = Vm.get();
     Opts.Prune = C.Prune;
-    Opts.LaneWidth = C.LaneWidth;
 
     KernelRow Row;
     Row.Name = K.Name;
@@ -236,7 +228,7 @@ int main(int Argc, char **Argv) {
     S += "  \"engine\": \"" + C.Engine + "\",\n";
     S += "  \"threads\": " + std::to_string(C.Threads) + ",\n";
     S += "  \"prune\": " + std::string(C.Prune ? "true" : "false") + ",\n";
-    S += "  \"lane_width\": " + std::to_string(C.LaneWidth) + ",\n";
+    S += "  \"lane_width\": " + std::to_string(LaneGroupWidth) + ",\n";
     S += "  \"tables_identical\": " +
          std::string(AllIdentical ? "true" : "false") + ",\n";
     S += "  \"kernels\": [\n";
@@ -262,7 +254,7 @@ int main(int Argc, char **Argv) {
           (unsigned long long)R.Scalar.Table.total(), ScalarS, LanesS,
           LanesS > 0 ? ScalarS / LanesS : 0.0,
           LanesS > 0 ? (double)L.LaneLockstepSteps / LanesS : 0.0,
-          R.Identical ? "true" : "false", L.LaneWidth,
+          R.Identical ? "true" : "false", L.Lanes ? LaneGroupWidth : 0u,
           (unsigned long long)L.LaneGroups,
           (unsigned long long)L.LaneTasks,
           (unsigned long long)L.LaneDeviations,

@@ -150,45 +150,49 @@ std::string describeInjection(const FaultSite &Site, int64_t Value,
                  (long long)Value, (unsigned long long)AtStep, What);
 }
 
-/// Runs \p RunOne over every index in [0, Total) across \p Threads workers.
-/// Workers pull fixed-size chunks off an atomic cursor; because each task
-/// writes only its own slot, the schedule cannot affect results.
-void dispatchTasks(unsigned Threads, uint64_t Total,
-                   const std::function<void(uint64_t)> &RunOne,
-                   uint64_t ProgressInterval,
-                   const std::function<void(const CampaignProgress &)> &Progress) {
-  if (Total == 0)
-    return;
+/// Runs \p RunOne over every index in [0, Count) across at most \p Threads
+/// workers (0 = hardware concurrency) and returns how many ran. Workers
+/// pull fixed-size chunks off an atomic cursor; because each index writes
+/// only its own slots, the schedule cannot affect results. \p RunOne
+/// returns how many of the \p TotalTasks tasks the index completed, and
+/// Opts.Progress fires after roughly every Opts.ProgressInterval of them.
+unsigned dispatchTasks(unsigned Threads, uint64_t Count, uint64_t TotalTasks,
+                       const std::function<uint64_t(uint64_t)> &RunOne,
+                       const CampaignOptions &Opts) {
   if (Threads == 0)
     Threads = std::max(1u, std::thread::hardware_concurrency());
-  Threads = (unsigned)std::min<uint64_t>(Threads, Total);
+  Threads = (unsigned)std::min<uint64_t>(Threads, std::max<uint64_t>(1, Count));
+  if (Count == 0)
+    return Threads;
   uint64_t Chunk =
-      std::max<uint64_t>(1, std::min<uint64_t>(64, Total / (uint64_t(Threads) * 8)));
+      std::max<uint64_t>(1, std::min<uint64_t>(64, Count / (uint64_t(Threads) * 8)));
 
   std::atomic<uint64_t> Next{0};
   std::atomic<uint64_t> Completed{0};
   std::mutex ProgressMu;
+  uint64_t Interval = Opts.Progress ? Opts.ProgressInterval : 0;
   auto Work = [&] {
     while (true) {
       uint64_t Begin = Next.fetch_add(Chunk, std::memory_order_relaxed);
-      if (Begin >= Total)
+      if (Begin >= Count)
         return;
-      uint64_t End = std::min(Total, Begin + Chunk);
+      uint64_t End = std::min(Count, Begin + Chunk);
+      uint64_t N = 0;
       for (uint64_t I = Begin; I != End; ++I)
-        RunOne(I);
-      uint64_t Prev = Completed.fetch_add(End - Begin, std::memory_order_acq_rel);
-      uint64_t Done = Prev + (End - Begin);
-      if (Progress && ProgressInterval &&
-          (Done == Total || Done / ProgressInterval != Prev / ProgressInterval)) {
+        N += RunOne(I);
+      uint64_t Prev = Completed.fetch_add(N, std::memory_order_acq_rel);
+      uint64_t Done = Prev + N;
+      if (Interval &&
+          (Done == TotalTasks || Done / Interval != Prev / Interval)) {
         std::lock_guard<std::mutex> Lock(ProgressMu);
-        Progress({Done, Total});
+        Opts.Progress({Done, TotalTasks});
       }
     }
   };
 
   if (Threads == 1) {
     Work();
-    return;
+    return Threads;
   }
   std::vector<std::thread> Pool;
   Pool.reserve(Threads - 1);
@@ -197,6 +201,7 @@ void dispatchTasks(unsigned Threads, uint64_t Total,
   Work();
   for (std::thread &Th : Pool)
     Th.join();
+  return Threads;
 }
 
 /// Registers the program mentions anywhere, plus the specials.
@@ -314,17 +319,6 @@ struct ExecRec {
   /// Post-step val(Rd) (the written result for Alu/Mov/Ld; stale
   /// otherwise).
   int64_t Result = 0;
-};
-
-/// Everything the differential replay needs: dense snapshots to
-/// reconstruct an arbitrary reference state from (Snaps[k].Steps ==
-/// k * Stride by construction), the register access log and the recorded
-/// instruction stream.
-struct ConvergenceContext {
-  const std::vector<UntypedSnapshot> *Snaps = nullptr;
-  uint64_t Stride = 1;
-  const AccessLog *Accesses = nullptr;
-  const std::vector<ExecRec> *Execs = nullptr;
 };
 
 /// The faulty payloads of a differential replay: (dense register index,
@@ -445,6 +439,40 @@ struct ConvergenceRecorder {
   }
 };
 
+/// Where a differential replay that could not settle its task stopped.
+struct DeferredBail {
+  /// Absolute reference step to resume from (post-fetch: the event
+  /// instruction is in flight there and re-executes for real).
+  uint64_t Resume = 0;
+  /// The register payloads that differ from the reference at Resume.
+  TaintMap Taint;
+};
+
+/// The replay's progress gate: once GateEvents events have been processed,
+/// the replay bails to concrete simulation unless they discharged at
+/// least GateStepsPerEvent reference steps each. One event (access-log
+/// search, taint update) costs about as much as 20-30 native JIT steps,
+/// so dense taint is cheaper to simulate than to replay. Chosen by an
+/// interleaved sweep over both default paths on the fifteen Figure 10
+/// kernels (pruned jit at stride steps/24; unpruned vm with lanes at
+/// steps/6), eight rounds on a 4-vCPU x86-64 VM, median injection
+/// seconds per path (the first four tie within noise; (8, 32) is kept):
+///
+///   (GateEvents, GateStepsPerEvent)   jit    vm
+///   (8, 32)                           0.354  0.121
+///   (16, 32)                          0.360  0.125
+///   (8, 64)                           0.356  0.122
+///   (16, 64)                          0.355  0.120
+///   (32, 8), the previous gate        0.746  0.193
+constexpr uint64_t GateEvents = 8;
+constexpr uint64_t GateStepsPerEvent = 32;
+
+/// Bails within this many steps of the injection do not count as lockstep
+/// skips: CampaignStats::LockstepSkips and LockstepSteps tally the
+/// replay's long discharges, and the cutoff keeps their values stable
+/// across execution strategies.
+constexpr uint64_t MinCountedSkip = 64;
+
 /// Sparse differential replay of one register-site continuation against
 /// the recorded reference instruction stream: the campaign's convergence
 /// shortcut. Faults whose taint drains, long-latency Detected runs and
@@ -487,64 +515,29 @@ struct ConvergenceRecorder {
 ///   - no tainted register is ever accessed again: the run is lockstep
 ///     to the halt, the trace completes, and the final state is RefFinal
 ///     with the taint patched in — only the similarity check remains;
-///   - bail: the reference state just before the event is reconstructed
-///     from the dense snapshots, the taint payloads are patched in (that
-///     IS the faulty state there, by the invariant), and nullopt tells
-///     the caller to classify concretely from that point with \p S,
-///     \p AtSteps and \p TraceLen repositioned and the fault already in
-///     place. With \p DB (the batched lane path) the bail instead leaves
-///     \p S, \p AtSteps and \p TraceLen untouched and reports the resume
-///     step and the taint map through \p DB: the bail step depends only
-///     on the taint *set*, not the corrupted payloads, so every value
-///     zapped into the same site bails at the same event — the caller
-///     pools those continuations, reconstructs their shared base state
-///     once and patches each lane's taint in.
+///   - bail: nullopt, with \p DB holding the step to resume from (just
+///     before the event) and the taint payloads there. The reference
+///     state at that step with the taint patched in IS the faulty state
+///     there, by the invariant, so the caller resumes concretely from it.
+///     Values zapped into one site usually bail at the same event, so
+///     the caller pools continuations by resume step and reconstructs
+///     each pool's base state once.
 ///
 /// Event processing costs an order of magnitude more than one raw
 /// interpreter step, so a run whose taint is touched at nearly every
 /// instruction caps its event count and bails instead of losing the race
-/// (see GateEvents below).
-struct DeferredBail {
-  /// Absolute reference step to resume from (post-fetch: the event
-  /// instruction is in flight there and re-executes for real).
-  uint64_t Resume = 0;
-  /// The register payloads that differ from the reference at Resume.
-  TaintMap Taint;
-};
-
-/// The replay's progress gate: once GateEvents events have been processed,
-/// the replay bails to concrete simulation unless they discharged at
-/// least GateStepsPerEvent reference steps each. One event (access-log
-/// search, taint update) costs about as much as 20-30 native JIT steps,
-/// so dense taint is cheaper to simulate than to replay. Chosen by an
-/// interleaved sweep over both default paths on the fifteen Figure 10
-/// kernels (pruned jit at stride steps/24; unpruned vm with lanes at
-/// steps/6), eight rounds on a 4-vCPU x86-64 VM, median injection
-/// seconds per path (the first four tie within noise; (8, 32) is kept):
-///
-///   (GateEvents, GateStepsPerEvent)   jit    vm
-///   (8, 32)                           0.354  0.121
-///   (16, 32)                          0.360  0.125
-///   (8, 64)                           0.356  0.122
-///   (16, 64)                          0.355  0.120
-///   (32, 8), the previous gate        0.746  0.193
-constexpr uint64_t GateEvents = 8;
-constexpr uint64_t GateStepsPerEvent = 32;
-
+/// (see GateEvents above).
 std::optional<Verdict>
-differentialReplay(const ExecEngine &E, const StepPolicy &Policy,
-                   const ConvergenceContext &Conv, const FaultSite &Site,
-                   int64_t Value, const MachineState &RefFinal,
-                   uint64_t RefSteps, ZapTag Z, MachineState &S,
-                   uint64_t &AtSteps, size_t &TraceLen, ConvergenceHit *Hit,
-                   DeferredBail *DB = nullptr) {
-  const AccessLog &AL = *Conv.Accesses;
-  const std::vector<ExecRec> &Execs = *Conv.Execs;
-  const uint64_t InjectedAt = AtSteps;
+differentialReplay(const ConvergenceRecorder &CR, const FaultSite &Site,
+                   int64_t Value, uint64_t InjectedAt,
+                   const MachineState &RefFinal, uint64_t RefSteps, ZapTag Z,
+                   ConvergenceHit &Hit, DeferredBail &DB) {
+  const AccessLog &AL = CR.Accesses;
+  const std::vector<ExecRec> &Execs = CR.Execs;
   TaintMap T;
   T.set(Site.R.denseIndex(), Value);
 
-  uint64_t Cur = AtSteps;
+  uint64_t Cur = InjectedAt;
   uint64_t Events = 0;
   uint64_t Bail = 0;
   while (true) {
@@ -553,8 +546,7 @@ differentialReplay(const ExecEngine &E, const StepPolicy &Policy,
     for (const auto &P : T.V)
       K = std::min(K, AL.firstAccessAfter(Reg::fromDenseIndex(P.first), Cur));
     if (K == AccessLog::None) {
-      if (Hit)
-        Hit->Skipped = RefSteps - InjectedAt;
+      Hit.Skipped = RefSteps - InjectedAt;
       // The faulty final state is RefFinal with the taint payloads patched
       // in — identical everywhere else — so the similarity check reduces
       // to the tainted registers; no state copy needed.
@@ -627,40 +619,20 @@ differentialReplay(const ExecEngine &E, const StepPolicy &Policy,
     }
     Cur = K;
     if (T.empty()) {
-      if (Hit) {
-        Hit->Hit = true;
-        Hit->Window = K - InjectedAt;
-        Hit->Saved = RefSteps - K;
-        Hit->Skipped = K - InjectedAt;
-      }
+      Hit.Hit = true;
+      Hit.Window = K - InjectedAt;
+      Hit.Saved = RefSteps - K;
+      Hit.Skipped = K - InjectedAt;
       return Verdict::Masked;
     }
   }
 
   // Bail: resume concretely just before the event (post-fetch, so the
-  // event instruction re-executes for real). A short discharged prefix is
-  // cheaper to re-simulate than to reconstruct from a snapshot.
-  if (DB) {
-    DB->Resume = Bail - 1;
-    DB->Taint = std::move(T);
-    return std::nullopt;
-  }
-  uint64_t Resume = Bail - 1;
-  if (Resume > InjectedAt + 64) {
-    const UntypedSnapshot &Base = (*Conv.Snaps)[Resume / Conv.Stride];
-    assert(Base.Steps <= Resume && "snapshot stride invariant violated");
-    MachineState Ref = Base.S;
-    OutputTrace Replayed;
-    E.replaySteps(Ref, Resume - Base.Steps, Replayed, Policy);
-    S = std::move(Ref);
-    TraceLen = Base.TraceLen + Replayed.size();
-    AtSteps = Resume;
-    if (Hit)
-      Hit->Skipped = Resume - InjectedAt;
-    patchTaint(S, T);
-  } else {
-    injectFault(S, Site, Value);
-  }
+  // event instruction re-executes for real).
+  DB.Resume = Bail - 1;
+  DB.Taint = std::move(T);
+  if (DB.Resume > InjectedAt + MinCountedSkip)
+    Hit.Skipped = DB.Resume - InjectedAt;
   return std::nullopt;
 }
 
@@ -686,48 +658,6 @@ Verdict verdictForStatus(RunStatus St, const PrefixTracker &Prefix,
   if (!similarStates(Z, S, RefFinal))
     return Verdict::DissimilarState;
   return Verdict::Masked;
-}
-
-/// Classifies one faulty continuation on the raw semantics via \p E. \p S
-/// is the reference state at the injection step; \p TraceLen the reference
-/// trace length there. The engine's runContinuation reproduces the serial
-/// checker's control flow exactly (exit check before budget check) so
-/// verdicts agree bit-for-bit with the historical classifier — and, since
-/// engines are observationally identical, for every engine.
-///
-/// With \p Conv, the differential replay above tries to discharge the run
-/// first; what it cannot discharge is simulated concretely from the point
-/// where the replay bailed.
-Verdict classifyContinuation(const ExecEngine &E, Addr ExitAddr,
-                             const StepPolicy &Policy, uint64_t ExtraSteps,
-                             const OutputTrace &RefTrace,
-                             const MachineState &RefFinal, uint64_t RefSteps,
-                             MachineState S, uint64_t AtSteps, size_t TraceLen,
-                             const FaultSite &Site, int64_t Value,
-                             const ConvergenceContext *Conv = nullptr,
-                             ConvergenceHit *Hit = nullptr) {
-  ZapTag Z = ZapTag::color(faultColor(S, Site));
-
-  if (Conv && Conv->Accesses && Conv->Execs && !Conv->Execs->empty() &&
-      Site.K == FaultSite::Kind::Register && !Site.R.isPC()) {
-    // pc sites are accessed by the very next transition, so the replay
-    // cannot discharge anything for them; everything else goes through
-    // the differential engine, which either returns the final verdict or
-    // repositions S/AtSteps/TraceLen with the taint already injected.
-    if (std::optional<Verdict> V =
-            differentialReplay(E, Policy, *Conv, Site, Value, RefFinal,
-                               RefSteps, Z, S, AtSteps, TraceLen, Hit))
-      return *V;
-  } else {
-    injectFault(S, Site, Value);
-  }
-
-  uint64_t Budget = RefSteps - AtSteps + ExtraSteps;
-  PrefixTracker Prefix{RefTrace, TraceLen};
-  RunStatus St = E.runContinuation(
-      S, ExitAddr, Budget, Policy,
-      [&Prefix](const QueueEntry &Out) { Prefix.track(Out); });
-  return verdictForStatus(St, Prefix, RefTrace, Z, S, RefFinal);
 }
 
 /// Outcome of one injection under recovery: a verdict, the violation text
@@ -925,19 +855,20 @@ std::unique_ptr<CfiTable> buildCfiTable(const Program &Prog,
   return Table;
 }
 
-/// Phase 2: the work list in the order the serial checker visits it,
-/// so merged violation lists match it exactly. \p StateAt resolves the
-/// reference state of snapshot \p SI (typed and untyped campaigns store
-/// snapshots differently). With \p Prune, provably-dead register sites are
-/// tallied into \p Table as StaticallyMasked instead of being enumerated —
-/// exactly the triples the unpruned sweep would have classified, so the
-/// table total is invariant under pruning.
+/// Phase 2, shared by both single-fault entry points: the work list in
+/// the order the serial checker visits it, so merged violation lists
+/// match it exactly. \p StateAt resolves the reference state of snapshot
+/// \p SI (typed and untyped campaigns store snapshots differently). With
+/// Opts.Prune and an oracle that vouches for the program, provably-dead
+/// register sites are tallied into R.Table as StaticallyMasked instead of
+/// being enumerated — exactly the triples the unpruned sweep would have
+/// classified, so the table total is invariant under pruning.
 ///
 /// A non-null \p CtrlAhead ("some control instruction executes at or after
-/// this snapshot in the reference run", per snapshot) additionally arms
-/// the control-register discharge, which the caller enables only when the
-/// oracle vouches that the specials appear in control positions alone
-/// (ZapCoverage::specialSiteDischargeSound), the campaign is untyped and
+/// this snapshot in the reference run", per snapshot; untyped campaigns
+/// only) additionally arms the control-register discharge when the oracle
+/// vouches that the specials appear in control positions alone
+/// (ZapCoverage::specialSiteDischargeSound), the campaign is
 /// recovery-free, and ExtraSteps covers the predicted fault. The rules
 /// mirror the dynamic classifier exactly:
 ///
@@ -955,17 +886,32 @@ std::unique_ptr<CfiTable> buildCfiTable(const Program &Prog,
 ///   pcs with the verified target and reproduces the reference state
 ///   exactly (Masked).
 ///
-/// Only shard \p Shard of \p Shards is kept: the contiguous slice
-/// [I*T/N, (I+1)*T/N) of the T tasks in enumeration order (none for an
-/// out-of-range shard), with T returned in \p Total. A sharded call counts
-/// the tasks in a first walk, so no shard ever holds the whole work list.
-std::vector<InjectionTask>
+/// Only shard I of the Opts.ShardCount = N shards is kept: the contiguous
+/// slice [I*T/N, (I+1)*T/N) of the T tasks in enumeration order. A
+/// sharded call counts the tasks in a first walk, so no shard ever holds
+/// the whole work list. Enumeration is deterministic and tasks classify
+/// independently, so folding the N shard results in index order
+/// (foldShardResult) reproduces the unsharded campaign bit for bit.
+///
+/// Records the shard provenance and the task and pruning statistics in
+/// \p R. Returns nullopt (with a campaign-level violation) on an
+/// out-of-range shard index.
+std::optional<std::vector<InjectionTask>>
 enumerateTasks(const Program &Prog, const TheoremConfig &Config,
-               size_t NumSnaps,
+               const CampaignOptions &Opts, size_t NumSnaps,
                const std::function<const MachineState &(size_t)> &StateAt,
-               const analysis::ZapCoverage *Prune, VerdictTable &Table,
-               const std::vector<uint8_t> *CtrlAhead, unsigned Shard,
-               unsigned Shards, uint64_t &Total) {
+               const std::vector<uint8_t> *CtrlAhead, CampaignResult &R) {
+  std::optional<analysis::ZapCoverage> Oracle = buildPruneOracle(Prog, Opts);
+  const analysis::ZapCoverage *Prune = Oracle ? &*Oracle : nullptr;
+  // The control-register discharge needs the oracle's guarantee that the
+  // specials never appear as instruction operands, no recovery (it
+  // rewrites continuations), and enough extra steps for the corrupted run
+  // to reach its next control.
+  if (!Prune || !Prune->specialSiteDischargeSound() ||
+      Config.Recovery.Enabled || Config.ExtraSteps < 2)
+    CtrlAhead = nullptr;
+  unsigned Shards = std::max(1u, Opts.ShardCount);
+  unsigned Shard = Opts.ShardIndex;
   std::set<unsigned> UsedRegs;
   if (Config.OnlyMentionedRegisters)
     UsedRegs = mentionedRegisters(Prog);
@@ -993,7 +939,7 @@ enumerateTasks(const Program &Prog, const TheoremConfig &Config,
               ++Tab[Verdict::StaticallyMasked];
           continue;
         }
-        if (Prune && CtrlAhead && Site.K == FaultSite::Kind::Register &&
+        if (CtrlAhead && Site.K == FaultSite::Kind::Register &&
             (Site.R.isDest() || Site.R.isPC())) {
           Verdict V;
           if (Site.R.isDest()) {
@@ -1032,70 +978,113 @@ enumerateTasks(const Program &Prog, const TheoremConfig &Config,
   if (Hi != ~uint64_t{0})
     Tasks.reserve(Hi - Lo);
   uint64_t Idx = 0;
-  Walk(Table, [&](const InjectionTask &T) {
+  Walk(R.Table, [&](const InjectionTask &T) {
     if (Idx >= Lo && Idx < Hi)
       Tasks.push_back(T);
     ++Idx;
   });
-  Total = Idx;
-  return Tasks;
-}
 
-/// Records in \p R the provenance of the shard enumerateTasks kept out of
-/// \p Total tasks. Enumeration is deterministic and tasks classify
-/// independently, so folding the N shard results in index order
-/// (foldShardResult) reproduces the unsharded campaign bit for bit.
-/// Returns false (with a campaign-level violation) on an out-of-range
-/// shard index.
-bool applyShardSlice(const CampaignOptions &Opts, const TheoremConfig &Config,
-                     uint64_t Total, CampaignResult &R) {
-  unsigned Count = std::max(1u, Opts.ShardCount);
-  R.Stats.ShardCount = Count;
-  R.Stats.ShardIndex = Opts.ShardIndex;
-  R.Stats.TotalTasks = Total;
-  if (Count == 1 && Opts.ShardIndex == 0)
-    return true;
-  if (Opts.ShardIndex >= Count) {
+  R.Stats.ShardCount = Shards;
+  R.Stats.ShardIndex = Shard;
+  R.Stats.TotalTasks = Idx;
+  if (Shard >= Shards) {
     R.Ok = false;
     if (R.Violations.size() < Config.MaxViolations)
-      R.Violations.push_back(formatv("shard index %u out of range for %u "
-                                     "shard(s)",
-                                     Opts.ShardIndex, Count));
-    return false;
+      R.Violations.push_back(
+          formatv("shard index %u out of range for %u shard(s)", Shard,
+                  Shards));
+    return std::nullopt;
   }
-  R.Stats.ShardFirstTask = Total * Opts.ShardIndex / Count;
+  R.Stats.ShardFirstTask = Idx * Shard / Shards;
   // Statically pruned sites are tallied during enumeration, which every
   // shard repeats; assign them to shard 0 alone so the N shard tables sum
   // to the unsharded table exactly.
-  if (Opts.ShardIndex != 0) {
+  if (Shard != 0) {
     R.Table[Verdict::StaticallyMasked] = 0;
     R.Table[Verdict::StaticallyDetected] = 0;
   }
-  return true;
+  R.Stats.Tasks = Tasks.size();
+  R.Stats.Pruned = Prune != nullptr;
+  R.Stats.PrunedTasks = R.Table[Verdict::StaticallyMasked] +
+                        R.Table[Verdict::StaticallyDetected];
+  R.Stats.PrunedDetected = R.Table[Verdict::StaticallyDetected];
+  return Tasks;
 }
 
-/// Phase 3, untyped: classifies every task in parallel on the raw
-/// semantics — with or without the recovery layer — and merges verdicts,
-/// violations and recovery stats into \p R deterministically. Non-empty
-/// \p ConvSnaps (dense reconstruction snapshots at stride \p ConvStride,
-/// recorded by phase 1 when convergence is on) arm the differential
-/// replay, which \p Accesses and \p Execs drive.
+/// Tasks per block, the unit a worker takes: a block never spans two
+/// injection steps, so its pools share one rolling reconstruction.
+constexpr uint64_t BlockCap = 32 * LaneGroupWidth;
+
+/// Reusable per-block lane scratch: the SoA lane bank and the per-lane
+/// bookkeeping arrays. A block runs dozens of small groups; reusing one
+/// full-width allocation across them removes the dominant fixed cost of
+/// short-lived groups (most post-bail lanes detect within a few steps).
+struct LaneScratch {
+  vm::LaneState Bank;
+  std::vector<MachineState> States;
+  std::vector<ZapTag> Zs;
+  std::vector<PrefixTracker> Prefixes;
+  std::vector<LaneOutcome> Outs;
+  LaneScratch()
+      : Bank(LaneGroupWidth), States(LaneGroupWidth),
+        Zs(LaneGroupWidth, ZapTag::color(Color::Green)),
+        Outs(LaneGroupWidth) {
+    Prefixes.reserve(LaneGroupWidth);
+  }
+
+  /// Rebinds slot \p L to a fresh copy of \p Base minus the value memory,
+  /// which stays shared across the group: the fault model never corrupts
+  /// memory (it sits in the protected sphere), so register and queue
+  /// injections alike leave it untouched. Container capacity survives the
+  /// assignments.
+  MachineState &rebind(unsigned L, const MachineState &Base) {
+    MachineState &S = States[L];
+    S.Faulted = false;
+    S.Code = Base.Code;
+    S.Regs = Base.Regs;
+    S.Mem = ValueMemory();
+    S.Queue = Base.Queue;
+    S.IR = Base.IR;
+    return S;
+  }
+};
+
+/// Phase 3, untyped: classifies every task on the raw semantics — with or
+/// without the recovery layer — and merges verdicts, violations and
+/// recovery stats into \p R deterministically. \p Initial is the
+/// program's initial state; \p CR is the reference recording the
+/// differential replay walks (empty unless convergence is on).
+///
+/// One pipeline for every engine. Workers take whole blocks of the
+/// snapshot-major task list, and each block goes through three stages:
+///
+///   - settle: a register-site task (not a pc: the very next fetch reads
+///     it) goes through the differential replay, which either returns
+///     its verdict or reports the step where it bailed and the taint it
+///     carries there;
+///   - pool: every unsettled task waits, keyed by its resume step — the
+///     block's injection step, or its bail step. Pools run in increasing
+///     resume order, so one rolling reconstruction of the reference state
+///     serves the whole block;
+///   - run: each pool runs as lockstep lane groups (vm/LaneEngine.h) on
+///     the interpreted engines with Lanes on, and continuation by
+///     continuation on the engine itself for native JIT code, Lanes off,
+///     recovery and pc sites (which leave a group at the very next
+///     fetch). Lane groups execute vm micro-ops, so against native JIT
+///     code (a native JitEngine without --cfi-check, which routes it to
+///     its vm fallback) they would replace one native entry per
+///     continuation with interpreted lanes.
+///
+/// Per-task result slots keep the merge deterministic regardless of how
+/// tasks were pooled and grouped.
 void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
                           const CampaignOptions &Opts,
                           const std::vector<InjectionTask> &Tasks,
                           const std::vector<UntypedSnapshot> &Snaps,
+                          const MachineState &Initial,
                           const OutputTrace &RefTrace,
                           const MachineState &RefFinal, uint64_t RefSteps,
-                          const std::vector<UntypedSnapshot> &ConvSnaps,
-                          uint64_t ConvStride, const AccessLog *Accesses,
-                          const std::vector<ExecRec> *Execs,
-                          CampaignResult &R) {
-  auto AddViolation = [&](std::string V) {
-    R.Ok = false;
-    if (R.Violations.size() < Config.MaxViolations)
-      R.Violations.push_back(std::move(V));
-  };
-
+                          const ConvergenceRecorder &CR, CampaignResult &R) {
   const ExecEngine &E = Opts.Engine ? *Opts.Engine : referenceEngine();
   R.Stats.Engine = E.name();
   // JIT-tier provenance: compilation stats are per-program constants; the
@@ -1108,394 +1097,255 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
     R.Stats.JitBlocksCompiled = JE->blocksCompiled();
     R.Stats.JitCodeBytes = JE->codeBytes();
   }
-  unsigned Threads = Opts.Threads
-                         ? Opts.Threads
-                         : std::max(1u, std::thread::hardware_concurrency());
-  R.Stats.ThreadsUsed =
-      (unsigned)std::min<uint64_t>(Threads, std::max<size_t>(1, Tasks.size()));
-  Expected<MachineState> Initial = Prog.initialState();
-  if (Error Err = Initial.takeError()) {
-    AddViolation("cannot start: " + Err.message());
-    return;
-  }
 
   bool Recover = Config.Recovery.Enabled;
-  bool Converge = !Recover && Opts.Converge && !ConvSnaps.empty();
-  R.Stats.Converge = Converge;
-  ConvergenceContext Conv{&ConvSnaps, std::max<uint64_t>(1, ConvStride),
-                          Accesses, Execs};
-  Addr ExitAddr = Prog.exitAddress();
-  std::vector<uint8_t> Verdicts(Tasks.size(), 0);
-  std::vector<std::string> Details(Tasks.size());
-  std::vector<RecoveryStats> TaskStats(Recover ? Tasks.size() : 0);
-  std::vector<ConvergenceHit> Hits(Converge ? Tasks.size() : 0);
-  auto RunOne = [&](uint64_t I) {
-    const InjectionTask &T = Tasks[I];
-    const UntypedSnapshot &Snap = Snaps[T.SnapIdx];
-    MachineState S;
-    size_t TraceLen;
-    if (Opts.Resume == ResumeMode::Snapshot) {
-      S = Snap.S;
-      TraceLen = Snap.TraceLen;
-    } else {
-      S = *Initial;
-      OutputTrace Prefix;
-      E.replaySteps(S, Snap.Steps, Prefix, Config.Policy);
-      TraceLen = Prefix.size();
-    }
-    if (Recover) {
-      RecoveredOutcome O = classifyRecoveringContinuation(
-          E, ExitAddr, Config.Policy, Config.Recovery, Config.ExtraSteps,
-          RefTrace, RefFinal, RefSteps, std::move(S), Snap.Steps, TraceLen,
-          T.Site, T.Value);
-      Verdicts[I] = (uint8_t)O.V;
-      Details[I] = std::move(O.Detail);
-      TaskStats[I] = O.Stats;
-    } else {
-      Verdict V = classifyContinuation(
-          E, ExitAddr, Config.Policy, Config.ExtraSteps, RefTrace, RefFinal,
-          RefSteps, std::move(S), Snap.Steps, TraceLen, T.Site, T.Value,
-          Converge ? &Conv : nullptr, Converge ? &Hits[I] : nullptr);
-      Verdicts[I] = (uint8_t)V;
-      if (!isBenign(V))
-        Details[I] =
-            describeInjection(T.Site, T.Value, Snap.Steps, abnormalMessage(V));
-    }
-  };
-  // Batched lane execution. Each worker owns whole blocks of the
-  // snapshot-major task list: it discharges the scalar-only residue task
-  // by task — pc sites (they deviate at the very next fetch), memory and
-  // queue sites (the paired-store cross-check catches them within a
-  // couple of transitions), and register sites the differential replay
-  // settles outright — and pools what remains into lockstep lane groups
-  // of LaneWidth. With the differential replay armed, the pooled
-  // register continuations are grouped by their *bail step*: every value
-  // zapped into one site bails at the same event, so the group shares
-  // one reconstructed base state (snapshot + replay, amortized across
-  // the lanes) with each lane's taint patched in — the lanes execute
-  // only the post-bail tail the scalar classifier would also execute,
-  // at group-amortized dispatch cost. Without it (no access log, or
-  // --no-converge), register continuations group by snapshot and run
-  // from the injection point. Per-task result slots keep the merge
-  // deterministic regardless of how tasks were batched.
-  //
-  // Lane groups execute vm micro-ops, so they pay only against an
-  // interpreted engine: continuations that would run native JIT code
-  // (a native JitEngine without --cfi-check, which routes it to its vm
-  // fallback) stay on the scalar path, where one native entry usually
-  // runs a whole continuation.
+  R.Stats.Converge = CR.Enabled;
+  bool DiffReplay = CR.Enabled && !CR.Execs.empty();
   bool NativeScalar = JE && JE->native() && !Config.Policy.Cfi;
   bool UseLanes = !Recover && Opts.Lanes && !NativeScalar && !Tasks.empty();
   R.Stats.Lanes = UseLanes;
+  std::optional<vm::LaneEngine> LE;
   if (UseLanes) {
-    uint64_t Width = std::max(1u, Opts.LaneWidth);
-    R.Stats.LaneWidth = (unsigned)Width;
     R.Stats.SimdLaneWidth = vm::simd::laneWidth();
-    vm::LaneEngine LE(Prog.code());
-    bool DiffReplay =
-        Converge && Conv.Accesses && Conv.Execs && !Conv.Execs->empty();
-
-    struct LaneBlock {
-      uint64_t Begin, End;
-    };
-    uint64_t BlockCap = std::max<uint64_t>(32 * Width, 256);
-    std::vector<LaneBlock> Blocks;
-    for (uint64_t I = 0; I != Tasks.size();) {
-      uint64_t J = I + 1;
-      while (J != Tasks.size() && Tasks[J].SnapIdx == Tasks[I].SnapIdx &&
-             J - I < BlockCap)
-        ++J;
-      Blocks.push_back({I, J});
-      I = J;
-    }
-
-    struct LaneBlockStats {
-      uint64_t Groups = 0, LaneTasks = 0, Deviations = 0, Steps = 0;
-    };
-    std::vector<LaneBlockStats> BlockStats(Blocks.size());
-
-    // Task-granularity progress across block-granularity dispatch.
-    std::atomic<uint64_t> TasksDone{0};
-    std::mutex ProgressMu;
-    auto ReportProgress = [&](uint64_t N) {
-      if (!Opts.Progress || !Opts.ProgressInterval)
-        return;
-      uint64_t Prev = TasksDone.fetch_add(N, std::memory_order_acq_rel);
-      uint64_t Done = Prev + N;
-      if (Done == Tasks.size() ||
-          Done / Opts.ProgressInterval != Prev / Opts.ProgressInterval) {
-        std::lock_guard<std::mutex> Lock(ProgressMu);
-        Opts.Progress({Done, Tasks.size()});
-      }
-    };
-
-    // Reusable per-block scratch: the SoA lane bank and the per-lane
-    // bookkeeping arrays. A block runs dozens of small groups; reusing one
-    // full-width allocation across them removes the dominant fixed cost of
-    // short-lived groups (most post-bail lanes detect within a few steps).
-    struct LaneScratch {
-      vm::LaneState Bank;
-      std::vector<MachineState> States;
-      std::vector<ZapTag> Zs;
-      std::vector<PrefixTracker> Prefixes;
-      std::vector<LaneOutcome> Outs;
-      explicit LaneScratch(unsigned W)
-          : Bank(W), States(W), Zs(W, ZapTag::color(Color::Green)), Outs(W) {
-        Prefixes.reserve(W);
-      }
-      /// Rebinds slot \p L to a fresh copy of \p Base minus the value
-      /// memory, which stays shared across the group: the fault model
-      /// never corrupts memory (it sits in the protected sphere), so
-      /// register and queue injections alike leave it untouched.
-      /// Container capacity survives the assignments.
-      MachineState &rebind(unsigned L, const MachineState &Base) {
-        MachineState &S = States[L];
-        S.Faulted = false;
-        S.Code = Base.Code;
-        S.Regs = Base.Regs;
-        S.Mem = ValueMemory();
-        S.Queue = Base.Queue;
-        S.IR = Base.IR;
-        return S;
-      }
-    };
-
-    // Runs the W lanes \p SC holds — states, zap tags and prefix
-    // trackers already set up, every lane at reference step \p At over
-    // the shared value memory \p Mem — in lockstep, and maps each lane's
-    // outcome through the shared verdict logic into task TaskOf(L)'s slot.
-    auto RunGroup = [&](LaneScratch &SC, unsigned W, uint64_t At,
-                        const ValueMemory &Mem, LaneBlockStats &BS,
-                        auto TaskOf) {
-      LaneGroupSpec GSpec;
-      GSpec.ExitAddr = ExitAddr;
-      GSpec.Budget = RefSteps - At + Config.ExtraSteps;
-      GSpec.Policy = Config.Policy;
-      GSpec.SharedMem = &Mem;
-      GSpec.OnOutput = [&SC](unsigned L, const QueueEntry &Out) {
-        SC.Prefixes[L].track(Out);
-      };
-      LaneOutcome *Outs = SC.Outs.data();
-      LE.run(SC.States.data(), W, GSpec, Outs, SC.Bank);
-
-      ++BS.Groups;
-      for (unsigned L = 0; L != W; ++L) {
-        uint64_t I = TaskOf(L);
-        const InjectionTask &T = Tasks[I];
-        Verdict V = verdictForStatus(Outs[L].Status, SC.Prefixes[L], RefTrace,
-                                     SC.Zs[L], SC.States[L], RefFinal);
-        Verdicts[I] = (uint8_t)V;
-        if (!isBenign(V))
-          Details[I] = describeInjection(T.Site, T.Value,
-                                         Snaps[T.SnapIdx].Steps,
-                                         abnormalMessage(V));
-        ++BS.LaneTasks;
-        if (Outs[L].Deviated)
-          ++BS.Deviations;
-        BS.Steps += Outs[L].GroupSteps;
-      }
-    };
-
-    // One lane group: resume + inject W same-snapshot tasks and run them
-    // from the snapshot.
-    auto RunLaneGroup = [&](LaneScratch &SC, const uint64_t *Idx, unsigned W,
-                            LaneBlockStats &BS) {
-      const UntypedSnapshot &Snap = Snaps[Tasks[Idx[0]].SnapIdx];
-      // One base reconstruction serves the whole group: in Replay mode the
-      // snapshot prefix is re-simulated once and every lane copies the
-      // result (the scalar path replays it per task).
-      MachineState ReplayBase;
-      size_t TraceLen = Snap.TraceLen;
-      const MachineState *BasePtr = &Snap.S;
-      if (Opts.Resume != ResumeMode::Snapshot) {
-        ReplayBase = *Initial;
-        OutputTrace Prefix;
-        E.replaySteps(ReplayBase, Snap.Steps, Prefix, Config.Policy);
-        TraceLen = Prefix.size();
-        BasePtr = &ReplayBase;
-      }
-      const MachineState &Base = *BasePtr;
-      std::vector<PrefixTracker> &Prefixes = SC.Prefixes;
-      Prefixes.clear();
-      for (unsigned L = 0; L != W; ++L) {
-        const InjectionTask &T = Tasks[Idx[L]];
-        MachineState &S = SC.rebind(L, Base);
-        SC.Zs[L] = ZapTag::color(faultColor(Base, T.Site));
-        injectFault(S, T.Site, T.Value);
-        Prefixes.push_back(PrefixTracker{RefTrace, TraceLen});
-      }
-      RunGroup(SC, W, Snap.Steps, Base.Mem, BS,
-               [Idx](unsigned L) { return Idx[L]; });
-    };
-
-    // A register continuation the differential replay could not settle,
-    // waiting to be pooled with its bail-step neighbors.
-    struct BailEntry {
-      uint64_t Resume;
-      uint64_t Task;
-      ZapTag Z;
-      TaintMap Taint;
-    };
-
-    // One post-bail lane group: every entry bails at the same reference
-    // step \p Resume, where the caller's rolled reconstruction \p Ref
-    // already sits; each lane is that state with its own taint payloads
-    // patched in (exactly the repositioned state the scalar bail path
-    // builds). The lanes then run only the post-bail tail and map
-    // through the shared verdict logic.
-    auto RunLaneGroupAtResume = [&](LaneScratch &SC, const BailEntry *Ent,
-                                    unsigned W, LaneBlockStats &BS,
-                                    const MachineState &Ref,
-                                    size_t TraceLenAt) {
-      uint64_t Resume = Ent[0].Resume;
-      std::vector<PrefixTracker> &Prefixes = SC.Prefixes;
-      Prefixes.clear();
-      for (unsigned L = 0; L != W; ++L) {
-        const InjectionTask &T = Tasks[Ent[L].Task];
-        const UntypedSnapshot &Snap = Snaps[T.SnapIdx];
-        SC.Zs[L] = Ent[L].Z;
-        // Registers, queue and in-flight instruction are per-lane copies
-        // of the base; the value memory stays shared (RunGroup passes it
-        // as the group's SharedMem) — taints only touch register payloads.
-        MachineState &S = SC.rebind(L, Ref);
-        patchTaint(S, Ent[L].Taint);
-        Prefixes.push_back(PrefixTracker{RefTrace, TraceLenAt});
-        // Mirror the scalar bail's skip accounting, including its "short
-        // prefixes are re-simulated, not skipped" threshold, so the
-        // lockstep-skip statistics fold onto the scalar sweep's.
-        if (Resume > Snap.Steps + 64)
-          Hits[Ent[L].Task].Skipped = Resume - Snap.Steps;
-      }
-      RunGroup(SC, W, Resume, Ref.Mem, BS,
-               [Ent](unsigned L) { return Ent[L].Task; });
-    };
-
-    auto RunBlock = [&](uint64_t B) {
-      const LaneBlock &Blk = Blocks[B];
-      LaneBlockStats &BS = BlockStats[B];
-      LaneScratch SC((unsigned)Width);
-      std::vector<uint64_t> Pending;
-      std::vector<BailEntry> Bails;
-      for (uint64_t I = Blk.Begin; I != Blk.End; ++I) {
-        const InjectionTask &T = Tasks[I];
-        // pc sites deviate at the very next fetch (lanes cannot share a
-        // pc pair with them), so they stay on the scalar classifier.
-        if (T.Site.K == FaultSite::Kind::Register && T.Site.R.isPC()) {
-          RunOne(I);
-          continue;
-        }
-        // Queue corruptions ride the reference control flow until the
-        // paired-store cross-check reaches the damaged entry, so they
-        // pool from the snapshot like unreplayed register faults.
-        if (T.Site.K != FaultSite::Kind::Register) {
-          Pending.push_back(I);
-          continue;
-        }
-        if (DiffReplay) {
-          // Same fast path as the scalar classifier, in defer mode: the
-          // differential replay either settles the verdict outright or
-          // reports where the continuation must resume concretely.
-          const UntypedSnapshot &Snap = Snaps[T.SnapIdx];
-          ZapTag Z = ZapTag::color(faultColor(Snap.S, T.Site));
-          uint64_t AtSteps = Snap.Steps;
-          size_t TraceLen = Snap.TraceLen;
-          MachineState Untouched; // defer mode never writes it
-          DeferredBail DB;
-          if (std::optional<Verdict> V = differentialReplay(
-                  E, Config.Policy, Conv, T.Site, T.Value, RefFinal, RefSteps,
-                  Z, Untouched, AtSteps, TraceLen, &Hits[I], &DB)) {
-            Verdicts[I] = (uint8_t)*V;
-            if (!isBenign(*V))
-              Details[I] = describeInjection(T.Site, T.Value, Snap.Steps,
-                                             abnormalMessage(*V));
-          } else {
-            Bails.push_back({DB.Resume, I, Z, std::move(DB.Taint)});
-          }
-          continue;
-        }
-        Pending.push_back(I);
-      }
-      // Queue-site groups and — without the differential replay —
-      // register-site groups share a snapshot (blocks never cross one)
-      // and run from the injection.
-      for (size_t P = 0; P < Pending.size(); P += Width)
-        RunLaneGroup(SC, &Pending[P],
-                     (unsigned)std::min<size_t>(Width, Pending.size() - P), BS);
-      // With it, pool by bail step: the stable sort keeps task order
-      // within a pool, so grouping stays deterministic.
-      std::stable_sort(Bails.begin(), Bails.end(),
-                       [](const BailEntry &A, const BailEntry &B) {
-                         return A.Resume < B.Resume;
-                       });
-      // The pools resume at increasing reference steps, so one rolled
-      // reconstruction serves them all: each pool replays the reference
-      // forward from the previous pool's bail step (or from the closest
-      // snapshot, whichever is nearer) instead of re-deriving its base
-      // from a snapshot — the whole block's reconstruction cost becomes
-      // one pass over the bail-step span.
-      MachineState Roll;
-      uint64_t RollAt = 0;
-      size_t RollLen = 0;
-      bool HaveRoll = false;
-      for (size_t P = 0; P != Bails.size();) {
-        size_t Q = P + 1;
-        while (Q != Bails.size() && Bails[Q].Resume == Bails[P].Resume &&
-               Q - P < Width)
-          ++Q;
-        uint64_t Resume = Bails[P].Resume;
-        const UntypedSnapshot &CB = ConvSnaps[Resume / Conv.Stride];
-        const UntypedSnapshot &IS = Snaps[Tasks[Bails[P].Task].SnapIdx];
-        const UntypedSnapshot &SB = IS.Steps > CB.Steps ? IS : CB;
-        assert(SB.Steps <= Resume && "snapshot stride invariant violated");
-        OutputTrace Rep;
-        if (HaveRoll && RollAt <= Resume && RollAt >= SB.Steps) {
-          E.replaySteps(Roll, Resume - RollAt, Rep, Config.Policy);
-          RollLen += Rep.size();
-        } else {
-          Roll = SB.S;
-          E.replaySteps(Roll, Resume - SB.Steps, Rep, Config.Policy);
-          RollLen = SB.TraceLen + Rep.size();
-          HaveRoll = true;
-        }
-        RollAt = Resume;
-        RunLaneGroupAtResume(SC, &Bails[P], (unsigned)(Q - P), BS, Roll,
-                             RollLen);
-        P = Q;
-      }
-      ReportProgress(Blk.End - Blk.Begin);
-    };
-
-    dispatchTasks(Threads, Blocks.size(), RunBlock, 0, nullptr);
-
-    for (const LaneBlockStats &BS : BlockStats) {
-      R.Stats.LaneGroups += BS.Groups;
-      R.Stats.LaneTasks += BS.LaneTasks;
-      R.Stats.LaneDeviations += BS.Deviations;
-      R.Stats.LaneLockstepSteps += BS.Steps;
-    }
-  } else {
-    dispatchTasks(Threads, Tasks.size(), RunOne, Opts.ProgressInterval,
-                  Opts.Progress);
+    LE.emplace(Prog.code());
   }
+  Addr ExitAddr = Prog.exitAddress();
 
+  std::vector<uint8_t> Verdicts(Tasks.size(), 0);
+  std::vector<std::string> Details(Tasks.size());
+  std::vector<RecoveryStats> TaskStats(Recover ? Tasks.size() : 0);
+  std::vector<ConvergenceHit> Hits(DiffReplay ? Tasks.size() : 0);
+  auto Settle = [&](uint64_t I, Verdict V) {
+    Verdicts[I] = (uint8_t)V;
+    if (!isBenign(V)) {
+      const InjectionTask &T = Tasks[I];
+      Details[I] = describeInjection(T.Site, T.Value, Snaps[T.SnapIdx].Steps,
+                                     abnormalMessage(V));
+    }
+  };
+  auto ZapOf = [&](const InjectionTask &T) {
+    return ZapTag::color(faultColor(Snaps[T.SnapIdx].S, T.Site));
+  };
+
+  struct Block {
+    uint64_t Begin, End;
+  };
+  std::vector<Block> Blocks;
+  for (uint64_t I = 0; I != Tasks.size();) {
+    uint64_t J = I + 1;
+    while (J != Tasks.size() && Tasks[J].SnapIdx == Tasks[I].SnapIdx &&
+           J - I < BlockCap)
+      ++J;
+    Blocks.push_back({I, J});
+    I = J;
+  }
+  struct LaneBlockStats {
+    uint64_t Groups = 0, LaneTasks = 0, Deviations = 0, Steps = 0;
+  };
+  std::vector<LaneBlockStats> BlockStats(Blocks.size());
+
+  // A task waiting to run from reference step Resume: with an empty Taint
+  // it injects its fault there (the injection step), otherwise it bailed
+  // and its faulty state is the reference state with Taint patched in.
+  struct Waiting {
+    uint64_t Resume;
+    uint64_t Task;
+    TaintMap Taint;
+  };
+  auto Place = [&](MachineState &S, const Waiting &W) {
+    const InjectionTask &T = Tasks[W.Task];
+    if (W.Taint.empty())
+      injectFault(S, T.Site, T.Value);
+    else
+      patchTaint(S, W.Taint);
+  };
+
+  // One continuation on the engine itself, from \p Base at reference step
+  // \p At with \p TraceLen reference outputs behind it. The engine's
+  // runContinuation checks the exit before the budget, like the serial
+  // checker, so verdicts agree bit for bit with it on every engine.
+  auto RunScalar = [&](const Waiting &W, const MachineState &Base,
+                       uint64_t At, size_t TraceLen) {
+    const InjectionTask &T = Tasks[W.Task];
+    if (Recover) {
+      RecoveredOutcome O = classifyRecoveringContinuation(
+          E, ExitAddr, Config.Policy, Config.Recovery, Config.ExtraSteps,
+          RefTrace, RefFinal, RefSteps, Base, At, TraceLen, T.Site, T.Value);
+      Verdicts[W.Task] = (uint8_t)O.V;
+      Details[W.Task] = std::move(O.Detail);
+      TaskStats[W.Task] = O.Stats;
+      return;
+    }
+    MachineState S = Base;
+    Place(S, W);
+    PrefixTracker Prefix{RefTrace, TraceLen};
+    RunStatus St = E.runContinuation(
+        S, ExitAddr, RefSteps - At + Config.ExtraSteps, Config.Policy,
+        [&Prefix](const QueueEntry &Out) { Prefix.track(Out); });
+    Settle(W.Task, verdictForStatus(St, Prefix, RefTrace, ZapOf(T), S,
+                                    RefFinal));
+  };
+
+  // One lockstep lane group of \p N waiting tasks, every lane \p Base at
+  // reference step \p At with its own fault placed, over the base's value
+  // memory; each lane's outcome maps through the shared verdict logic.
+  auto RunGroup = [&](LaneScratch &SC, const Waiting *const *Ws, unsigned N,
+                      const MachineState &Base, uint64_t At, size_t TraceLen,
+                      LaneBlockStats &BS) {
+    SC.Prefixes.clear();
+    for (unsigned L = 0; L != N; ++L) {
+      SC.Zs[L] = ZapOf(Tasks[Ws[L]->Task]);
+      Place(SC.rebind(L, Base), *Ws[L]);
+      SC.Prefixes.push_back(PrefixTracker{RefTrace, TraceLen});
+    }
+    LaneGroupSpec GSpec;
+    GSpec.ExitAddr = ExitAddr;
+    GSpec.Budget = RefSteps - At + Config.ExtraSteps;
+    GSpec.Policy = Config.Policy;
+    GSpec.SharedMem = &Base.Mem;
+    GSpec.OnOutput = [&SC](unsigned L, const QueueEntry &Out) {
+      SC.Prefixes[L].track(Out);
+    };
+    LE->run(SC.States.data(), N, GSpec, SC.Outs.data(), SC.Bank);
+
+    ++BS.Groups;
+    for (unsigned L = 0; L != N; ++L) {
+      const LaneOutcome &Out = SC.Outs[L];
+      Settle(Ws[L]->Task,
+             verdictForStatus(Out.Status, SC.Prefixes[L], RefTrace, SC.Zs[L],
+                              SC.States[L], RefFinal));
+      ++BS.LaneTasks;
+      BS.Deviations += Out.Deviated;
+      BS.Steps += Out.GroupSteps;
+    }
+  };
+
+  auto RunBlock = [&](uint64_t B) -> uint64_t {
+    const Block &Blk = Blocks[B];
+    const UntypedSnapshot &Snap = Snaps[Tasks[Blk.Begin].SnapIdx];
+
+    // Settle.
+    std::vector<Waiting> Pool;
+    Pool.reserve(Blk.End - Blk.Begin);
+    for (uint64_t I = Blk.Begin; I != Blk.End; ++I) {
+      const InjectionTask &T = Tasks[I];
+      if (DiffReplay && T.Site.K == FaultSite::Kind::Register &&
+          !T.Site.R.isPC()) {
+        DeferredBail DB;
+        if (std::optional<Verdict> V =
+                differentialReplay(CR, T.Site, T.Value, Snap.Steps, RefFinal,
+                                   RefSteps, ZapOf(T), Hits[I], DB))
+          Settle(I, *V);
+        else
+          Pool.push_back({DB.Resume, I, std::move(DB.Taint)});
+        continue;
+      }
+      Pool.push_back({Snap.Steps, I, {}});
+    }
+
+    // Pool: the stable sort keeps task order within a pool, so grouping
+    // stays deterministic.
+    std::stable_sort(Pool.begin(), Pool.end(),
+                     [](const Waiting &A, const Waiting &B) {
+                       return A.Resume < B.Resume;
+                     });
+
+    // Run. The base state rolls forward from pool to pool, replaying the
+    // reference from the previous pool's step or from the nearest dense
+    // snapshot, whichever is closer.
+    MachineState Base;
+    uint64_t BaseAt = Snap.Steps;
+    size_t BaseLen = 0;
+    bool HaveBase = false;
+    std::optional<LaneScratch> SC;
+    std::array<const Waiting *, LaneGroupWidth> Group{};
+    for (size_t P = 0; P != Pool.size();) {
+      uint64_t Resume = Pool[P].Resume;
+      const UntypedSnapshot *Dense =
+          CR.Snaps.empty() ? nullptr : &CR.Snaps[Resume / CR.Stride];
+      assert((!Dense || Dense->Steps <= Resume) &&
+             "snapshot stride invariant violated");
+      if (Dense && Dense->Steps > BaseAt) {
+        Base = Dense->S;
+        BaseAt = Dense->Steps;
+        BaseLen = Dense->TraceLen;
+      } else if (!HaveBase) {
+        // The block's injection state, the one place the resume mode
+        // matters: Replay re-executes the reference prefix from step 0.
+        if (Opts.Resume == ResumeMode::Replay) {
+          Base = Initial;
+          OutputTrace Prefix;
+          E.replaySteps(Base, Snap.Steps, Prefix, Config.Policy);
+          BaseLen = Prefix.size();
+        } else {
+          Base = Snap.S;
+          BaseLen = Snap.TraceLen;
+        }
+      }
+      HaveBase = true;
+      if (Resume != BaseAt) {
+        OutputTrace Rep;
+        E.replaySteps(Base, Resume - BaseAt, Rep, Config.Policy);
+        BaseLen += Rep.size();
+        BaseAt = Resume;
+      }
+
+      unsigned N = 0;
+      auto Flush = [&] {
+        if (!N)
+          return;
+        if (!SC)
+          SC.emplace();
+        RunGroup(*SC, Group.data(), N, Base, Resume, BaseLen, BlockStats[B]);
+        N = 0;
+      };
+      for (; P != Pool.size() && Pool[P].Resume == Resume; ++P) {
+        const FaultSite &Site = Tasks[Pool[P].Task].Site;
+        if (!UseLanes ||
+            (Site.K == FaultSite::Kind::Register && Site.R.isPC())) {
+          RunScalar(Pool[P], Base, Resume, BaseLen);
+          continue;
+        }
+        Group[N++] = &Pool[P];
+        if (N == LaneGroupWidth)
+          Flush();
+      }
+      Flush();
+    }
+    return Blk.End - Blk.Begin;
+  };
+
+  R.Stats.ThreadsUsed =
+      dispatchTasks(Opts.Threads, Blocks.size(), Tasks.size(), RunBlock, Opts);
+
+  for (const LaneBlockStats &BS : BlockStats) {
+    R.Stats.LaneGroups += BS.Groups;
+    R.Stats.LaneTasks += BS.LaneTasks;
+    R.Stats.LaneDeviations += BS.Deviations;
+    R.Stats.LaneLockstepSteps += BS.Steps;
+  }
   // Deterministic merge: counters sum (order-independent), violations keep
   // enumeration order, the window maximum commutes.
   for (size_t I = 0; I != Tasks.size(); ++I) {
     R.Table[(Verdict)Verdicts[I]] += 1;
-    if (!Details[I].empty())
-      AddViolation(std::move(Details[I]));
+    if (!Details[I].empty()) {
+      R.Ok = false;
+      if (R.Violations.size() < Config.MaxViolations)
+        R.Violations.push_back(std::move(Details[I]));
+    }
     if (Recover)
       R.Recovery.merge(TaskStats[I]);
-    if (Converge) {
-      if (Hits[I].Hit) {
+    if (DiffReplay) {
+      const ConvergenceHit &H = Hits[I];
+      if (H.Hit) {
         ++R.Stats.EarlyExits;
-        R.Stats.WindowSum += Hits[I].Window;
-        R.Stats.MaxWindow = std::max(R.Stats.MaxWindow, Hits[I].Window);
-        R.Stats.StepsSaved += Hits[I].Saved;
+        R.Stats.WindowSum += H.Window;
+        R.Stats.MaxWindow = std::max(R.Stats.MaxWindow, H.Window);
+        R.Stats.StepsSaved += H.Saved;
       }
-      if (Hits[I].Skipped) {
+      if (H.Skipped) {
         ++R.Stats.LockstepSkips;
-        R.Stats.LockstepSteps += Hits[I].Skipped;
+        R.Stats.LockstepSteps += H.Skipped;
       }
     }
   }
@@ -1509,10 +1359,15 @@ CampaignResult talft::runFaultToleranceCampaign(TypeContext &TC,
                                                 const CheckedProgram &CP,
                                                 const TheoremConfig &ConfigIn,
                                                 const CampaignOptions &Opts) {
+  // Without re-typing faulty states, the checked program's sweep is
+  // exactly the raw-semantics sweep of its program.
+  if (!ConfigIn.TypeCheckFaultyStates)
+    return runSingleFaultCampaign(*CP.Prog, ConfigIn, Opts);
+
   CampaignResult R;
-  // The CFI table (when requested) rides on the step policy, so every
-  // engine — reference interpreter, vm, lanes — validates commits through
-  // the same hook. Record-only: verdicts cannot depend on it.
+  // The CFI table (when requested) rides on the step policy, so the
+  // reference interpreter validates commits through the same hook as
+  // every engine. Record-only: verdicts cannot depend on it.
   std::unique_ptr<CfiTable> Cfi = buildCfiTable(*CP.Prog, Opts);
   TheoremConfig Config = ConfigIn;
   if (Cfi)
@@ -1530,60 +1385,31 @@ CampaignResult talft::runFaultToleranceCampaign(TypeContext &TC,
     if (R.Violations.size() < Config.MaxViolations)
       R.Violations.push_back(std::move(V));
   };
-
-  // Phase 1 (serial): the reference execution, snapshotting every
-  // injection step. Typed campaigns keep full TrackedRun snapshots (state
-  // plus closing substitution); classification-only campaigns keep just
-  // the machine state and the trace length.
-  Clock::time_point RefStart = Clock::now();
-  bool Typed = Config.TypeCheckFaultyStates;
-  if (Typed && Config.Recovery.Enabled) {
+  if (Config.Recovery.Enabled) {
     AddViolation("recovery cannot be combined with TypeCheckFaultyStates: "
                  "rollback replays run on the raw semantics");
     FinishCfi();
     return R;
   }
-  uint64_t Stride = std::max<uint64_t>(1, Config.InjectionStride);
 
+  // Phase 1 (serial): the reference execution, keeping a full TrackedRun
+  // snapshot (state plus closing substitution) at every injection step.
+  Clock::time_point RefStart = Clock::now();
+  uint64_t Stride = std::max<uint64_t>(1, Config.InjectionStride);
   TrackedRun Run(TC, CP, Config.Policy);
   if (Error E = Run.start()) {
     AddViolation("cannot start: " + E.message());
     FinishCfi();
     return R;
   }
-
-  std::vector<TrackedRun::Snapshot> TypedSnaps;
-  std::vector<UntypedSnapshot> Snaps;
-  auto TakeSnapshot = [&] {
-    if (Typed)
-      TypedSnaps.push_back(Run.snapshot());
-    else
-      Snaps.push_back({Run.state(), Run.steps(), Run.trace().size()});
-  };
-
-  // The convergence recorder: the register access log and instruction
-  // records the differential replay walks, and the dense snapshots its
-  // bails resume from. Typed and recovery campaigns never replay, so they
-  // skip the recording.
-  ConvergenceRecorder CR;
-  CR.Enabled = !Typed && !Config.Recovery.Enabled && Opts.Converge;
-
-  // Step count of the latest point where a control instruction was
-  // in-flight (about to execute). A snapshot taken at or before that
-  // count still has a control instruction ahead of it in the reference
-  // run — the input to the d-register discharge rule.
-  int64_t LastCtrl = -1;
-  TakeSnapshot(); // Step 0 is always an injection point.
-  CR.start(Run.state());
+  std::vector<TrackedRun::Snapshot> Snaps;
+  Snaps.push_back(Run.snapshot()); // Step 0 is always an injection point.
   while (!Run.atExitBlock()) {
     if (Run.steps() >= Config.MaxSteps) {
       AddViolation("reference run exceeded MaxSteps");
       FinishCfi();
       return R;
     }
-    if (Run.state().IR && Run.state().IR->isControlFlow())
-      LastCtrl = (int64_t)Run.steps();
-    CR.beforeStep(Run.state(), Run.steps() + 1);
     StepResult SR = Run.stepOnce();
     if (SR.Status != StepStatus::Ok) {
       AddViolation(formatv("reference run failed at step %llu (%s)",
@@ -1593,100 +1419,65 @@ CampaignResult talft::runFaultToleranceCampaign(TypeContext &TC,
       FinishCfi();
       return R;
     }
-    CR.afterStep(Run.state(), Run.steps(), Run.trace().size());
     if (Run.steps() % Stride == 0)
-      TakeSnapshot();
+      Snaps.push_back(Run.snapshot());
   }
   TrackedRun::Snapshot RefFinal = Run.snapshot();
   R.ReferenceSteps = RefFinal.Steps;
   R.ReferenceTrace = RefFinal.Trace;
 
-  std::optional<analysis::ZapCoverage> Oracle =
-      buildPruneOracle(*CP.Prog, Opts);
-  // Control-register discharge needs the oracle's guarantee that specials
-  // never appear as instruction operands, the raw semantics (typed
-  // campaigns re-check states, recovery rewrites continuations), and
-  // enough extra steps for the corrupted run to reach its next control.
-  bool SpecialDischarge = Oracle && Oracle->specialSiteDischargeSound() &&
-                          !Typed && !Config.Recovery.Enabled &&
-                          Config.ExtraSteps >= 2;
-  std::vector<uint8_t> CtrlAhead;
-  if (SpecialDischarge) {
-    CtrlAhead.resize(Snaps.size());
-    for (size_t I = 0; I != Snaps.size(); ++I)
-      CtrlAhead[I] = LastCtrl >= 0 && (uint64_t)LastCtrl >= Snaps[I].Steps;
-  }
-  uint64_t TotalTasks = 0;
-  std::vector<InjectionTask> Tasks = enumerateTasks(
-      *CP.Prog, Config, Typed ? TypedSnaps.size() : Snaps.size(),
-      [&](size_t SI) -> const MachineState & {
-        return Typed ? TypedSnaps[SI].S : Snaps[SI].S;
-      },
-      Oracle ? &*Oracle : nullptr, R.Table,
-      SpecialDischarge ? &CtrlAhead : nullptr, Opts.ShardIndex,
-      std::max(1u, Opts.ShardCount), TotalTasks);
+  R.ProgramHash = programContentHash(CP.Prog->code(), CP.Prog->entryAddress(),
+                                     CP.Prog->exitAddress(), Snaps[0].S);
+  std::optional<std::vector<InjectionTask>> Tasks = enumerateTasks(
+      *CP.Prog, Config, Opts, Snaps.size(),
+      [&](size_t SI) -> const MachineState & { return Snaps[SI].S; },
+      nullptr, R);
   R.Stats.ReferenceSeconds = secondsSince(RefStart);
-  if (Expected<MachineState> Init = CP.Prog->initialState())
-    R.ProgramHash =
-        programContentHash(CP.Prog->code(), CP.Prog->entryAddress(),
-                           CP.Prog->exitAddress(), *Init);
-  if (!applyShardSlice(Opts, Config, TotalTasks, R)) {
+  if (!Tasks) {
     FinishCfi();
     return R;
   }
-  R.Stats.Tasks = Tasks.size();
-  R.Stats.Pruned = Oracle.has_value();
-  R.Stats.PrunedTasks = R.Table[Verdict::StaticallyMasked] +
-                        R.Table[Verdict::StaticallyDetected];
-  R.Stats.PrunedDetected = R.Table[Verdict::StaticallyDetected];
 
-  // Phase 3: classify every continuation. Typed campaigns run serially
-  // through the shared TypeContext; classification-only campaigns fan out.
+  // Phase 3 (serial): every continuation re-checks ⊢Z S through the
+  // shared TypeContext, which TrackedRun owns, so typed campaigns always
+  // run on the reference semantics.
   Clock::time_point InjectStart = Clock::now();
-  if (Typed) {
-    // Typed campaigns re-check ⊢Z S through TrackedRun, which owns the
-    // typing bookkeeping; they always replay on the reference semantics.
-    R.Stats.Engine = referenceEngine().name();
-    R.Stats.ThreadsUsed = 1;
-    uint64_t Done = 0;
-    for (const InjectionTask &T : Tasks) {
-      const TrackedRun::Snapshot *At = &TypedSnaps[T.SnapIdx];
-      TrackedRun::Snapshot Replayed;
-      if (Opts.Resume == ResumeMode::Replay) {
-        // Rebuild the snapshot by re-executing the reference prefix.
-        TrackedRun Fresh(TC, CP, Config.Policy);
-        if (Error E = Fresh.start()) {
-          AddViolation("cannot start: " + E.message());
-          FinishCfi();
-          return R;
-        }
-        while (Fresh.steps() < TypedSnaps[T.SnapIdx].Steps)
-          Fresh.stepOnce();
-        Replayed = Fresh.snapshot();
-        At = &Replayed;
+  R.Stats.Engine = referenceEngine().name();
+  R.Stats.ThreadsUsed = 1;
+  uint64_t Done = 0;
+  for (const InjectionTask &T : *Tasks) {
+    const TrackedRun::Snapshot *At = &Snaps[T.SnapIdx];
+    TrackedRun::Snapshot Replayed;
+    if (Opts.Resume == ResumeMode::Replay) {
+      // Rebuild the snapshot by re-executing the reference prefix.
+      TrackedRun Fresh(TC, CP, Config.Policy);
+      if (Error E = Fresh.start()) {
+        AddViolation("cannot start: " + E.message());
+        FinishCfi();
+        return R;
       }
-      TypedOutcome O = runTypedInjection(Config, Run, *At, T.Site, T.Value,
-                                         RefFinal, RefFinal.Trace);
-      R.Table[O.V] += 1;
-      R.StatesTypechecked += O.Typechecked;
-      if (!isBenign(O.V))
-        AddViolation(std::move(O.Detail));
-      ++Done;
-      if (Opts.Progress && Opts.ProgressInterval &&
-          (Done % Opts.ProgressInterval == 0 || Done == Tasks.size()))
-        Opts.Progress({Done, Tasks.size()});
+      while (Fresh.steps() < At->Steps)
+        Fresh.stepOnce();
+      Replayed = Fresh.snapshot();
+      At = &Replayed;
     }
-  } else {
-    classifyUntypedTasks(*CP.Prog, Config, Opts, Tasks, Snaps, RefFinal.Trace,
-                         RefFinal.S, RefFinal.Steps, CR.Snaps,
-                         CR.Stride, &CR.Accesses, &CR.Execs, R);
+    TypedOutcome O = runTypedInjection(Config, Run, *At, T.Site, T.Value,
+                                       RefFinal, RefFinal.Trace);
+    R.Table[O.V] += 1;
+    R.StatesTypechecked += O.Typechecked;
+    if (!isBenign(O.V))
+      AddViolation(std::move(O.Detail));
+    ++Done;
+    if (Opts.Progress && Opts.ProgressInterval &&
+        (Done % Opts.ProgressInterval == 0 || Done == Tasks->size()))
+      Opts.Progress({Done, Tasks->size()});
   }
 
   if (Opts.ShardRetiredHook)
     Opts.ShardRetiredHook(R.Stats.ShardIndex, R.Stats.ShardCount);
   R.Stats.WallSeconds = secondsSince(InjectStart);
   if (R.Stats.WallSeconds > 0)
-    R.Stats.TriplesPerSecond = (double)Tasks.size() / R.Stats.WallSeconds;
+    R.Stats.TriplesPerSecond = (double)Tasks->size() / R.Stats.WallSeconds;
   FinishCfi();
   return R;
 }
@@ -1772,44 +1563,27 @@ CampaignResult talft::runSingleFaultCampaign(const Program &Prog,
   R.ReferenceSteps = Steps;
   R.ReferenceTrace = Trace;
 
-  std::optional<analysis::ZapCoverage> Oracle = buildPruneOracle(Prog, Opts);
-  bool SpecialDischarge = Oracle && Oracle->specialSiteDischargeSound() &&
-                          !Config.Recovery.Enabled && Config.ExtraSteps >= 2;
-  std::vector<uint8_t> CtrlAhead;
-  if (SpecialDischarge) {
-    CtrlAhead.resize(Snaps.size());
-    for (size_t I = 0; I != Snaps.size(); ++I)
-      CtrlAhead[I] = LastCtrl >= 0 && (uint64_t)LastCtrl >= Snaps[I].Steps;
-  }
-  uint64_t TotalTasks = 0;
-  std::vector<InjectionTask> Tasks =
-      enumerateTasks(Prog, Config, Snaps.size(),
-                     [&](size_t SI) -> const MachineState & {
-                       return Snaps[SI].S;
-                     },
-                     Oracle ? &*Oracle : nullptr, R.Table,
-                     SpecialDischarge ? &CtrlAhead : nullptr, Opts.ShardIndex,
-                     std::max(1u, Opts.ShardCount), TotalTasks);
+  std::vector<uint8_t> CtrlAhead(Snaps.size());
+  for (size_t I = 0; I != Snaps.size(); ++I)
+    CtrlAhead[I] = LastCtrl >= 0 && (uint64_t)LastCtrl >= Snaps[I].Steps;
+  std::optional<std::vector<InjectionTask>> Tasks = enumerateTasks(
+      Prog, Config, Opts, Snaps.size(),
+      [&](size_t SI) -> const MachineState & { return Snaps[SI].S; },
+      &CtrlAhead, R);
   R.Stats.ReferenceSeconds = secondsSince(RefStart);
-  if (!applyShardSlice(Opts, Config, TotalTasks, R)) {
+  if (!Tasks) {
     FinishCfi();
     return R;
   }
-  R.Stats.Tasks = Tasks.size();
-  R.Stats.Pruned = Oracle.has_value();
-  R.Stats.PrunedTasks = R.Table[Verdict::StaticallyMasked] +
-                        R.Table[Verdict::StaticallyDetected];
-  R.Stats.PrunedDetected = R.Table[Verdict::StaticallyDetected];
 
   Clock::time_point InjectStart = Clock::now();
-  classifyUntypedTasks(Prog, Config, Opts, Tasks, Snaps, Trace, S, Steps,
-                       CR.Snaps, CR.Stride, &CR.Accesses,
-                       &CR.Execs, R);
+  classifyUntypedTasks(Prog, Config, Opts, *Tasks, Snaps, *S0, Trace, S, Steps,
+                       CR, R);
   if (Opts.ShardRetiredHook)
     Opts.ShardRetiredHook(R.Stats.ShardIndex, R.Stats.ShardCount);
   R.Stats.WallSeconds = secondsSince(InjectStart);
   if (R.Stats.WallSeconds > 0)
-    R.Stats.TriplesPerSecond = (double)Tasks.size() / R.Stats.WallSeconds;
+    R.Stats.TriplesPerSecond = (double)Tasks->size() / R.Stats.WallSeconds;
   FinishCfi();
   return R;
 }
@@ -1929,19 +1703,15 @@ CampaignResult talft::runInjectionPlans(const PlanCampaign &Spec,
   R.Stats.TotalTasks = Spec.Plans.size();
 
   Clock::time_point InjectStart = Clock::now();
-  unsigned Threads = Opts.Threads ? Opts.Threads
-                                  : std::max(1u, std::thread::hardware_concurrency());
-  R.Stats.ThreadsUsed = (unsigned)std::min<uint64_t>(
-      Threads, std::max<size_t>(1, Spec.Plans.size()));
-
   std::vector<uint8_t> Verdicts(Spec.Plans.size(), 0);
-  auto RunOne = [&](uint64_t I) {
+  auto RunOne = [&](uint64_t I) -> uint64_t {
     Verdicts[I] = (uint8_t)classifyPlan(E, *Spec.Prog, Spec.Policy,
                                         Spec.ExtraSteps, RefRun.Trace, Final,
                                         RefRun.Steps, *S0, Spec.Plans[I]);
+    return 1;
   };
-  dispatchTasks(Threads, Spec.Plans.size(), RunOne, Opts.ProgressInterval,
-                Opts.Progress);
+  R.Stats.ThreadsUsed = dispatchTasks(Opts.Threads, Spec.Plans.size(),
+                                      Spec.Plans.size(), RunOne, Opts);
 
   for (size_t I = 0; I != Spec.Plans.size(); ++I) {
     Verdict V = (Verdict)Verdicts[I];
@@ -2006,7 +1776,6 @@ void talft::foldShardResult(CampaignResult &Acc, const CampaignResult &Shard,
   A.LockstepSkips += B.LockstepSkips;
   A.LockstepSteps += B.LockstepSteps;
   A.Lanes = A.Lanes || B.Lanes;
-  A.LaneWidth = std::max(A.LaneWidth, B.LaneWidth);
   A.LaneGroups += B.LaneGroups;
   A.LaneTasks += B.LaneTasks;
   A.LaneDeviations += B.LaneDeviations;
@@ -2101,7 +1870,8 @@ std::string talft::campaignToJson(const CampaignResult &R, unsigned Indent) {
   S += P + formatv("  \"lanes\": {\"enabled\": %s, \"width\": %u, "
                    "\"groups\": %llu, \"lane_tasks\": %llu, "
                    "\"deviations\": %llu, \"lockstep_steps\": %llu},\n",
-                   R.Stats.Lanes ? "true" : "false", R.Stats.LaneWidth,
+                   R.Stats.Lanes ? "true" : "false",
+                   R.Stats.Lanes ? LaneGroupWidth : 0u,
                    (unsigned long long)R.Stats.LaneGroups,
                    (unsigned long long)R.Stats.LaneTasks,
                    (unsigned long long)R.Stats.LaneDeviations,

@@ -121,6 +121,11 @@ enum class ResumeMode : uint8_t {
   Replay,
 };
 
+/// Lanes per lockstep group in batched lane execution
+/// (CampaignOptions::Lanes). Groups narrower than this form when a pool
+/// has fewer batched tasks left.
+inline constexpr unsigned LaneGroupWidth = 16;
+
 struct CampaignProgress {
   uint64_t Completed = 0;
   uint64_t Total = 0;
@@ -177,34 +182,33 @@ struct CampaignOptions {
   /// whose taint drains has re-joined the reference exactly and is
   /// Masked without executing the rest of the program; a run whose taint
   /// is never touched again reduces to a similarity check; anything
-  /// outside the provable cases resumes concretely from a reconstructed
-  /// state. Verdict tables and violation lists are bit-identical with and
-  /// without this flag (the differential oracle asserts the fold); only
-  /// wall-clock time changes. Ignored by recovery campaigns (rollback
-  /// replays re-diverge from the reference), typed campaigns (they must
-  /// type every intermediate state) and plan campaigns (an earlier
-  /// injection already diverged the state).
+  /// outside the provable cases resumes concretely from the reference
+  /// state at the bail step with its taint patched in. This is the first
+  /// stage of the classifier's one pipeline (settle, pool by resume step,
+  /// run); off, every task runs from its injection step. Verdict tables
+  /// and violation lists are bit-identical with and without this flag
+  /// (the differential oracle asserts the fold); only wall-clock time
+  /// changes, so it selects the reference configuration fold oracles
+  /// compare against. Ignored by recovery campaigns (rollback replays
+  /// re-diverge from the reference), typed campaigns (they must type
+  /// every intermediate state) and plan campaigns (an earlier injection
+  /// already diverged the state).
   bool Converge = true;
-  /// Batched lane execution: tasks that resume from the same reference
-  /// step are grouped and advanced in lockstep through one decoded
-  /// micro-op stream (vm/LaneEngine.h), amortizing fetch and boundary
-  /// checks across the group. Register sites on the program counters
-  /// stay scalar (their continuations diverge at the very next fetch);
-  /// with Converge on, register-site tasks still go through the
-  /// differential replay first and only the bailed residue is batched.
-  /// Lane groups run vm micro-ops, so they serve the interpreted engines
-  /// only: when continuations would execute native code (a native JIT
-  /// engine without CfiCheck) the campaign classifies on the scalar path
-  /// and reports Stats.Lanes false. Verdict tables and violation lists
-  /// are bit-identical with and without lanes, for every width, engine,
-  /// thread count and resume mode; only wall-clock time and the lane
-  /// statistics change. Ignored by recovery campaigns, typed campaigns
-  /// and plan campaigns.
+  /// Batched lane execution, the pipeline's run stage: the tasks of one
+  /// pool (same resume step) advance in lockstep groups of LaneGroupWidth
+  /// through one decoded micro-op stream (vm/LaneEngine.h), amortizing
+  /// fetch and boundary checks across the group. Register sites on the
+  /// program counters run continuation by continuation (they diverge at
+  /// the very next fetch). Lane groups run vm micro-ops, so they serve
+  /// the interpreted engines only: when continuations would execute
+  /// native code (a native JIT engine without CfiCheck) every pool runs
+  /// continuation by continuation and Stats.Lanes reports false. Verdict
+  /// tables and violation lists are bit-identical with and without lanes,
+  /// for every engine, thread count and resume mode; only wall-clock time
+  /// and the lane statistics change, so off it selects the reference
+  /// configuration fold oracles compare against. Ignored by recovery
+  /// campaigns, typed campaigns and plan campaigns.
   bool Lanes = true;
-  /// Lanes per group (1 = degenerate scalar batching, useful for
-  /// differential testing). Groups narrower than this form when a
-  /// reference step has fewer batched tasks left.
-  unsigned LaneWidth = 16;
   /// Deterministic shard partition of the task list: the enumerated tasks
   /// are split into ShardCount contiguous ranges (shard I covers
   /// [I*T/N, (I+1)*T/N) of the T enumerated tasks) and only shard
@@ -235,6 +239,9 @@ struct CampaignStats {
   /// Reference execution and snapshotting.
   double ReferenceSeconds = 0;
   double TriplesPerSecond = 0;
+  /// Workers that ran: the requested count capped by the units they
+  /// share out (task blocks of one injection step in single-fault sweeps,
+  /// plans in plan campaigns); always 1 for typed campaigns.
   unsigned ThreadsUsed = 1;
   uint64_t Tasks = 0;
   /// Name of the engine that produced the verdicts ("reference", "vm").
@@ -278,8 +285,6 @@ struct CampaignStats {
   uint64_t LockstepSteps = 0;
   /// True when batched lane execution was active for this campaign.
   bool Lanes = false;
-  /// The configured group width (meaningful only with Lanes).
-  unsigned LaneWidth = 0;
   /// Lane groups executed, continuations classified through the lane
   /// path, lanes that deviated to the scalar fallback mid-group, and the
   /// total lane-steps executed inside lockstep groups. All are
@@ -356,7 +361,9 @@ struct CampaignResult {
 /// The Theorem 4 exhaustive single-fault sweep, parallelized. With one
 /// thread this reproduces checkFaultTolerance exactly (Theorems.cpp
 /// delegates here); with N threads the verdict table, violation list and
-/// every counter are bit-identical to the serial run.
+/// every counter are bit-identical to the serial run. Without
+/// TypeCheckFaultyStates this is runSingleFaultCampaign on CP.Prog;
+/// with it the sweep runs serially on the reference interpreter.
 CampaignResult runFaultToleranceCampaign(TypeContext &TC,
                                          const CheckedProgram &CP,
                                          const TheoremConfig &Config,

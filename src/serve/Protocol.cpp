@@ -29,7 +29,9 @@ uint64_t talft::serve::optionsDigest(const SubmitSpec &S) {
   Add(S.Prune);
   Add(S.Converge);
   Add(S.Lanes);
-  Add(S.LaneWidth);
+  // The fixed lane-group width keeps its slot, so memo keys and WAL
+  // entries written by builds where the width was a knob still match.
+  Add(LaneGroupWidth);
   Add(S.Recover);
   Add(S.CheckpointInterval);
   Add(S.RetryBudget);
@@ -53,7 +55,6 @@ void talft::serve::applySpecOptions(const SubmitSpec &S, CampaignOptions &O) {
   O.Prune = S.Prune;
   O.Converge = S.Converge;
   O.Lanes = S.Lanes;
-  O.LaneWidth = S.LaneWidth;
 }
 
 bool talft::serve::specFromJson(const JsonValue &V, SubmitSpec &Out,
@@ -88,11 +89,6 @@ bool talft::serve::specFromJson(const JsonValue &V, SubmitSpec &Out,
   Out.Prune = V.boolAt("prune", Out.Prune);
   Out.Converge = V.boolAt("converge", Out.Converge);
   Out.Lanes = V.boolAt("lanes", Out.Lanes);
-  Out.LaneWidth = (unsigned)V.u64At("lane_width", Out.LaneWidth);
-  if (Out.LaneWidth == 0) {
-    Err = "lane_width must be nonzero";
-    return false;
-  }
   Out.Recover = V.boolAt("recover", Out.Recover);
   Out.CheckpointInterval =
       V.u64At("checkpoint_interval", Out.CheckpointInterval);
@@ -117,14 +113,14 @@ std::string talft::serve::submitRequestJson(const SubmitSpec &S) {
   Out += formatv(", \"stride\": %llu, \"max_steps\": %llu, "
                  "\"extra_steps\": %llu, \"only_mentioned_registers\": %s, "
                  "\"prune\": %s, \"converge\": %s, \"lanes\": %s, "
-                 "\"lane_width\": %u, \"recover\": %s, "
+                 "\"recover\": %s, "
                  "\"checkpoint_interval\": %llu, \"retry_budget\": %llu, "
                  "\"shards\": %u",
                  (unsigned long long)S.Stride, (unsigned long long)S.MaxSteps,
                  (unsigned long long)S.ExtraSteps,
                  S.OnlyMentionedRegisters ? "true" : "false",
                  S.Prune ? "true" : "false", S.Converge ? "true" : "false",
-                 S.Lanes ? "true" : "false", S.LaneWidth,
+                 S.Lanes ? "true" : "false",
                  S.Recover ? "true" : "false",
                  (unsigned long long)S.CheckpointInterval,
                  (unsigned long long)S.RetryBudget, S.Shards);
@@ -189,7 +185,6 @@ bool talft::serve::campaignFromJson(const JsonValue &V, CampaignResult &R,
   }
   if (const JsonValue *Lanes = V.get("lanes")) {
     R.Stats.Lanes = Lanes->boolAt("enabled", false);
-    R.Stats.LaneWidth = (unsigned)Lanes->u64At("width", 0);
     R.Stats.LaneGroups = Lanes->u64At("groups", 0);
     R.Stats.LaneTasks = Lanes->u64At("lane_tasks", 0);
     R.Stats.LaneDeviations = Lanes->u64At("deviations", 0);
@@ -218,6 +213,7 @@ bool talft::serve::campaignFromJson(const JsonValue &V, CampaignResult &R,
   R.Stats.TriplesPerSecond = Stats.doubleAt("triples_per_second", 0);
   R.Stats.Pruned = Stats.boolAt("pruned", false);
   R.Stats.PrunedTasks = Stats.u64At("pruned_tasks", 0);
+  R.Stats.PrunedDetected = Stats.u64At("pruned_detected", 0);
   return true;
 }
 

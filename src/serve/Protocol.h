@@ -13,7 +13,7 @@
 ///   {"cmd":"submit", "lang":"wile"|"tal", "source":"...", "name":"...",
 ///    "engine":"vm"|"reference", "stride":0, "max_steps":N,
 ///    "extra_steps":N, "only_mentioned_registers":b, "prune":b,
-///    "converge":b, "lanes":b, "lane_width":N, "recover":b,
+///    "converge":b, "lanes":b, "recover":b,
 ///    "checkpoint_interval":N, "retry_budget":N, "shards":N,
 ///    "deadline_ms":N}
 ///     Every option is optional and defaults to the batch CLI's defaults
@@ -35,7 +35,7 @@
 /// This header also owns the memoization key: a submission is addressed
 /// by (whole-program content hash × options digest). The digest covers
 /// every semantic campaign option — engine, stride, budgets, site filter,
-/// prune, converge, lanes, lane width, recovery knobs — so any option
+/// prune, converge, lanes, recovery knobs — so any option
 /// change is a cache miss; thread count and shard count are excluded
 /// because the verdict table is provably independent of both.
 ///
@@ -77,7 +77,6 @@ struct SubmitSpec {
   bool Prune = false;
   bool Converge = true;
   bool Lanes = true;
-  unsigned LaneWidth = 16;
   bool Recover = false;
   uint64_t CheckpointInterval = 1;
   uint64_t RetryBudget = 2;
@@ -99,13 +98,13 @@ uint64_t optionsDigest(const SubmitSpec &S);
 /// resolved to \p Stride.
 TheoremConfig theoremConfig(const SubmitSpec &S, uint64_t Stride);
 
-/// Fills the semantic campaign knobs (prune/converge/lanes/width) of
+/// Fills the semantic campaign knobs (prune/converge/lanes) of
 /// \p O from \p S. Engine, threads and the shard slice stay the
 /// caller's business.
 void applySpecOptions(const SubmitSpec &S, CampaignOptions &O);
 
 /// Parses a {"cmd":"submit"} document. Returns false with \p Err set on
-/// a missing source, an unknown lang/engine, or a zero lane width.
+/// a missing source, an unknown lang/engine, or a zero step budget.
 bool specFromJson(const JsonValue &V, SubmitSpec &Out, std::string &Err);
 
 /// Renders \p S as the submit request line (no trailing newline) — the
@@ -113,11 +112,12 @@ bool specFromJson(const JsonValue &V, SubmitSpec &Out, std::string &Err);
 std::string submitRequestJson(const SubmitSpec &S);
 
 /// Rebuilds a CampaignResult from campaignToJson's output (as parsed by
-/// JsonValue). Exact for every integer field — verdict tables, violation
-/// lists, shard provenance, convergence/lane/recovery counters — and
-/// approximate only for the float timing stats. ReferenceTrace is not
-/// serialized and stays empty. Returns false with \p Err set when the
-/// object is not a campaign.
+/// JsonValue). Exact for every integer field outside the "cfi" object —
+/// verdict tables, violation lists, shard provenance, the pruned,
+/// convergence, lane, jit and recovery counters — and approximate only
+/// for the float timing stats. The "cfi" object and ReferenceTrace are
+/// not read back (no served campaign sets CfiCheck). Returns false with
+/// \p Err set when the object is not a campaign.
 bool campaignFromJson(const JsonValue &V, CampaignResult &R,
                       std::string &Err);
 

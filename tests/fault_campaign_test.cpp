@@ -75,6 +75,17 @@ TEST(FaultCampaignTest, ThreadCountDoesNotChangeVerdicts) {
   }
 }
 
+TEST(FaultCampaignTest, ThreadsUsedCountsOnlyOccupiedWorkers) {
+  // Workers take whole blocks of tasks injected at one reference step.
+  // Every paired-store state fits one block, so 64 requested threads
+  // occupy one worker per injection step.
+  Loaded L;
+  ASSERT_NO_FATAL_FAILURE(L.load(progs::PairedStore));
+  CampaignResult R = runAt(L, 64);
+  ASSERT_TRUE(R.Ok);
+  EXPECT_EQ(R.Stats.ThreadsUsed, R.ReferenceSteps + 1);
+}
+
 TEST(FaultCampaignTest, SnapshotResumeAgreesWithReplayFromStepZero) {
   Loaded L;
   ASSERT_NO_FATAL_FAILURE(L.load(progs::CountdownLoop));

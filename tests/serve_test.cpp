@@ -346,26 +346,48 @@ TEST(ServeJson, ParserHandlesTheProtocolSubset) {
 }
 
 TEST(ServeJson, CampaignRoundTripsThroughTheWireForm) {
-  TypeContext TC;
-  Program P = parseOrDie(TC, allPrograms()[1]); // CseBroken: has violations
-  TheoremConfig Config;
-  Config.InjectionStride = 2;
-  CampaignResult R = runSingleFaultCampaign(P, Config, CampaignOptions());
+  // CseBroken (index 1) has violations; CountdownLoop (index 2), pruned,
+  // tallies statically detected control-register sites.
+  for (auto [Index, Prune] : {std::pair{1, false}, std::pair{2, true}}) {
+    TypeContext TC;
+    Program P = parseOrDie(TC, allPrograms()[Index]);
+    TheoremConfig Config;
+    Config.InjectionStride = 2;
+    CampaignOptions Opts;
+    Opts.Prune = Prune;
+    CampaignResult R = runSingleFaultCampaign(P, Config, Opts);
+    std::string At = allPrograms()[Index].Name;
+    if (Prune) {
+      EXPECT_GT(R.Stats.PrunedDetected, 0u) << At;
+    }
 
-  std::string Line = campaignJsonLine(R);
-  EXPECT_EQ(Line.find('\n'), std::string::npos);
-  std::string Err;
-  std::optional<JsonValue> V = JsonValue::parse(Line, &Err);
-  ASSERT_TRUE(V.has_value()) << Err;
-  CampaignResult Back;
-  ASSERT_TRUE(campaignFromJson(*V, Back, Err)) << Err;
-  expectSameCampaign(Back, R, "wire roundtrip");
-  EXPECT_EQ(Back.Stats.Tasks, R.Stats.Tasks);
-  EXPECT_EQ(Back.Stats.EarlyExits, R.Stats.EarlyExits);
-  EXPECT_EQ(Back.Stats.WindowSum, R.Stats.WindowSum);
-  EXPECT_EQ(Back.Stats.LaneTasks, R.Stats.LaneTasks);
-  EXPECT_EQ(Back.Stats.ShardCount, R.Stats.ShardCount);
-  EXPECT_STREQ(Back.Stats.Engine, R.Stats.Engine);
+    std::string Line = campaignJsonLine(R);
+    EXPECT_EQ(Line.find('\n'), std::string::npos);
+    std::string Err;
+    std::optional<JsonValue> V = JsonValue::parse(Line, &Err);
+    ASSERT_TRUE(V.has_value()) << Err;
+    CampaignResult Back;
+    ASSERT_TRUE(campaignFromJson(*V, Back, Err)) << Err;
+    expectSameCampaign(Back, R, At);
+    EXPECT_STREQ(Back.Stats.Engine, R.Stats.Engine) << At;
+    // Every integer stat outside the "cfi" object, which is not read back.
+    auto Ints = [](const CampaignResult &C) {
+      const CampaignStats &S = C.Stats;
+      return std::vector<uint64_t>{
+          S.ThreadsUsed,       S.Tasks,           S.Pruned,
+          S.PrunedTasks,       S.PrunedDetected,  S.Converge,
+          S.EarlyExits,        S.WindowSum,       S.MaxWindow,
+          S.StepsSaved,        S.LockstepSkips,   S.LockstepSteps,
+          S.Lanes,             S.LaneGroups,      S.LaneTasks,
+          S.LaneDeviations,    S.LaneLockstepSteps, S.JitNative,
+          S.JitBlocksCompiled, S.JitCodeBytes,    S.JitSideExits,
+          S.SimdLaneWidth,     S.ShardCount,      S.ShardIndex,
+          S.ShardFirstTask,    S.TotalTasks,      S.ShardsFolded,
+          C.Recovery.Checkpoints, C.Recovery.Rollbacks,
+          C.Recovery.ReplayedOutputs};
+    };
+    EXPECT_EQ(Ints(Back), Ints(R)) << At;
+  }
 }
 
 // Contract 3 (key half): every campaign knob lands in the digest, so an
@@ -376,7 +398,7 @@ TEST(MemoStore, EveryOptionChangeChangesTheDigest) {
   Base.Source = "irrelevant";
   uint64_t D0 = optionsDigest(Base);
 
-  std::vector<SubmitSpec> Variants(11, Base);
+  std::vector<SubmitSpec> Variants(10, Base);
   Variants[0].Engine = "reference";
   Variants[1].Stride = 7;
   Variants[2].MaxSteps = 12345;
@@ -385,9 +407,8 @@ TEST(MemoStore, EveryOptionChangeChangesTheDigest) {
   Variants[5].Prune = true;
   Variants[6].Converge = false;
   Variants[7].Lanes = false;
-  Variants[8].LaneWidth = 8;
-  Variants[9].Recover = true;
-  Variants[10].RetryBudget = 9;
+  Variants[8].Recover = true;
+  Variants[9].RetryBudget = 9;
   std::vector<uint64_t> Digests{D0};
   for (const SubmitSpec &S : Variants)
     Digests.push_back(optionsDigest(S));
@@ -399,6 +420,20 @@ TEST(MemoStore, EveryOptionChangeChangesTheDigest) {
   SubmitSpec Sharded = Base;
   Sharded.Shards = 16;
   EXPECT_EQ(optionsDigest(Sharded), D0);
+}
+
+// Digests address memo entries on disk and in the write-ahead log, so
+// their values are part of the format: pinned.
+TEST(MemoStore, OptionsDigestValuesArePinned) {
+  SubmitSpec Base;
+  EXPECT_EQ(optionsDigest(Base), 0x21f12bc6681210ceull);
+  SubmitSpec JitPruned = Base;
+  JitPruned.Engine = "jit";
+  JitPruned.Prune = true;
+  EXPECT_EQ(optionsDigest(JitPruned), 0x3e5ab5b2ff3041c1ull);
+  SubmitSpec Recover = Base;
+  Recover.Recover = true;
+  EXPECT_EQ(optionsDigest(Recover), 0xbbbb37a8b6361dc8ull);
 }
 
 TEST(MemoStore, HitsMissesAndInvalidation) {

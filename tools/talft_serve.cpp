@@ -37,7 +37,7 @@
 //       (--submit-kernel NAME | --submit-file FILE [--lang wile|tal]
 //        | --stats | --ping)
 //       [--engine vm|reference|jit] [--stride N] [--shards N] [--prune]
-//       [--no-converge] [--no-lanes] [--lane-width N] [--recover]
+//       [--no-converge] [--no-lanes] [--recover]
 //       [--checkpoint-interval N] [--retry-budget N] [--deadline-ms N]
 //       [--json FILE]
 //
@@ -321,8 +321,6 @@ int main(int Argc, char **Argv) {
       Spec.Converge = false;
     else if (!std::strcmp(A, "--no-lanes"))
       Spec.Lanes = false;
-    else if (!std::strcmp(A, "--lane-width"))
-      Spec.LaneWidth = (unsigned)numArg(Argc, Argv, I);
     else if (!std::strcmp(A, "--recover"))
       Spec.Recover = true;
     else if (!std::strcmp(A, "--checkpoint-interval"))
