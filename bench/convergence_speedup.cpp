@@ -93,7 +93,7 @@ struct KernelRow {
   bool Identical = false;
 };
 
-/// The whole-campaign cost: reference phase (which pays the access-log
+/// The whole-campaign cost: reference phase (which pays the replay's
 /// recording when convergence is on) plus the injection phase.
 double campaignSeconds(const CampaignResult &R) {
   return R.Stats.ReferenceSeconds + R.Stats.WallSeconds;

@@ -97,7 +97,7 @@ struct KernelRow {
   bool Identical = false;
 };
 
-/// The whole-campaign cost: reference phase (access-log recording) plus
+/// The whole-campaign cost: reference phase (the replay's recording) plus
 /// the injection phase.
 double campaignSeconds(const CampaignResult &R) {
   return R.Stats.ReferenceSeconds + R.Stats.WallSeconds;

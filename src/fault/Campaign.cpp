@@ -252,65 +252,40 @@ struct PrefixTracker {
   }
 };
 
-/// Phase-1 record of which reference transitions may touch each register.
-/// Transition k (1-based: the step that produces reference state k) is
-/// recorded against a *superset* of the registers whose payload or color
-/// can influence its behavior or be written by it: the executed
-/// instruction's named operands, plus d for control flow (jmp and bz read
-/// and write it). Fetch transitions read only the pcs, which every
-/// execute transition also touches (incrementPCs or an explicit set), so
-/// the pcs are treated as always-accessed instead of being recorded.
-/// Over-approximating the access set only shrinks the skippable prefix;
-/// missing a genuine access would be unsound, so the superset property is
-/// what the forced-collision and differential tests pin down.
-struct AccessLog {
-  static constexpr uint64_t None = ~uint64_t{0};
-  std::array<std::vector<uint64_t>, Reg::NumRegs> Access;
-
-  void record(Reg R, uint64_t K) {
-    std::vector<uint64_t> &V = Access[R.denseIndex()];
-    if (V.empty() || V.back() != K)
-      V.push_back(K);
-  }
-
-  /// Records transition \p K given the pre-step state \p S.
-  void recordTransition(const MachineState &S, uint64_t K) {
-    if (!S.IR)
-      return; // fetch reads only the (always-accessed) pcs
-    const Inst &I = *S.IR;
-    record(I.Rd, K);
-    record(I.Rs, K);
-    if (!I.HasImm)
-      record(I.Rt, K);
-    if (I.Op == Opcode::Jmp || I.Op == Opcode::Bz)
-      record(Reg::dest(), K);
-  }
-
-  /// First transition index > \p Step that may access \p R, or None when
-  /// the reference never touches it again. The pcs are read by the very
-  /// next transition, whatever it is.
-  uint64_t firstAccessAfter(Reg R, uint64_t Step) const {
-    if (R.isPC())
-      return Step + 1;
-    const std::vector<uint64_t> &V = Access[R.denseIndex()];
-    auto It = std::upper_bound(V.begin(), V.end(), Step);
-    return It == V.end() ? None : *It;
-  }
-};
-
 /// Phase-1 record of one executed reference instruction with its read
-/// operand values and its result, the raw material of the sparse
-/// differential replay. Fetch and execute transitions strictly alternate
-/// (step() fetches into the empty IR, executing resets it), so execute
-/// transitions are exactly the even step indices and the record of
-/// execute step k lives at index k/2 - 1.
+/// operand values, its result and its access links, the raw material of
+/// the sparse differential replay. Fetch and execute transitions strictly
+/// alternate (step() fetches into the empty IR, executing resets it), so
+/// execute transitions are exactly the even step indices and the record
+/// of execute step k lives at index k/2 - 1.
+///
+/// A record *accesses* a superset of the registers whose payload or color
+/// can influence its transition or be written by it: the instruction's
+/// named operands (Rt only without an immediate), plus d for control flow
+/// (jmp and bz read and write it). Fetch transitions read only the pcs,
+/// which never carry taint (instruction operands are general registers,
+/// and a pc site never enters the replay). Over-approximating the access
+/// set only adds events; missing a genuine access would be unsound, so the
+/// superset property is what the fold oracles pin down: the ConvergenceFold
+/// tests (tests/convergence_test.cpp) at injection strides 1 and 2 and on
+/// every Figure 10 kernel, together with the replay's event-set counters
+/// pinned there.
 struct ExecRec {
-  /// The instruction's opcode and operand names; an immediate operand is
-  /// SrcRt. (Not the whole Inst: the log holds one record per executed
-  /// instruction, so every byte here counts on long reference runs.)
+  static constexpr uint32_t None = ~uint32_t{0};
+  static constexpr uint8_t DenseD = NumGeneralRegs;
+  static_assert(Reg::NumRegs <= 256, "dense register indices fit a byte");
+
+  /// The instruction's opcode and the dense indices of its operand
+  /// registers; an immediate operand is SrcRt. (Not the whole Inst: the
+  /// recording holds one record per executed instruction, so every byte
+  /// here counts on long reference runs.)
   Opcode Op = Opcode::Mov;
   bool HasImm = false;
-  Reg Rd, Rs, Rt;
+  uint8_t Rd = 0, Rs = 0, Rt = 0;
+  /// Per access slot (Rd, Rs, Rt, d), the index of the next record that
+  /// accesses the same register, or None. Set by ConvergenceRecorder::link;
+  /// the slots of registers the record does not access are unused.
+  std::array<uint32_t, 4> Next = {None, None, None, None};
   /// Pre-step val(Rs) — the ALU first operand, the Ld/St address/value
   /// source, or the Bz test register (rz == Rs).
   int64_t SrcRs = 0;
@@ -319,6 +294,30 @@ struct ExecRec {
   /// Post-step val(Rd) (the written result for Alu/Mov/Ld; stale
   /// otherwise).
   int64_t Result = 0;
+
+  /// Calls \p F(Slot, DenseReg) for every register the record accesses.
+  template <typename Fn> void forEachAccess(Fn F) const {
+    F(0, Rd);
+    F(1, Rs);
+    if (!HasImm)
+      F(2, Rt);
+    if (Op == Opcode::Jmp || Op == Opcode::Bz)
+      F(3, DenseD);
+  }
+
+  /// The next record that accesses dense register \p R, which this record
+  /// accesses.
+  uint32_t nextAccess(unsigned R) const {
+    if (R == Rd)
+      return Next[0];
+    if (R == Rs)
+      return Next[1];
+    if (!HasImm && R == Rt)
+      return Next[2];
+    assert(R == DenseD && (Op == Opcode::Jmp || Op == Opcode::Bz) &&
+           "the record does not access this register");
+    return Next[3];
+  }
 };
 
 /// The faulty payloads of a differential replay: (dense register index,
@@ -329,25 +328,33 @@ struct ExecRec {
 /// patched in" describes the faulty state completely. The set stays tiny
 /// (usually one to three registers), so linear scans beat any map.
 struct TaintMap {
-  std::vector<std::pair<unsigned, int64_t>> V;
+  struct Entry {
+    uint32_t R;
+    /// The next reference record that accesses R (the replay's cursor;
+    /// meaningless once the replay bails).
+    uint32_t Next;
+    int64_t Val;
+  };
+  std::vector<Entry> V;
 
   const int64_t *find(unsigned R) const {
-    for (const auto &P : V)
-      if (P.first == R)
-        return &P.second;
+    for (const Entry &E : V)
+      if (E.R == R)
+        return &E.Val;
     return nullptr;
   }
-  void set(unsigned R, int64_t Val) {
-    for (auto &P : V)
-      if (P.first == R) {
-        P.second = Val;
+  void set(unsigned R, int64_t Val, uint32_t Next) {
+    for (Entry &E : V)
+      if (E.R == R) {
+        E.Val = Val;
+        E.Next = Next;
         return;
       }
-    V.push_back({R, Val});
+    V.push_back({R, Next, Val});
   }
   void erase(unsigned R) {
     for (size_t I = 0; I != V.size(); ++I)
-      if (V[I].first == R) {
+      if (V[I].R == R) {
         V[I] = V.back();
         V.pop_back();
         return;
@@ -358,10 +365,10 @@ struct TaintMap {
 
 /// Writes the taint payloads into \p S, keeping every color tag.
 void patchTaint(MachineState &S, const TaintMap &T) {
-  for (const auto &P : T.V) {
-    Reg R = Reg::fromDenseIndex(P.first);
+  for (const TaintMap::Entry &E : T.V) {
+    Reg R = Reg::fromDenseIndex(E.R);
     Value V = S.Regs.get(R);
-    V.N = P.second;
+    V.N = E.Val;
     S.Regs.set(R, V);
   }
 }
@@ -375,33 +382,42 @@ struct ConvergenceHit {
   uint64_t Skipped = 0; ///< Lockstep-prefix steps discharged unsimulated.
 };
 
-/// Phase-1 collector for the differential replay: the register access
-/// log, the executed-instruction records and the dense reconstruction
-/// snapshots. The snapshot stride starts small and doubles (dropping the
-/// odd-indexed half) whenever the cap is hit, bounding memory at MaxSnaps
-/// states while preserving the indexing invariant Snaps[k].Steps ==
-/// k * Stride.
+/// Phase-1 collector for the differential replay: the executed-instruction
+/// records, the dense reconstruction snapshots and, once the run is
+/// recorded, the access links. sizeFor() fixes the snapshot stride from the
+/// reference run's length before recording starts: the smallest 16 * 2^j
+/// that keeps the run under MaxSnaps snapshots, with the indexing
+/// invariant Snaps[k].Steps == k * Stride.
 struct ConvergenceRecorder {
   bool Enabled = false;
-  AccessLog Accesses;
   std::vector<ExecRec> Execs;
   std::vector<UntypedSnapshot> Snaps;
   uint64_t Stride = 16;
-  static constexpr size_t MaxSnaps = 512;
+  static constexpr uint64_t MaxSnaps = 512;
+  /// Per injection snapshot of the campaign, the first record at or after
+  /// it that accesses each dense register, or ExecRec::None.
+  std::vector<std::array<uint32_t, Reg::NumRegs>> FirstAccess;
+
+  /// Fixes the stride and reserves the recording of a \p RefSteps-step
+  /// reference run.
+  void sizeFor(uint64_t RefSteps) {
+    while (RefSteps / Stride >= MaxSnaps)
+      Stride *= 2;
+    Execs.reserve(RefSteps / 2 + 1);
+    Snaps.reserve(RefSteps / Stride + 1);
+  }
 
   void start(const MachineState &S) {
     if (!Enabled)
       return;
     Snaps.push_back({S, 0, 0});
+    UntilSnap = Stride;
   }
 
   /// Call with the pre-step state; \p NextStep is the 1-based index of the
   /// transition about to execute.
-  void beforeStep(const MachineState &S, uint64_t NextStep) {
-    if (!Enabled)
-      return;
-    Accesses.recordTransition(S, NextStep);
-    if (!S.IR)
+  void beforeStep(const MachineState &S, [[maybe_unused]] uint64_t NextStep) {
+    if (!Enabled || !S.IR)
       return;
     assert(NextStep == 2 * (Execs.size() + 1) &&
            "fetch/execute alternation broken");
@@ -409,9 +425,9 @@ struct ConvergenceRecorder {
     ExecRec Rec;
     Rec.Op = I.Op;
     Rec.HasImm = I.HasImm;
-    Rec.Rd = I.Rd;
-    Rec.Rs = I.Rs;
-    Rec.Rt = I.Rt;
+    Rec.Rd = (uint8_t)I.Rd.denseIndex();
+    Rec.Rs = (uint8_t)I.Rs.denseIndex();
+    Rec.Rt = (uint8_t)I.Rt.denseIndex();
     Rec.SrcRs = S.Regs.val(I.Rs);
     Rec.SrcRt = I.HasImm ? I.Imm.N : S.Regs.val(I.Rt);
     Execs.push_back(Rec);
@@ -423,20 +439,42 @@ struct ConvergenceRecorder {
     // Execute transitions are the even steps; patch the freshly executed
     // record with the written result (post-step val(Rd)).
     if ((Steps & 1) == 0 && !Execs.empty())
-      Execs.back().Result = S.Regs.val(Execs.back().Rd);
-    if (Steps % Stride)
+      Execs.back().Result = S.Regs.val(Reg::fromDenseIndex(Execs.back().Rd));
+    if (--UntilSnap)
       return;
-    if (Snaps.size() >= MaxSnaps) {
-      size_t W = 0;
-      for (size_t I = 0; I < Snaps.size(); I += 2)
-        Snaps[W++] = std::move(Snaps[I]);
-      Snaps.resize(W);
-      Stride *= 2;
-      if (Steps % Stride)
-        return;
-    }
+    UntilSnap = Stride;
     Snaps.push_back({S, Steps, TraceLen});
   }
+
+  /// The backward pass over the finished recording: links every record to
+  /// the next record accessing each register it accesses, and fills
+  /// FirstAccess for the campaign's injection snapshots \p Inject. A
+  /// snapshot at step s is followed first by the record of execute step
+  /// 2 * (s/2 + 1), index s/2.
+  void link(const std::vector<UntypedSnapshot> &Inject) {
+    if (!Enabled)
+      return;
+    // 2^32 records would be 192 GiB; sizeFor's reservation fails first.
+    assert(Execs.size() < ExecRec::None && "record index overflows a link");
+    std::array<uint32_t, Reg::NumRegs> Next;
+    Next.fill(ExecRec::None);
+    FirstAccess.resize(Inject.size());
+    size_t SI = Inject.size();
+    for (uint32_t I = (uint32_t)Execs.size();; --I) {
+      // Next[R] is the first record at or after I that accesses R.
+      for (; SI && Inject[SI - 1].Steps / 2 >= I; --SI)
+        FirstAccess[SI - 1] = Next;
+      if (I == 0)
+        break;
+      ExecRec &Rec = Execs[I - 1];
+      Rec.forEachAccess(
+          [&](unsigned Slot, unsigned R) { Rec.Next[Slot] = Next[R]; });
+      Rec.forEachAccess([&](unsigned, unsigned R) { Next[R] = I - 1; });
+    }
+  }
+
+private:
+  uint64_t UntilSnap = 0; ///< Steps left until the next dense snapshot.
 };
 
 /// Where a differential replay that could not settle its task stopped.
@@ -450,22 +488,28 @@ struct DeferredBail {
 
 /// The replay's progress gate: once GateEvents events have been processed,
 /// the replay bails to concrete simulation unless they discharged at
-/// least GateStepsPerEvent reference steps each. One event (access-log
-/// search, taint update) costs about as much as 20-30 native JIT steps,
-/// so dense taint is cheaper to simulate than to replay. Chosen by an
-/// interleaved sweep over both default paths on the fifteen Figure 10
-/// kernels (pruned jit at stride steps/24; unpruned vm with lanes at
-/// steps/6), eight rounds on a 4-vCPU x86-64 VM, median injection
-/// seconds per path (the first four tie within noise; (8, 32) is kept):
+/// least GateStepsPerEvent reference steps each. With the gate off, one
+/// event (finding the next link, updating the taint) costs 35-95 cycles
+/// on the fig10 sweeps below, per-task setup included, against 1.1-3.1
+/// cycles per fused native JIT step and 6.3-8.0 per vm step, so dense
+/// taint is cheaper to simulate than to replay. Chosen by an interleaved
+/// sweep over both default paths on the fifteen Figure 10 kernels
+/// (pruned jit at stride steps/24; unpruned vm with lanes at steps/6, one
+/// thread), twelve rounds on a 4-vCPU x86-64 VM, median injection seconds
+/// per path. The step-16 gates tie within noise; (8, 16) lowers both
+/// totals, and against (8, 32) no kernel's median rose by more than its
+/// interquartile range, here and in a second sixteen-round sweep:
 ///
 ///   (GateEvents, GateStepsPerEvent)   jit    vm
-///   (8, 32)                           0.354  0.121
-///   (16, 32)                          0.360  0.125
-///   (8, 64)                           0.356  0.122
-///   (16, 64)                          0.355  0.120
-///   (32, 8), the previous gate        0.746  0.193
+///   (8, 16)                           0.446  0.177
+///   (16, 16)                          0.442  0.158
+///   (32, 16)                          0.407  0.168
+///   (8, 8)                            0.461  0.167
+///   (4, 16)                           0.482  0.166  (gap, bzip2 2-2.5x)
+///   (8, 32), the previous gate        0.506  0.207
+///   (16, 32)                          0.536  0.211
 constexpr uint64_t GateEvents = 8;
-constexpr uint64_t GateStepsPerEvent = 32;
+constexpr uint64_t GateStepsPerEvent = 16;
 
 /// Bails within this many steps of the injection do not count as lockstep
 /// skips: CampaignStats::LockstepSkips and LockstepSteps tally the
@@ -490,8 +534,10 @@ constexpr uint64_t MinCountedSkip = 64;
 /// runs with d untainted. Every transition whose accessed registers are
 /// all untainted therefore reads reference values, fires the reference
 /// rule, writes reference values and emits the reference outputs — only
-/// the *events*, the transitions the access log says may touch a tainted
-/// register, need attention:
+/// the *events*, the records that access a tainted register, need
+/// attention. Each taint entry carries the index of the next record that
+/// accesses its register (ExecRec::Next), so the next event is the
+/// smallest index in the taint set:
 ///
 ///   - alu: the faulty result is evalAluOp over the recorded source
 ///     values with taint overrides; equal to the recorded result it
@@ -523,87 +569,88 @@ constexpr uint64_t MinCountedSkip = 64;
 ///     the caller pools continuations by resume step and reconstructs
 ///     each pool's base state once.
 ///
-/// Event processing costs an order of magnitude more than one raw
-/// interpreter step, so a run whose taint is touched at nearly every
-/// instruction caps its event count and bails instead of losing the race
-/// (see GateEvents above).
+/// One event costs tens of native steps, so a run whose taint is touched
+/// at nearly every instruction caps its event count and bails instead of
+/// losing the race (see GateEvents above).
 std::optional<Verdict>
-differentialReplay(const ConvergenceRecorder &CR, const FaultSite &Site,
-                   int64_t Value, uint64_t InjectedAt,
+differentialReplay(const ConvergenceRecorder &CR, uint32_t SnapIdx,
+                   const FaultSite &Site, int64_t Value, uint64_t InjectedAt,
                    const MachineState &RefFinal, uint64_t RefSteps, ZapTag Z,
                    ConvergenceHit &Hit, DeferredBail &DB) {
-  const AccessLog &AL = CR.Accesses;
   const std::vector<ExecRec> &Execs = CR.Execs;
+  unsigned Injected = Site.R.denseIndex();
   TaintMap T;
-  T.set(Site.R.denseIndex(), Value);
+  T.set(Injected, Value, CR.FirstAccess[SnapIdx][Injected]);
 
-  uint64_t Cur = InjectedAt;
   uint64_t Events = 0;
   uint64_t Bail = 0;
   while (true) {
-    // The next reference transition that may touch any tainted register.
-    uint64_t K = AccessLog::None;
-    for (const auto &P : T.V)
-      K = std::min(K, AL.firstAccessAfter(Reg::fromDenseIndex(P.first), Cur));
-    if (K == AccessLog::None) {
+    // The next reference record that may touch any tainted register.
+    uint32_t K = ExecRec::None;
+    for (const TaintMap::Entry &E : T.V)
+      K = std::min(K, E.Next);
+    if (K == ExecRec::None) {
       Hit.Skipped = RefSteps - InjectedAt;
       // The faulty final state is RefFinal with the taint payloads patched
       // in — identical everywhere else — so the similarity check reduces
       // to the tainted registers; no state copy needed.
       if (RefFinal.isFault())
         return Verdict::Masked;
-      for (const auto &P : T.V) {
-        talft::Value RefV = RefFinal.Regs.get(Reg::fromDenseIndex(P.first));
-        if (!similarValues(Z, talft::Value(RefV.C, P.second), RefV))
+      for (const TaintMap::Entry &E : T.V) {
+        talft::Value RefV = RefFinal.Regs.get(Reg::fromDenseIndex(E.R));
+        if (!similarValues(Z, talft::Value(RefV.C, E.Val), RefV))
           return Verdict::DissimilarState;
       }
       return Verdict::Masked;
     }
-    assert((K & 1) == 0 && K / 2 <= Execs.size() &&
-           "event is not a recorded execute transition");
+    assert(K < Execs.size() && "a link points past the recording");
+    // The event's execute transition.
+    uint64_t Step = 2 * (uint64_t(K) + 1);
     // Progress gate: the replay only pays off while events stay sparse.
     // Dense taint (many hot registers) discharges few steps per event;
     // hand such runs to the concrete classifier before the bookkeeping
     // loses the race.
     if (++Events >= GateEvents &&
-        K - InjectedAt < GateStepsPerEvent * Events) {
-      Bail = K;
+        Step - InjectedAt < GateStepsPerEvent * Events) {
+      Bail = Step;
       break;
     }
-    const ExecRec &Rec = Execs[K / 2 - 1];
+    const ExecRec &Rec = Execs[K];
     bool Handled = true;
     switch (Rec.Op) {
     case Opcode::Add:
     case Opcode::Sub:
     case Opcode::Mul: {
-      const int64_t *TA = T.find(Rec.Rs.denseIndex());
+      const int64_t *TA = T.find(Rec.Rs);
       int64_t A = TA ? *TA : Rec.SrcRs;
       int64_t B = Rec.SrcRt;
       if (!Rec.HasImm)
-        if (const int64_t *TB = T.find(Rec.Rt.denseIndex()))
+        if (const int64_t *TB = T.find(Rec.Rt))
           B = *TB;
       int64_t R = evalAluOp(Rec.Op, A, B);
+      // A written register is accessed by the event: its link advances
+      // below with the others.
       if (R == Rec.Result)
-        T.erase(Rec.Rd.denseIndex());
+        T.erase(Rec.Rd);
       else
-        T.set(Rec.Rd.denseIndex(), R);
+        T.set(Rec.Rd, R, K);
       break;
     }
     case Opcode::Mov:
-      T.erase(Rec.Rd.denseIndex());
+      T.erase(Rec.Rd);
       break;
     case Opcode::Ld:
-      if (T.find(Rec.Rs.denseIndex()))
+      if (T.find(Rec.Rs))
         Handled = false;
       else
-        T.erase(Rec.Rd.denseIndex());
+        T.erase(Rec.Rd);
       break;
     case Opcode::Bz: {
-      if (T.find(Reg::dest().denseIndex())) {
+      if (T.find(ExecRec::DenseD)) {
         Handled = false;
         break;
       }
-      const int64_t *TZ = T.find(Rec.Rs.denseIndex());
+      const int64_t *TZ = T.find(Rec.Rs);
       int64_t Zf = TZ ? *TZ : Rec.SrcRs;
       if (Zf == 0 || Rec.SrcRs == 0)
         Handled = false; // taken in either run
@@ -614,17 +661,19 @@ differentialReplay(const ConvergenceRecorder &CR, const FaultSite &Site,
       break;
     }
     if (!Handled) {
-      Bail = K;
+      Bail = Step;
       break;
     }
-    Cur = K;
     if (T.empty()) {
       Hit.Hit = true;
-      Hit.Window = K - InjectedAt;
-      Hit.Saved = RefSteps - K;
-      Hit.Skipped = K - InjectedAt;
+      Hit.Window = Step - InjectedAt;
+      Hit.Saved = RefSteps - Step;
+      Hit.Skipped = Step - InjectedAt;
       return Verdict::Masked;
     }
+    for (TaintMap::Entry &E : T.V)
+      if (E.Next == K)
+        E.Next = Rec.nextAccess(E.R);
   }
 
   // Bail: resume concretely just before the event (post-fetch, so the
@@ -1233,8 +1282,8 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
           !T.Site.R.isPC()) {
         DeferredBail DB;
         if (std::optional<Verdict> V =
-                differentialReplay(CR, T.Site, T.Value, Snap.Steps, RefFinal,
-                                   RefSteps, ZapOf(T), Hits[I], DB))
+                differentialReplay(CR, T.SnapIdx, T.Site, T.Value, Snap.Steps,
+                                   RefFinal, RefSteps, ZapOf(T), Hits[I], DB))
           Settle(I, *V);
         else
           Pool.push_back({DB.Resume, I, std::move(DB.Taint)});
@@ -1531,9 +1580,19 @@ CampaignResult talft::runSingleFaultCampaign(const Program &Prog,
   uint64_t Steps = 0;
   ConvergenceRecorder CR;
   CR.Enabled = !Config.Recovery.Enabled && Opts.Converge;
+  if (CR.Enabled) {
+    // Size the recording from a fused fault-free run, without the CFI hook
+    // so that Stats.CfiCommits counts the recorded run alone. Halted or
+    // not, the recording stops where this run did.
+    MachineState Pre = S;
+    StepPolicy Unchecked = Config.Policy;
+    Unchecked.Cfi = nullptr;
+    CR.sizeFor(E.run(Pre, ExitAddr, Config.MaxSteps, Unchecked).Steps);
+  }
   std::vector<UntypedSnapshot> Snaps;
   int64_t LastCtrl = -1;
   Snaps.push_back({S, 0, 0}); // Step 0 is always an injection point.
+  uint64_t UntilInjection = Stride;
   CR.start(S);
   while (!atExit(S, ExitAddr)) {
     if (Steps >= Config.MaxSteps) {
@@ -1557,11 +1616,14 @@ CampaignResult talft::runSingleFaultCampaign(const Program &Prog,
       return R;
     }
     CR.afterStep(S, Steps, Trace.size());
-    if (Steps % Stride == 0)
+    if (--UntilInjection == 0) {
+      UntilInjection = Stride;
       Snaps.push_back({S, Steps, Trace.size()});
+    }
   }
   R.ReferenceSteps = Steps;
   R.ReferenceTrace = Trace;
+  CR.link(Snaps);
 
   std::vector<uint8_t> CtrlAhead(Snaps.size());
   for (size_t I = 0; I != Snaps.size(); ++I)

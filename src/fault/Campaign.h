@@ -172,18 +172,20 @@ struct CampaignOptions {
   /// surfaced in Stats.CfiViolations / CampaignResult::CfiFirstViolation.
   bool CfiCheck = false;
   /// Convergence acceleration by sparse differential replay: the
-  /// reference phase records a register access log, the operands and
-  /// result of every executed instruction, and dense snapshots. A
-  /// register-site continuation provably executes the reference
-  /// instruction stream with divergence confined to a small set of
-  /// register payloads, so the classifier walks only the reference
-  /// transitions that touch a tainted register (jumping between them
-  /// through the access log) instead of simulating every step. A run
-  /// whose taint drains has re-joined the reference exactly and is
-  /// Masked without executing the rest of the program; a run whose taint
-  /// is never touched again reduces to a similarity check; anything
-  /// outside the provable cases resumes concretely from the reference
-  /// state at the bail step with its taint patched in. This is the first
+  /// reference phase records the operands and result of every executed
+  /// instruction and dense snapshots, then links each record to the next
+  /// record that accesses each register it names. A register-site
+  /// continuation provably executes the reference instruction stream
+  /// with divergence confined to a small set of register payloads, so
+  /// the classifier walks only the reference instructions that touch a
+  /// tainted register (following the links, one step per event) instead
+  /// of simulating every step. One extra fault-free run of the reference
+  /// on the engine sizes the recording. A run whose taint drains has
+  /// re-joined the reference exactly and is Masked without executing the
+  /// rest of the program; a run whose taint is never touched again
+  /// reduces to a similarity check; anything outside the provable cases
+  /// resumes concretely from the reference state at the bail step with
+  /// its taint patched in. This is the first
   /// stage of the classifier's one pipeline (settle, pool by resume step,
   /// run); off, every task runs from its injection step. Verdict tables
   /// and violation lists are bit-identical with and without this flag
@@ -236,7 +238,10 @@ struct CampaignOptions {
 struct CampaignStats {
   /// Injection phase only (excludes the reference run).
   double WallSeconds = 0;
-  /// Reference execution and snapshotting.
+  /// The reference phase: the fault-free reference run with its
+  /// injection snapshots, the differential replay's sizing run, recording
+  /// and link pass (when Converge is on), and task enumeration, including
+  /// the static pruning analysis.
   double ReferenceSeconds = 0;
   double TriplesPerSecond = 0;
   /// Workers that ran: the requested count capped by the units they

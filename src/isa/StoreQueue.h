@@ -16,6 +16,11 @@
 /// its own pending stores) returns the first pair with address n scanning
 /// from the front, i.e. the most recently enqueued store to n wins.
 ///
+/// The queue is a vector with the front (newest entry) at index 0. Paired
+/// stores keep it at most a few entries deep, and every campaign copies it
+/// with each MachineState: an empty vector copies without allocating,
+/// where an empty std::deque allocates its map and a node.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TALFT_ISA_STOREQUEUE_H
@@ -24,9 +29,9 @@
 #include "isa/Value.h"
 
 #include <cassert>
-#include <deque>
 #include <optional>
 #include <utility>
+#include <vector>
 
 namespace talft {
 
@@ -45,7 +50,7 @@ public:
   size_t size() const { return Entries.size(); }
 
   /// stG: pushes onto the front.
-  void pushFront(QueueEntry E) { Entries.push_front(E); }
+  void pushFront(QueueEntry E) { Entries.insert(Entries.begin(), E); }
 
   /// The pair the next stB will check (the back). Requires !empty().
   const QueueEntry &back() const {
@@ -88,7 +93,7 @@ public:
   bool operator==(const StoreQueue &O) const = default;
 
 private:
-  std::deque<QueueEntry> Entries;
+  std::vector<QueueEntry> Entries;
 };
 
 } // namespace talft

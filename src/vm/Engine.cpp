@@ -36,8 +36,11 @@ inline Reg reg(uint8_t Dense) { return Reg::fromDenseIndex(Dense); }
 /// Executes \p M against \p S. On Exec::Output, \p Out is the committed
 /// store. \p Rule receives the operational rule name (as in sim/Step.cpp).
 /// Does not touch S.IR; the callers own instruction-register bookkeeping.
-inline Exec execOp(MachineState &S, const MicroOp &M, const StepPolicy &Policy,
-                   QueueEntry &Out, const char *&Rule) {
+/// Forced inline: the fused loops below run about 1.5x slower when the
+/// compiler's size heuristics leave it as a call per step.
+[[gnu::always_inline]] inline Exec execOp(MachineState &S, const MicroOp &M,
+                                          const StepPolicy &Policy,
+                                          QueueEntry &Out, const char *&Rule) {
   RegisterFile &R = S.Regs;
   switch (M.Kind) {
   // Rules op2r / op1r: the result takes the color of the second operand.

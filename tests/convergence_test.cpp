@@ -64,50 +64,56 @@ Program parseOrDie(TypeContext &TC, const NamedProgram &NP) {
 
 // Accelerated campaigns fold bit-identically to unaccelerated ones — same
 // verdict table, violations, reference run and Ok — across engines, thread
-// counts and resume modes (runSingleFaultCampaign covers raw-semantics
-// programs including the ill-typed one).
+// counts, resume modes and injection strides (runSingleFaultCampaign
+// covers raw-semantics programs including the ill-typed one).
 TEST(ConvergenceFold, SingleFaultCampaignsBitIdentical) {
   uint64_t TotalDischarged = 0;
   for (const NamedProgram &NP : allPrograms()) {
     TypeContext TC;
     Program P = parseOrDie(TC, NP);
     std::unique_ptr<ExecEngine> Vm = vm::createEngine(P.code());
-    TheoremConfig Config;
-    Config.InjectionStride = 2; // keep the exhaustive sweep unit-sized
+    // Stride 1 puts two injection snapshots at every record boundary
+    // (after the fetch and after the execute of each instruction) and the
+    // last ones past the final record; stride 2 puts one at each.
+    for (uint64_t Stride : {1, 2}) {
+      TheoremConfig Config;
+      Config.InjectionStride = Stride;
 
-    CampaignOptions Base;
-    Base.Converge = false;
-    CampaignResult Baseline = runSingleFaultCampaign(P, Config, Base);
-    EXPECT_FALSE(Baseline.Stats.Converge) << NP.Name;
+      CampaignOptions Base;
+      Base.Converge = false;
+      CampaignResult Baseline = runSingleFaultCampaign(P, Config, Base);
+      EXPECT_FALSE(Baseline.Stats.Converge) << NP.Name;
 
-    struct Combo {
-      const ExecEngine *E;
-      unsigned Threads;
-      ResumeMode Resume;
-    };
-    const Combo Combos[] = {
-        {nullptr, 1, ResumeMode::Snapshot},
-        {nullptr, 8, ResumeMode::Replay},
-        {Vm.get(), 1, ResumeMode::Replay},
-        {Vm.get(), 8, ResumeMode::Snapshot},
-    };
-    for (const Combo &C : Combos) {
-      CampaignOptions Opts;
-      Opts.Converge = true;
-      Opts.Engine = C.E;
-      Opts.Threads = C.Threads;
-      Opts.Resume = C.Resume;
-      CampaignResult R = runSingleFaultCampaign(P, Config, Opts);
-      std::string At = std::string(NP.Name) + " engine=" +
-                       R.Stats.Engine + " threads=" +
-                       std::to_string(C.Threads);
-      EXPECT_EQ(R.Ok, Baseline.Ok) << At;
-      EXPECT_EQ(R.ReferenceSteps, Baseline.ReferenceSteps) << At;
-      EXPECT_EQ(R.ReferenceTrace, Baseline.ReferenceTrace) << At;
-      EXPECT_EQ(R.Table, Baseline.Table) << At;
-      EXPECT_EQ(R.Violations, Baseline.Violations) << At;
-      EXPECT_TRUE(R.Stats.Converge) << At;
-      TotalDischarged += R.Stats.EarlyExits + R.Stats.LockstepSkips;
+      struct Combo {
+        const ExecEngine *E;
+        unsigned Threads;
+        ResumeMode Resume;
+      };
+      const Combo Combos[] = {
+          {nullptr, 1, ResumeMode::Snapshot},
+          {nullptr, 8, ResumeMode::Replay},
+          {Vm.get(), 1, ResumeMode::Replay},
+          {Vm.get(), 8, ResumeMode::Snapshot},
+      };
+      for (const Combo &C : Combos) {
+        CampaignOptions Opts;
+        Opts.Converge = true;
+        Opts.Engine = C.E;
+        Opts.Threads = C.Threads;
+        Opts.Resume = C.Resume;
+        CampaignResult R = runSingleFaultCampaign(P, Config, Opts);
+        std::string At = std::string(NP.Name) + " engine=" +
+                         R.Stats.Engine +
+                         " threads=" + std::to_string(C.Threads) +
+                         " stride=" + std::to_string(Stride);
+        EXPECT_EQ(R.Ok, Baseline.Ok) << At;
+        EXPECT_EQ(R.ReferenceSteps, Baseline.ReferenceSteps) << At;
+        EXPECT_EQ(R.ReferenceTrace, Baseline.ReferenceTrace) << At;
+        EXPECT_EQ(R.Table, Baseline.Table) << At;
+        EXPECT_EQ(R.Violations, Baseline.Violations) << At;
+        EXPECT_TRUE(R.Stats.Converge) << At;
+        TotalDischarged += R.Stats.EarlyExits + R.Stats.LockstepSkips;
+      }
     }
   }
   // The acceleration actually engaged somewhere in the sweep.
@@ -219,6 +225,74 @@ TEST(ConvergenceFold, StrategySelectionFoldsOnFig10) {
   }
   EXPECT_GT(VmLaneTasks, 0u);
   EXPECT_GT(CfiLaneTasks, 0u);
+}
+
+// The differential replay's event set, pinned through the convergence
+// counters of every Figure 10 kernel on the vm engine at stride steps/4.
+// The counters follow from which reference records the replay visits and
+// where the progress gate stops it, so a change to the access links, the
+// event order or the gate constants moves them even when every verdict
+// holds (the fold tests above cover the verdicts).
+TEST(ConvergenceFold, ReplayEventSetPinnedOnFig10) {
+  struct Pinned {
+    const char *Kernel;
+    uint64_t EarlyExits, WindowSum, MaxWindow, StepsSaved, LockstepSkips,
+        LockstepSteps;
+  };
+  const Pinned Pins[] = {
+      {"164.gzip", 13029, 15812434, 11098, 78245600, 14491, 22131837},
+      {"175.vpr", 1264, 1570304, 15406, 11564128, 1659, 2837719},
+      {"176.gcc", 5976, 4423624, 8318, 28482736, 6746, 7419892},
+      {"181.mcf", 6696, 3929812, 8520, 48345516, 7847, 10050521},
+      {"186.crafty", 1802, 1782678, 17326, 19037858, 2344, 2404046},
+      {"197.parser", 4628, 21783067, 52770, 147363638, 6670, 73049041},
+      {"254.gap", 14046, 40199761, 29090, 228982514, 16318, 72244839},
+      {"255.vortex", 3984, 2298240, 6966, 17440176, 5853, 8255288},
+      {"256.bzip2", 10331, 9665843, 10282, 116846632, 12002, 14588598},
+      {"300.twolf", 1777, 1760529, 16850, 17860296, 2131, 3176718},
+      {"adpcm", 1176, 1495640, 14766, 10435048, 1594, 2714872},
+      {"epic", 18906, 16233656, 8554, 89715870, 20090, 20786198},
+      {"g721", 1359, 1385465, 13498, 11437004, 2008, 2987721},
+      {"pegwit", 1010, 407355, 3882, 2337478, 1469, 764523},
+      {"jpeg", 5264, 1546590, 600, 44948910, 5541, 3437600},
+  };
+  size_t Checked = 0;
+  for (const wile::Kernel &K : wile::benchmarkKernels()) {
+    const Pinned *Pin = nullptr;
+    for (const Pinned &Candidate : Pins)
+      if (K.Name == Candidate.Kernel)
+        Pin = &Candidate;
+    ASSERT_NE(Pin, nullptr) << K.Name << " has no pinned counters";
+    TypeContext TC;
+    DiagnosticEngine Diags;
+    Expected<wile::CompiledProgram> CP = wile::compileWile(
+        TC, K.Source.c_str(), wile::CodegenMode::FaultTolerant, Diags);
+    ASSERT_TRUE(bool(CP)) << K.Name << ": " << CP.message();
+    const Program &P = CP->Prog;
+    vm::Engine Vm(P.code());
+    Expected<MachineState> S0 = P.initialState();
+    ASSERT_TRUE(bool(S0)) << K.Name;
+    MachineState S = *S0;
+    TheoremConfig Config;
+    RunResult Ref = Vm.run(S, P.exitAddress(), Config.MaxSteps, Config.Policy);
+    ASSERT_EQ(Ref.Status, RunStatus::Halted) << K.Name;
+    Config.InjectionStride = std::max<uint64_t>(1, Ref.Steps / 4);
+
+    CampaignOptions Opts;
+    Opts.Engine = &Vm;
+    Opts.Threads = 4;
+    CampaignResult R = runSingleFaultCampaign(P, Config, Opts);
+    const CampaignStats &St = R.Stats;
+    ASSERT_TRUE(St.Converge) << K.Name;
+    EXPECT_EQ(St.EarlyExits, Pin->EarlyExits) << K.Name;
+    EXPECT_EQ(St.WindowSum, Pin->WindowSum) << K.Name;
+    EXPECT_EQ(St.MaxWindow, Pin->MaxWindow) << K.Name;
+    EXPECT_EQ(St.StepsSaved, Pin->StepsSaved) << K.Name;
+    EXPECT_EQ(St.LockstepSkips, Pin->LockstepSkips) << K.Name;
+    EXPECT_EQ(St.LockstepSteps, Pin->LockstepSteps) << K.Name;
+    ++Checked;
+  }
+  EXPECT_EQ(Checked, std::size(Pins));
 }
 
 } // namespace

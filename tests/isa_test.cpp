@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 using namespace talft;
 
 namespace {
@@ -141,6 +143,51 @@ TEST(StoreQueueTest, FindPrefersMostRecent) {
   EXPECT_EQ(*Q.find(100), 2);
   EXPECT_EQ(*Q.find(300), 3);
   EXPECT_FALSE(Q.find(999));
+}
+
+TEST(StoreQueueTest, EntriesIndexFromTheFront) {
+  StoreQueue Q;
+  Q.pushFront({100, 1});
+  Q.pushFront({200, 2});
+  Q.pushFront({300, 3});
+  ASSERT_EQ(Q.size(), 3u);
+  // Index 0 is the most recent store; the last index is the back, the
+  // pair the next stB checks.
+  EXPECT_EQ(Q.entry(0), (QueueEntry{300, 3}));
+  EXPECT_EQ(Q.entry(1), (QueueEntry{200, 2}));
+  EXPECT_EQ(Q.entry(2), Q.back());
+  Q.setEntry(1, {250, 5});
+  EXPECT_EQ(Q.entry(1), (QueueEntry{250, 5}));
+  EXPECT_EQ(*Q.find(250), 5);
+  EXPECT_FALSE(Q.find(200));
+  Q.popBack();
+  EXPECT_EQ(Q.back(), (QueueEntry{250, 5}));
+  // Iteration runs from the front, like find().
+  std::vector<QueueEntry> Seen(Q.begin(), Q.end());
+  EXPECT_EQ(Seen, (std::vector<QueueEntry>{{300, 3}, {250, 5}}));
+}
+
+TEST(StoreQueueTest, CopiesAreEqualAndIndependent) {
+  StoreQueue Empty;
+  StoreQueue EmptyCopy = Empty;
+  EXPECT_EQ(EmptyCopy, Empty);
+  EXPECT_TRUE(EmptyCopy.empty());
+
+  StoreQueue Q;
+  Q.pushFront({100, 1});
+  Q.pushFront({200, 2});
+  StoreQueue C = Q;
+  EXPECT_EQ(C, Q);
+  C.setEntry(0, {200, 3});
+  EXPECT_NE(C, Q);
+  EXPECT_EQ(Q.entry(0), (QueueEntry{200, 2}));
+  C = Q;
+  EXPECT_EQ(C, Q);
+  // The same pairs enqueued in the other order are a different queue.
+  StoreQueue R;
+  R.pushFront({200, 2});
+  R.pushFront({100, 1});
+  EXPECT_NE(R, Q);
 }
 
 TEST(MachineStateTest, FaultState) {
