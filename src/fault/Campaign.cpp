@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <chrono>
 #include <memory>
@@ -304,62 +305,22 @@ struct ExecRec {
     if (Op == Opcode::Jmp || Op == Opcode::Bz)
       F(3, DenseD);
   }
-
-  /// The next record that accesses dense register \p R, which this record
-  /// accesses.
-  uint32_t nextAccess(unsigned R) const {
-    if (R == Rd)
-      return Next[0];
-    if (R == Rs)
-      return Next[1];
-    if (!HasImm && R == Rt)
-      return Next[2];
-    assert(R == DenseD && (Op == Opcode::Jmp || Op == Opcode::Bz) &&
-           "the record does not access this register");
-    return Next[3];
-  }
 };
 
-/// The faulty payloads of a differential replay: (dense register index,
-/// value) pairs for exactly the registers whose payload differs from the
-/// reference. Taint never touches color tags (injectFault preserves them
-/// and instruction results take their colors from operand colors, which
-/// are payload-independent), so "reference state with these payloads
-/// patched in" describes the faulty state completely. The set stays tiny
-/// (usually one to three registers), so linear scans beat any map.
+/// The faulty payloads of a bailed differential replay: (dense register
+/// index, value) pairs for exactly the registers whose payload differs
+/// from the reference. Taint never touches color tags (injectFault
+/// preserves them and instruction results take their colors from operand
+/// colors, which are payload-independent), so "reference state with these
+/// payloads patched in" describes the faulty state completely. The set
+/// stays tiny (usually one to three registers).
 struct TaintMap {
   struct Entry {
     uint32_t R;
-    /// The next reference record that accesses R (the replay's cursor;
-    /// meaningless once the replay bails).
-    uint32_t Next;
     int64_t Val;
   };
   std::vector<Entry> V;
 
-  const int64_t *find(unsigned R) const {
-    for (const Entry &E : V)
-      if (E.R == R)
-        return &E.Val;
-    return nullptr;
-  }
-  void set(unsigned R, int64_t Val, uint32_t Next) {
-    for (Entry &E : V)
-      if (E.R == R) {
-        E.Val = Val;
-        E.Next = Next;
-        return;
-      }
-    V.push_back({R, Next, Val});
-  }
-  void erase(unsigned R) {
-    for (size_t I = 0; I != V.size(); ++I)
-      if (V[I].R == R) {
-        V[I] = V.back();
-        V.pop_back();
-        return;
-      }
-  }
   bool empty() const { return V.empty(); }
 };
 
@@ -477,37 +438,34 @@ private:
   uint64_t UntilSnap = 0; ///< Steps left until the next dense snapshot.
 };
 
-/// Where a differential replay that could not settle its task stopped.
-struct DeferredBail {
-  /// Absolute reference step to resume from (post-fetch: the event
-  /// instruction is in flight there and re-executes for real).
-  uint64_t Resume = 0;
-  /// The register payloads that differ from the reference at Resume.
-  TaintMap Taint;
-};
-
-/// The replay's progress gate: once GateEvents events have been processed,
-/// the replay bails to concrete simulation unless they discharged at
-/// least GateStepsPerEvent reference steps each. With the gate off, one
-/// event (finding the next link, updating the taint) costs 35-95 cycles
-/// on the fig10 sweeps below, per-task setup included, against 1.1-3.1
-/// cycles per fused native JIT step and 6.3-8.0 per vm step, so dense
-/// taint is cheaper to simulate than to replay. Chosen by an interleaved
-/// sweep over both default paths on the fifteen Figure 10 kernels
-/// (pruned jit at stride steps/24; unpruned vm with lanes at steps/6, one
-/// thread), twelve rounds on a 4-vCPU x86-64 VM, median injection seconds
-/// per path. The step-16 gates tie within noise; (8, 16) lowers both
-/// totals, and against (8, 32) no kernel's median rose by more than its
-/// interquartile range, here and in a second sixteen-round sweep:
+/// The replay's progress gate: once a continuation has seen GateEvents
+/// events, it bails to concrete simulation unless they discharged at least
+/// GateStepsPerEvent reference steps each. With the gate off, an event
+/// costs 6.8-7.2 cycles per continuation it touches on the fig10 sweeps
+/// below (about 160 per event of a site walk, which touches 38-40 on
+/// average; walk setup included), against 0.8-4.7 cycles per fused native
+/// JIT step and 5.0-9.7 per vm step, so dense taint is still cheaper to
+/// simulate than to replay. Chosen by an interleaved sweep over both
+/// default paths on the fifteen Figure 10 kernels (pruned jit at stride
+/// steps/24; unpruned vm with lanes at steps/6, one thread), two runs of
+/// ten rounds on a 4-vCPU x86-64 VM, median injection seconds per path
+/// over all twenty rounds. No candidate lowers both totals against
+/// (8, 16): the step-8 and step-16 gates tie within noise (interquartile
+/// ranges of about 0.06 s on jit and 0.04 s on vm), and (8, 4) and
+/// (8, 32) make some kernel's median rise by more than its interquartile
+/// range:
 ///
 ///   (GateEvents, GateStepsPerEvent)   jit    vm
-///   (8, 16)                           0.446  0.177
-///   (16, 16)                          0.442  0.158
-///   (32, 16)                          0.407  0.168
-///   (8, 8)                            0.461  0.167
-///   (4, 16)                           0.482  0.166  (gap, bzip2 2-2.5x)
-///   (8, 32), the previous gate        0.506  0.207
-///   (16, 32)                          0.536  0.211
+///   (8, 16)                           0.180  0.089
+///   (8, 8)                            0.177  0.110
+///   (16, 16)                          0.168  0.102
+///   (8, 4)                            0.235  0.088  (jit: crafty 1.9x,
+///                                                    g721 1.7x, adpcm 1.4x)
+///   (8, 32)                           0.263  0.114  (parser 5.8x jit,
+///                                                    4.6x vm; vortex 1.9x)
+///
+/// The gate pays little: switched off entirely it tied (8, 16) in six
+/// interleaved pairs per path.
 constexpr uint64_t GateEvents = 8;
 constexpr uint64_t GateStepsPerEvent = 16;
 
@@ -517,7 +475,46 @@ constexpr uint64_t GateStepsPerEvent = 16;
 /// across execution strategies.
 constexpr uint64_t MinCountedSkip = 64;
 
-/// Sparse differential replay of one register-site continuation against
+/// Lanes per site walk: one bit each of a uint64_t lane mask.
+constexpr unsigned SiteBatchWidth = 64;
+
+/// One continuation's outcome of a site walk: its verdict, or where its
+/// replay bailed.
+struct ReplayOutcome {
+  std::optional<Verdict> V;
+  /// Absolute reference step to resume from when V is empty (post-fetch:
+  /// the event instruction is in flight there and re-executes for real).
+  uint64_t Resume = 0;
+  /// The register payloads that differ from the reference at Resume.
+  TaintMap Taint;
+};
+
+/// The union taint of a site walk, reused by every walk of a block: per
+/// dense register, the lanes holding it tainted, each lane's faulty
+/// payload and the register's link (the next record accessing it, which
+/// every lane shares). A walk resets only the masks; it writes the other
+/// rows before reading them.
+struct SiteWalk {
+  std::array<uint64_t, Reg::NumRegs> Mask;
+  std::array<uint32_t, Reg::NumRegs> Link;
+  std::array<std::array<int64_t, SiteBatchWidth>, Reg::NumRegs> Val;
+  /// The registers with a non-empty mask.
+  std::array<uint8_t, Reg::NumRegs> Live;
+  unsigned NumLive = 0;
+  /// The open lanes grouped by how many events each has seen, the
+  /// progress gate's count. Lanes whose taint was touched equally often
+  /// share a group, so counting costs a few word operations per event
+  /// rather than one per lane; the groups stay few and disjoint.
+  struct EventCount {
+    uint64_t Lanes;
+    uint64_t Events;
+  };
+  std::array<EventCount, SiteBatchWidth> Counts;
+  unsigned NumCounts = 0;
+  std::array<ReplayOutcome, SiteBatchWidth> Out;
+};
+
+/// Sparse differential replay of one register site's continuations against
 /// the recorded reference instruction stream: the campaign's convergence
 /// shortcut. Faults whose taint drains, long-latency Detected runs and
 /// color-divergent Masked runs all resolve here without stepping the
@@ -525,7 +522,7 @@ constexpr uint64_t MinCountedSkip = 64;
 ///
 /// The soundness backbone is *structural lockstep*: as long as every
 /// register payload that differs from the reference is confined to the
-/// TaintMap, the faulty run executes exactly the reference's instruction
+/// taint set, the faulty run executes exactly the reference's instruction
 /// sequence. Fetches read only the (untainted) pcs; memory changes only
 /// through stB commits, and a commit whose inputs are tainted is never
 /// reached differentially (its stG or stB is an event that bails first),
@@ -535,9 +532,7 @@ constexpr uint64_t MinCountedSkip = 64;
 /// all untainted therefore reads reference values, fires the reference
 /// rule, writes reference values and emits the reference outputs — only
 /// the *events*, the records that access a tainted register, need
-/// attention. Each taint entry carries the index of the next record that
-/// accesses its register (ExecRec::Next), so the next event is the
-/// smallest index in the taint set:
+/// attention:
 ///
 ///   - alu: the faulty result is evalAluOp over the recorded source
 ///     values with taint overrides; equal to the recorded result it
@@ -554,135 +549,224 @@ constexpr uint64_t MinCountedSkip = 64;
 ///   - everything else (st, jmp, a tainted d) bails to the
 ///     concrete classifier.
 ///
-/// Three ways out, all verdict-exact against the full simulation:
+/// Three ways out per continuation, all verdict-exact against the full
+/// simulation:
 ///
 ///   - the taint set empties: the faulty state now equals the reference
 ///     state exactly, so the remainder is the reference tail — Masked;
 ///   - no tainted register is ever accessed again: the run is lockstep
 ///     to the halt, the trace completes, and the final state is RefFinal
 ///     with the taint patched in — only the similarity check remains;
-///   - bail: nullopt, with \p DB holding the step to resume from (just
-///     before the event) and the taint payloads there. The reference
-///     state at that step with the taint patched in IS the faulty state
-///     there, by the invariant, so the caller resumes concretely from it.
-///     Values zapped into one site usually bail at the same event, so
-///     the caller pools continuations by resume step and reconstructs
-///     each pool's base state once.
+///   - bail: the outcome holds the step to resume from (just before the
+///     event) and the taint payloads there. The reference state at that
+///     step with the taint patched in IS the faulty state there, by the
+///     invariant, so the caller resumes concretely from it. Values zapped
+///     into one site usually bail at the same event, so the caller pools
+///     continuations by resume step and reconstructs each pool's base
+///     state once.
 ///
-/// One event costs tens of native steps, so a run whose taint is touched
-/// at nearly every instruction caps its event count and bails instead of
-/// losing the race (see GateEvents above).
-std::optional<Verdict>
-differentialReplay(const ConvergenceRecorder &CR, uint32_t SnapIdx,
-                   const FaultSite &Site, int64_t Value, uint64_t InjectedAt,
-                   const MachineState &RefFinal, uint64_t RefSteps, ZapTag Z,
-                   ConvergenceHit &Hit, DeferredBail &DB) {
+/// One walk settles up to SiteBatchWidth corruption values of one site,
+/// one lane each. Every lane walks the same reference records, so the
+/// walk keeps one *union* taint (SiteWalk) and visits each event record
+/// once: the next event is the smallest link over the registers tainted
+/// in any lane, and it is an event for exactly the lanes that hold a
+/// tainted register it accesses (ExecRec::forEachAccess), so each lane
+/// sees precisely the event sequence of a walk of its own. A link is a
+/// property of the reference (the next record accessing the register after
+/// the current one), so all lanes share it. Every event re-links each
+/// register it accesses, tainted or not: a register is only ever tainted
+/// again by an alu event that writes it, so its link is current the
+/// moment its mask refills. Lanes never influence each other — the gate
+/// counts each lane's own events and a lane's outcome depends only on its
+/// own payloads — so a batch of one is the single-continuation walk.
+///
+/// An event costs several native steps per value it touches, so a run
+/// whose taint is touched at nearly every instruction caps its event count
+/// and bails instead of losing the race (see GateEvents above).
+void replaySite(const ConvergenceRecorder &CR, const InjectionTask *Lane,
+                unsigned N, uint64_t InjectedAt, const MachineState &RefFinal,
+                uint64_t RefSteps, ZapTag Z, ConvergenceHit *Hits,
+                SiteWalk &W) {
+  assert(N && N <= SiteBatchWidth && "a site batch fills one lane mask");
+  auto EachLane = [](uint64_t M, auto &&F) {
+    for (; M; M &= M - 1)
+      F((unsigned)std::countr_zero(M));
+  };
   const std::vector<ExecRec> &Execs = CR.Execs;
-  unsigned Injected = Site.R.denseIndex();
-  TaintMap T;
-  T.set(Injected, Value, CR.FirstAccess[SnapIdx][Injected]);
+  uint64_t Open = N == SiteBatchWidth ? ~uint64_t{0} : (uint64_t{1} << N) - 1;
+  unsigned Injected = Lane[0].Site.R.denseIndex();
+  W.Mask.fill(0);
+  W.Mask[Injected] = Open;
+  W.Link[Injected] = CR.FirstAccess[Lane[0].SnapIdx][Injected];
+  W.Live[0] = (uint8_t)Injected;
+  W.NumLive = 1;
+  W.Counts[0] = {Open, 0};
+  W.NumCounts = 1;
+  for (unsigned L = 0; L != N; ++L) {
+    W.Val[Injected][L] = Lane[L].Value;
+    W.Out[L].V.reset();
+    W.Out[L].Taint.V.clear();
+  }
 
-  uint64_t Events = 0;
-  uint64_t Bail = 0;
-  while (true) {
+  while (Open) {
     // The next reference record that may touch any tainted register.
     uint32_t K = ExecRec::None;
-    for (const TaintMap::Entry &E : T.V)
-      K = std::min(K, E.Next);
+    for (unsigned I = 0; I != W.NumLive; ++I)
+      K = std::min(K, W.Link[W.Live[I]]);
     if (K == ExecRec::None) {
-      Hit.Skipped = RefSteps - InjectedAt;
-      // The faulty final state is RefFinal with the taint payloads patched
-      // in — identical everywhere else — so the similarity check reduces
-      // to the tainted registers; no state copy needed.
-      if (RefFinal.isFault())
-        return Verdict::Masked;
-      for (const TaintMap::Entry &E : T.V) {
-        talft::Value RefV = RefFinal.Regs.get(Reg::fromDenseIndex(E.R));
-        if (!similarValues(Z, talft::Value(RefV.C, E.Val), RefV))
-          return Verdict::DissimilarState;
-      }
-      return Verdict::Masked;
+      // The faulty final state is RefFinal with the lane's taint payloads
+      // patched in — identical everywhere else — so the similarity check
+      // reduces to the tainted registers; no state copy needed.
+      EachLane(Open, [&](unsigned L) {
+        Hits[L].Skipped = RefSteps - InjectedAt;
+        W.Out[L].V = Verdict::Masked;
+        if (RefFinal.isFault())
+          return;
+        for (unsigned I = 0; I != W.NumLive; ++I) {
+          unsigned R = W.Live[I];
+          if (!(W.Mask[R] >> L & 1))
+            continue;
+          talft::Value RefV = RefFinal.Regs.get(Reg::fromDenseIndex(R));
+          if (!similarValues(Z, talft::Value(RefV.C, W.Val[R][L]), RefV)) {
+            W.Out[L].V = Verdict::DissimilarState;
+            return;
+          }
+        }
+      });
+      return;
     }
     assert(K < Execs.size() && "a link points past the recording");
+    const ExecRec &Rec = Execs[K];
     // The event's execute transition.
     uint64_t Step = 2 * (uint64_t(K) + 1);
+    uint64_t Ev = 0;
+    Rec.forEachAccess([&](unsigned, unsigned R) { Ev |= W.Mask[R]; });
+
     // Progress gate: the replay only pays off while events stay sparse.
     // Dense taint (many hot registers) discharges few steps per event;
     // hand such runs to the concrete classifier before the bookkeeping
     // loses the race.
-    if (++Events >= GateEvents &&
-        Step - InjectedAt < GateStepsPerEvent * Events) {
-      Bail = Step;
-      break;
+    uint64_t Bail = 0;
+    for (unsigned C = 0, E = W.NumCounts; C != E; ++C) {
+      SiteWalk::EventCount &Cnt = W.Counts[C];
+      uint64_t Hit = Cnt.Lanes & Ev;
+      if (!Hit)
+        continue;
+      uint64_t Events = Cnt.Events + 1;
+      if (Events >= GateEvents &&
+          Step - InjectedAt < GateStepsPerEvent * Events)
+        Bail |= Hit;
+      if (Hit == Cnt.Lanes) {
+        Cnt.Events = Events;
+      } else {
+        Cnt.Lanes &= ~Hit;
+        W.Counts[W.NumCounts++] = {Hit, Events};
+      }
     }
-    const ExecRec &Rec = Execs[K];
-    bool Handled = true;
+    uint64_t Go = Ev & ~Bail;
+    bool RdWasLive = W.Mask[Rec.Rd] != 0;
     switch (Rec.Op) {
     case Opcode::Add:
     case Opcode::Sub:
     case Opcode::Mul: {
-      const int64_t *TA = T.find(Rec.Rs);
-      int64_t A = TA ? *TA : Rec.SrcRs;
-      int64_t B = Rec.SrcRt;
-      if (!Rec.HasImm)
-        if (const int64_t *TB = T.find(Rec.Rt))
-          B = *TB;
-      int64_t R = evalAluOp(Rec.Op, A, B);
-      // A written register is accessed by the event: its link advances
-      // below with the others.
-      if (R == Rec.Result)
-        T.erase(Rec.Rd);
-      else
-        T.set(Rec.Rd, R, K);
+      uint64_t TaintS = W.Mask[Rec.Rs];
+      uint64_t TaintT = Rec.HasImm ? 0 : W.Mask[Rec.Rt];
+      const int64_t *ValS = W.Val[Rec.Rs].data();
+      const int64_t *ValT = W.Val[Rec.Rt].data();
+      int64_t *ValD = W.Val[Rec.Rd].data();
+      // A lane whose result differs from the recorded one (re)taints Rd;
+      // the others drain it.
+      uint64_t Differs = 0;
+      EachLane(Go, [&](unsigned L) {
+        int64_t A = TaintS >> L & 1 ? ValS[L] : Rec.SrcRs;
+        int64_t B = TaintT >> L & 1 ? ValT[L] : Rec.SrcRt;
+        int64_t R = evalAluOp(Rec.Op, A, B);
+        ValD[L] = R;
+        Differs |= uint64_t(R != Rec.Result) << L;
+      });
+      W.Mask[Rec.Rd] = (W.Mask[Rec.Rd] & ~Go) | Differs;
       break;
     }
     case Opcode::Mov:
-      T.erase(Rec.Rd);
+      W.Mask[Rec.Rd] &= ~Go;
       break;
     case Opcode::Ld:
-      if (T.find(Rec.Rs))
-        Handled = false;
-      else
-        T.erase(Rec.Rd);
+      Bail |= Go & W.Mask[Rec.Rs];
+      Go &= ~W.Mask[Rec.Rs];
+      W.Mask[Rec.Rd] &= ~Go;
       break;
     case Opcode::Bz: {
-      if (T.find(ExecRec::DenseD)) {
-        Handled = false;
-        break;
-      }
-      const int64_t *TZ = T.find(Rec.Rs);
-      int64_t Zf = TZ ? *TZ : Rec.SrcRs;
-      if (Zf == 0 || Rec.SrcRs == 0)
-        Handled = false; // taken in either run
+      // Taken in either run, or a tainted d: bail.
+      uint64_t Stop = Rec.SrcRs == 0 ? Go : Go & W.Mask[ExecRec::DenseD];
+      EachLane(Go & W.Mask[Rec.Rs] & ~Stop, [&](unsigned L) {
+        if (W.Val[Rec.Rs][L] == 0)
+          Stop |= uint64_t{1} << L;
+      });
+      Bail |= Stop;
+      Go &= ~Stop;
       break;
     }
     default:
-      Handled = false; // st, jmp: hand over to the concrete classifier
+      Bail |= Go; // st, jmp: hand over to the concrete classifier
+      Go = 0;
       break;
     }
-    if (!Handled) {
-      Bail = Step;
-      break;
-    }
-    if (T.empty()) {
+    if (!RdWasLive && W.Mask[Rec.Rd])
+      W.Live[W.NumLive++] = Rec.Rd;
+
+    // Bail: resume concretely just before the event (post-fetch, so the
+    // event instruction re-executes for real), with the lane's taint as
+    // it stood before the event.
+    EachLane(Bail, [&](unsigned L) {
+      ReplayOutcome &O = W.Out[L];
+      O.Resume = Step - 1;
+      for (unsigned I = 0; I != W.NumLive; ++I) {
+        unsigned R = W.Live[I];
+        if (W.Mask[R] >> L & 1)
+          O.Taint.V.push_back({R, W.Val[R][L]});
+      }
+      if (O.Resume > InjectedAt + MinCountedSkip)
+        Hits[L].Skipped = O.Resume - InjectedAt;
+    });
+    uint64_t Tainted = 0;
+    for (unsigned I = 0; I != W.NumLive; ++I)
+      Tainted |= W.Mask[W.Live[I]] &= ~Bail;
+    // Drained: the lane's state equals the reference from here on.
+    EachLane(Go & ~Tainted, [&](unsigned L) {
+      ConvergenceHit &Hit = Hits[L];
       Hit.Hit = true;
       Hit.Window = Step - InjectedAt;
       Hit.Saved = RefSteps - Step;
       Hit.Skipped = Step - InjectedAt;
-      return Verdict::Masked;
-    }
-    for (TaintMap::Entry &E : T.V)
-      if (E.Next == K)
-        E.Next = Rec.nextAccess(E.R);
-  }
+      W.Out[L].V = Verdict::Masked;
+    });
+    Open = Tainted;
 
-  // Bail: resume concretely just before the event (post-fetch, so the
-  // event instruction re-executes for real).
-  DB.Resume = Bail - 1;
-  DB.Taint = std::move(T);
-  if (DB.Resume > InjectedAt + MinCountedSkip)
-    Hit.Skipped = DB.Resume - InjectedAt;
-  return std::nullopt;
+    Rec.forEachAccess(
+        [&](unsigned Slot, unsigned R) { W.Link[R] = Rec.Next[Slot]; });
+    unsigned Kept = 0;
+    for (unsigned I = 0; I != W.NumLive; ++I)
+      if (W.Mask[W.Live[I]])
+        W.Live[Kept++] = W.Live[I];
+    W.NumLive = Kept;
+    // Closed lanes leave their count group; groups that now share a
+    // count merge.
+    Kept = 0;
+    for (unsigned C = 0; C != W.NumCounts; ++C) {
+      SiteWalk::EventCount Cnt = W.Counts[C];
+      Cnt.Lanes &= Open;
+      if (!Cnt.Lanes)
+        continue;
+      unsigned D = 0;
+      while (D != Kept && W.Counts[D].Events != Cnt.Events)
+        ++D;
+      if (D == Kept)
+        W.Counts[Kept++] = Cnt;
+      else
+        W.Counts[D].Lanes |= Cnt.Lanes;
+    }
+    W.NumCounts = Kept;
+  }
 }
 
 /// Maps a finished continuation's RunStatus to its verdict — the single
@@ -1107,10 +1191,11 @@ struct LaneScratch {
 /// One pipeline for every engine. Workers take whole blocks of the
 /// snapshot-major task list, and each block goes through three stages:
 ///
-///   - settle: a register-site task (not a pc: the very next fetch reads
-///     it) goes through the differential replay, which either returns
-///     its verdict or reports the step where it bailed and the taint it
-///     carries there;
+///   - settle: register-site tasks (not pcs: the very next fetch reads
+///     them) go through the differential replay, one walk per run of up
+///     to SiteBatchWidth values of one site (replaySite), which returns
+///     each task's verdict or the step where it bailed and the taint it
+///     carries there. This is the stage a per-site classifier plugs into;
 ///   - pool: every unsettled task waits, keyed by its resume step — the
 ///     block's injection step, or its bail step. Pools run in increasing
 ///     resume order, so one rolling reconstruction of the reference state
@@ -1273,23 +1358,33 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
     const Block &Blk = Blocks[B];
     const UntypedSnapshot &Snap = Snaps[Tasks[Blk.Begin].SnapIdx];
 
-    // Settle.
+    // Settle. A site's corruption values are adjacent in enumeration
+    // order, so one replay walk takes up to SiteBatchWidth of them.
     std::vector<Waiting> Pool;
     Pool.reserve(Blk.End - Blk.Begin);
-    for (uint64_t I = Blk.Begin; I != Blk.End; ++I) {
+    SiteWalk Walk; // default-initialized: replaySite resets what it reads
+    for (uint64_t I = Blk.Begin; I != Blk.End;) {
       const InjectionTask &T = Tasks[I];
-      if (DiffReplay && T.Site.K == FaultSite::Kind::Register &&
-          !T.Site.R.isPC()) {
-        DeferredBail DB;
-        if (std::optional<Verdict> V =
-                differentialReplay(CR, T.SnapIdx, T.Site, T.Value, Snap.Steps,
-                                   RefFinal, RefSteps, ZapOf(T), Hits[I], DB))
-          Settle(I, *V);
-        else
-          Pool.push_back({DB.Resume, I, std::move(DB.Taint)});
+      if (!DiffReplay || T.Site.K != FaultSite::Kind::Register ||
+          T.Site.R.isPC()) {
+        Pool.push_back({Snap.Steps, I, {}});
+        ++I;
         continue;
       }
-      Pool.push_back({Snap.Steps, I, {}});
+      uint64_t J = I + 1;
+      while (J != Blk.End && J - I < SiteBatchWidth &&
+             Tasks[J].Site.K == FaultSite::Kind::Register &&
+             Tasks[J].Site.R == T.Site.R)
+        ++J;
+      replaySite(CR, &Tasks[I], (unsigned)(J - I), Snap.Steps, RefFinal,
+                 RefSteps, ZapOf(T), &Hits[I], Walk);
+      // Settle and pool in task order, so pools keep their grouping.
+      for (ReplayOutcome *O = Walk.Out.data(); I != J; ++I, ++O) {
+        if (O->V)
+          Settle(I, *O->V);
+        else
+          Pool.push_back({O->Resume, I, std::move(O->Taint)});
+      }
     }
 
     // Pool: the stable sort keeps task order within a pool, so grouping

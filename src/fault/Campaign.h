@@ -179,9 +179,10 @@ struct CampaignOptions {
   /// with divergence confined to a small set of register payloads, so
   /// the classifier walks only the reference instructions that touch a
   /// tainted register (following the links, one step per event) instead
-  /// of simulating every step. One extra fault-free run of the reference
-  /// on the engine sizes the recording. A run whose taint drains has
-  /// re-joined the reference exactly and is Masked without executing the
+  /// of simulating every step, in one walk for all the corruption values
+  /// of a fault site. One extra fault-free run of the reference on the
+  /// engine sizes the recording. A run whose taint drains has re-joined
+  /// the reference exactly and is Masked without executing the
   /// rest of the program; a run whose taint is never touched again
   /// reduces to a similarity check; anything outside the provable cases
   /// resumes concretely from the reference state at the bail step with

@@ -10,22 +10,6 @@
 
 using namespace talft;
 
-int64_t talft::evalAluOp(Opcode Op, int64_t A, int64_t B) {
-  // Arithmetic wraps: machine integers are 64-bit two's complement. Compute
-  // in unsigned space so overflow is defined behavior.
-  uint64_t UA = (uint64_t)A, UB = (uint64_t)B;
-  switch (Op) {
-  case Opcode::Add:
-    return (int64_t)(UA + UB);
-  case Opcode::Sub:
-    return (int64_t)(UA - UB);
-  case Opcode::Mul:
-    return (int64_t)(UA * UB);
-  default:
-    talft_unreachable("evalAluOp on a non-ALU opcode");
-  }
-}
-
 const char *talft::opcodeStem(Opcode Op) {
   switch (Op) {
   case Opcode::Add:

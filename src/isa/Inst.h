@@ -31,6 +31,7 @@
 
 #include "isa/Reg.h"
 #include "isa/Value.h"
+#include "support/Unreachable.h"
 
 #include <cassert>
 #include <string>
@@ -47,7 +48,22 @@ inline bool isAluOpcode(Opcode Op) {
 }
 
 /// Applies an ALU opcode to two integers (wrapping 64-bit arithmetic).
-int64_t evalAluOp(Opcode Op, int64_t A, int64_t B);
+/// Inline: the campaign's differential replay calls it per lane and event.
+inline int64_t evalAluOp(Opcode Op, int64_t A, int64_t B) {
+  // Arithmetic wraps: machine integers are 64-bit two's complement. Compute
+  // in unsigned space so overflow is defined behavior.
+  uint64_t UA = (uint64_t)A, UB = (uint64_t)B;
+  switch (Op) {
+  case Opcode::Add:
+    return (int64_t)(UA + UB);
+  case Opcode::Sub:
+    return (int64_t)(UA - UB);
+  case Opcode::Mul:
+    return (int64_t)(UA * UB);
+  default:
+    talft_unreachable("evalAluOp on a non-ALU opcode");
+  }
+}
 
 /// The mnemonic stem ("add", "ld", ...) without any color suffix.
 const char *opcodeStem(Opcode Op);

@@ -30,21 +30,12 @@ static_assert((uint8_t)Color::Green == 0);
 //===----------------------------------------------------------------------===//
 // Out-of-line execution helpers (SysV: rdi = frame, esi = packed operands).
 // Register writes go through the raw cells, queue/memory mutations through
-// the StoreQueue/ValueMemory abstractions. Returns 0 = ok, 1 = fault
-// (the caller template jumps to the fault epilogue; the driver installs
-// the canonical fault state, exactly like execOp's `S = faultState()`).
+// the StoreQueue/ValueMemory abstractions. Like the templates, they leave
+// the pc cells alone (the exit tail materializes them). Returns 0 = ok,
+// 1 = fault (the caller template jumps to the fault epilogue; the driver
+// installs the canonical fault state, exactly like execOp's
+// `S = faultState()`).
 //===----------------------------------------------------------------------===//
-
-namespace {
-
-constexpr unsigned PcGIdx = NumGeneralRegs + 1, PcBIdx = NumGeneralRegs + 2;
-
-inline void bumpPcs(Value *Cells) {
-  Cells[PcGIdx].N += 1;
-  Cells[PcBIdx].N += 1;
-}
-
-} // namespace
 
 extern "C" {
 
@@ -62,7 +53,6 @@ uint64_t talftJitLdG(JitFrame *F, uint64_t Ops) {
     return JitExitFault;
   else
     V = F->Policy->GarbageValue;
-  bumpPcs(Cells);
   Cells[Rd] = Value::green(V);
   return JitExitBoundary;
 }
@@ -79,7 +69,6 @@ uint64_t talftJitLdB(JitFrame *F, uint64_t Ops) {
     return JitExitFault;
   else
     V = F->Policy->GarbageValue;
-  bumpPcs(Cells);
   Cells[Rd] = Value::blue(V);
   return JitExitBoundary;
 }
@@ -88,7 +77,6 @@ uint64_t talftJitStG(JitFrame *F, uint64_t Ops) {
   unsigned Rd = Ops & 0xFF, Rs = (Ops >> 8) & 0xFF;
   Value *Cells = F->Cells;
   F->S->Queue.pushFront({Cells[Rd].N, Cells[Rs].N});
-  bumpPcs(Cells);
   return JitExitBoundary;
 }
 
@@ -103,7 +91,6 @@ uint64_t talftJitStB(JitFrame *F, uint64_t Ops) {
     return JitExitFault;
   S.Queue.popBack();
   S.Mem.set(Back.Address, Back.Val);
-  bumpPcs(Cells);
   if (F->Out)
     F->Out(F, Back.Address, Back.Val);
   return JitExitBoundary;
@@ -130,6 +117,8 @@ enum GpReg : unsigned {
   RDI = 7,
   R12 = 12,
   R13 = 13,
+  R14 = 14,
+  R15 = 15,
 };
 
 // Condition codes for jcc.
@@ -219,29 +208,23 @@ public:
     rexW(D, Base), u8(0x0F), u8(0xAF), modMem(D, Base, Disp);
   }
   void addRR64(unsigned D, unsigned S) { rexW(S, D), u8(0x01), modRR(S, D); }
+  /// add qword [Base+Disp], S.
+  void addMR64(unsigned Base, int32_t Disp, unsigned S) {
+    rexW(S, Base), u8(0x01), modMem(S, Base, Disp);
+  }
   void subRR64(unsigned D, unsigned S) { rexW(S, D), u8(0x29), modRR(S, D); }
   void imulRR64(unsigned D, unsigned S) {
     rexW(D, S), u8(0x0F), u8(0xAF), modRR(D, S);
   }
-  /// add qword [Base+Disp], imm8.
-  void addMI8(unsigned Base, int32_t Disp, int8_t Imm) {
-    rexW(0, Base), u8(0x83), modMem(0, Base, Disp), u8((uint8_t)Imm);
-  }
   void subRI8(unsigned R, int8_t Imm) {
     rexW(0, R), u8(0x83), modRR(5, R), u8((uint8_t)Imm);
   }
+  void shrR1(unsigned R) { rexW(0, R), u8(0xD1), modRR(5, R); }
   void subRI32(unsigned R, int32_t Imm) {
     rexW(0, R), u8(0x81), modRR(5, R), u32((uint32_t)Imm);
   }
-  void cmpRI8(unsigned R, int8_t Imm) {
-    rexW(0, R), u8(0x83), modRR(7, R), u8((uint8_t)Imm);
-  }
   void cmpRI32(unsigned R, int32_t Imm) {
     rexW(0, R), u8(0x81), modRR(7, R), u32((uint32_t)Imm);
-  }
-  /// cmp qword [Base+Disp], imm32 (sign-extended).
-  void cmpMI32(unsigned Base, int32_t Disp, int32_t Imm) {
-    rexW(0, Base), u8(0x81), modMem(7, Base, Disp), u32((uint32_t)Imm);
   }
   /// cmp qword [Base+Disp], imm8.
   void cmpMI8(unsigned Base, int32_t Disp, int8_t Imm) {
@@ -289,35 +272,20 @@ public:
 constexpr int32_t cellC(unsigned I) { return (int32_t)(I * 16); }
 constexpr int32_t cellN(unsigned I) { return (int32_t)(I * 16 + 8); }
 constexpr unsigned DIdx = NumGeneralRegs; // 64
+constexpr unsigned PcGIdx = NumGeneralRegs + 1, PcBIdx = NumGeneralRegs + 2;
 
-/// Templates exist for every op whose register *writes* avoid the program
-/// counters (writing a pc mid-template would invalidate the straight-line
-/// fall-through, and jmpB/bzB's sequential set(pcG)/set(pcB)/set(d) reads
-/// would observe partially-updated cells). Reads of any register,
-/// including the pcs, are fine: templates read all sources before the pc
-/// bump, matching execOp's evaluation order. Unsupported slots simply get
-/// no native code; the driver steps them on the interpreter.
+/// Templates exist for every op whose operands avoid the program counters.
+/// Native code keeps the pcs only as a distance in the budget counter and
+/// writes them to their cells at the exit tail, so mid-run the pc cells
+/// are stale: a template reading a pc would see an old address, and the
+/// tail would add its distance on top of a pc a template wrote (which
+/// would break the straight-line fall-through besides). Such slots get no
+/// native code and the driver steps them on the interpreter, which sees
+/// materialized pcs. The TAL parser never produces one (instruction
+/// operands are general registers and d), so this costs nothing on real
+/// programs.
 bool supportedOp(const MicroOp &M) {
-  switch (M.Kind) {
-  case MicroOpKind::AddRR:
-  case MicroOpKind::SubRR:
-  case MicroOpKind::MulRR:
-  case MicroOpKind::AddRI:
-  case MicroOpKind::SubRI:
-  case MicroOpKind::MulRI:
-  case MicroOpKind::Mov:
-  case MicroOpKind::LdG:
-  case MicroOpKind::LdB:
-  case MicroOpKind::JmpB:
-  case MicroOpKind::BzB:
-    return M.Rd <= DIdx;
-  case MicroOpKind::StG:
-  case MicroOpKind::StB:
-  case MicroOpKind::JmpG:
-  case MicroOpKind::BzG:
-    return true;
-  }
-  return false;
+  return M.Rd <= DIdx && M.Rs <= DIdx && M.Rt <= DIdx;
 }
 
 } // namespace
@@ -341,32 +309,48 @@ std::unique_ptr<JitProgram> vm::emitJitProgram(const DecodedProgram &P) {
   // Frame field offsets (see JitFrame).
   constexpr int32_t FrRemaining = 8, FrExit = 16, FrEntries = 24;
 
-  // --- Enter(frame=rdi, target=rsi): spill-free context switch.
-  A.pushR(RBP), A.pushR(RBX), A.pushR(R12), A.pushR(R13);
+  // --- Enter(frame=rdi, target=rsi): spill-free context switch. r14
+  // holds the budget at the last absolute pc write: on entry that is the
+  // budget before the driver's pre-claim of the entry instruction.
+  A.pushR(RBP), A.pushR(RBX), A.pushR(R12), A.pushR(R13), A.pushR(R14),
+      A.pushR(R15);
   A.subRI8(RSP, 8); // 16-byte call alignment for the helper calls
   A.movRR64(R12, RDI);
   A.movRM64(RBX, R12, 0 /*Cells*/);
   A.movRM64(R13, R12, FrRemaining);
+  A.movRR64(R14, R13);
+  A.subRI8(R14, -2); // add r14, 2
+  A.movRM64(R15, R12, FrExit);
   A.movRM64(RBP, R12, FrEntries);
   A.jmpR(RSI);
 
   // --- Shared epilogues. eax = exit reason; the fault stub falls through
-  // into the store-back tail, the boundary stub jumps to it.
+  // into the store-back tail, the boundary stubs jump to it.
   size_t EpiFault = A.off();
   A.movRI32z(RAX, (uint32_t)JitExitFault);
   size_t Tail = A.off();
   A.movMR64(R12, FrRemaining, R13);
   A.subRI8(RSP, -8); // add rsp, 8
-  A.popR(R13), A.popR(R12), A.popR(RBX), A.popR(RBP);
+  A.popR(R15), A.popR(R14), A.popR(R13), A.popR(R12), A.popR(RBX),
+      A.popR(RBP);
   A.ret();
+  // A failed budget claim gives its two steps back, then exits at the
+  // boundary like the others.
+  size_t EpiBudget = A.off();
+  A.subRI8(R13, -2); // add r13, 2
+  // Every instruction since the last absolute pc write advanced both pcs
+  // by one and claimed two budget steps, so the pcs are that write plus
+  // (r14 - r13) / 2. Fault exits skip this: the driver installs the
+  // canonical fault state.
   size_t Epi = A.off();
+  A.movRR64(RAX, R14);
+  A.subRR64(RAX, R13);
+  A.shrR1(RAX);
+  A.addMR64(RBX, cellN(PcGIdx), RAX);
+  A.addMR64(RBX, cellN(PcBIdx), RAX);
   A.xorR32(RAX);
   A.jmpTo(Tail);
 
-  auto emitPcBump = [&] {
-    A.addMI8(RBX, cellN(PcGIdx), 1);
-    A.addMI8(RBX, cellN(PcBIdx), 1);
-  };
   auto emitHelperCall = [&](uint64_t Fn, const MicroOp &M) {
     A.movRR64(RDI, R12);
     A.movRI32z(RSI, (uint32_t)M.Rd | ((uint32_t)M.Rs << 8));
@@ -386,8 +370,8 @@ std::unique_ptr<JitProgram> vm::emitJitProgram(const DecodedProgram &P) {
     A.jmpR(RDX);
   };
   // pcG <- d's cell, pcB <- rd's cell, d <- G 0 (cells read before any
-  // write, exactly execOp's read-then-commit order), then chain. Leaves
-  // the target payload in rcx.
+  // write, exactly execOp's read-then-commit order), then chain. The
+  // absolute pc write rebases r14. Leaves the target payload in rcx.
   auto emitCommit = [&](const MicroOp &M) {
     A.movupsXM(0, RBX, cellC(DIdx));
     A.movupsXM(1, RBX, cellC(M.Rd));
@@ -395,6 +379,7 @@ std::unique_ptr<JitProgram> vm::emitJitProgram(const DecodedProgram &P) {
     A.movupsMX(RBX, cellC(PcBIdx), 1);
     A.movM8I(RBX, cellC(DIdx), (uint8_t)Color::Green);
     A.movMI32s(RBX, cellN(DIdx), 0);
+    A.movRR64(R14, R13);
     emitChain();
   };
 
@@ -404,14 +389,14 @@ std::unique_ptr<JitProgram> vm::emitJitProgram(const DecodedProgram &P) {
     const MicroOp &M = P.opAtSlot(Slot);
     int32_t Addr32 = (int32_t)(P.base() + (int64_t)Slot);
 
-    // Boundary: exit address, budget — either hit side-exits; the
-    // driver re-runs the per-mode ordering.
+    // Boundary: exit address (held in r15), then the budget, claimed and
+    // checked in one subtraction — either hit side-exits; the driver
+    // re-runs the per-mode ordering.
     BoundaryOff[Slot] = (uint32_t)A.off();
-    A.cmpMI32(R12, FrExit, Addr32);
+    A.cmpRI32(R15, Addr32);
     A.jccTo(CcE, Epi);
-    A.cmpRI8(R13, 2);
-    A.jccTo(CcB, Epi);
     A.subRI8(R13, 2);
+    A.jccTo(CcB, EpiBudget);
 
     BodyOff[Slot] = (uint32_t)A.off();
     bool FallsThrough = true;
@@ -427,7 +412,6 @@ std::unique_ptr<JitProgram> vm::emitJitProgram(const DecodedProgram &P) {
         A.subRM64(RAX, RBX, cellN(M.Rt));
       else
         A.imulRM64(RAX, RBX, cellN(M.Rt));
-      emitPcBump();
       A.movMR64(RBX, cellN(M.Rd), RAX);
       A.movM8Cl(RBX, cellC(M.Rd));
       break;
@@ -442,12 +426,10 @@ std::unique_ptr<JitProgram> vm::emitJitProgram(const DecodedProgram &P) {
         A.subRR64(RAX, RCX);
       else
         A.imulRR64(RAX, RCX);
-      emitPcBump();
       A.movMR64(RBX, cellN(M.Rd), RAX);
       A.movM8I(RBX, cellC(M.Rd), (uint8_t)M.ImmC);
       break;
     case MicroOpKind::Mov:
-      emitPcBump();
       A.movRI64(RAX, (uint64_t)M.ImmN);
       A.movMR64(RBX, cellN(M.Rd), RAX);
       A.movM8I(RBX, cellC(M.Rd), (uint8_t)M.ImmC);
@@ -473,17 +455,15 @@ std::unique_ptr<JitProgram> vm::emitJitProgram(const DecodedProgram &P) {
       A.cmpMI8(RBX, cellN(DIdx), 0);
       A.jccTo(CcNE, EpiFault);
       A.movupsXM(0, RBX, cellC(M.Rd));
-      emitPcBump();
       A.movupsMX(RBX, cellC(DIdx), 0);
       break;
     case MicroOpKind::BzG: {
       // d must be 0 on both arms; the taken arm additionally arms d with
-      // rd's (pre-bump) cell.
+      // rd's cell.
       A.cmpMI8(RBX, cellN(DIdx), 0);
       A.jccTo(CcNE, EpiFault);
       A.movRM64(RAX, RBX, cellN(M.Rs));
       A.movupsXM(0, RBX, cellC(M.Rd));
-      emitPcBump();
       A.testRR64(RAX, RAX);
       size_t Skip = A.jccFwd(CcNE);
       A.movupsMX(RBX, cellC(DIdx), 0);
@@ -514,7 +494,6 @@ std::unique_ptr<JitProgram> vm::emitJitProgram(const DecodedProgram &P) {
       A.patch(Untaken);
       A.testRR64(RCX, RCX);
       A.jccTo(CcNE, EpiFault);
-      emitPcBump();
       break;
     }
     }

@@ -14,8 +14,18 @@
 ///     array (rbx points at cell 0; cell i's color byte is at i*16 and its
 ///     payload at i*16+8), so states remain bit-compatible with every
 ///     other engine and a side-exit needs no register reconstruction;
-///   - every boundary re-checks, in order, the exit address and the 2-step
-///     budget, side-exiting to the C++ driver whenever either needs
+///   - the program counters are the one exception: native code never
+///     bumps them. Every instruction advances both pcs by one and claims
+///     two budget steps, so the pcs are the last absolute pc write plus
+///     half the budget spent since. r14 pins the budget at that write (on
+///     entry, the budget before the driver's pre-claim of the entry
+///     instruction; after a jmpB or taken bzB commit, the budget there),
+///     and the shared boundary-exit tail adds (r14 - r13) / 2 to both pc
+///     cells. pcs are therefore materialized only at exits, and a slot
+///     whose operands name a pc gets no template (supportedOp);
+///   - every boundary re-checks, in order, the exit address (pinned in
+///     r15) and the 2-step budget (claimed and tested by one subtraction
+///     from r13), side-exiting to the C++ driver whenever either needs
 ///     attention (the driver re-evaluates the full per-mode boundary
 ///     contract, so run / replaySteps / runContinuation ordering semantics
 ///     live in exactly one place);
@@ -24,8 +34,9 @@
 ///   - loads and stores call out to C++ helpers that reuse the store
 ///     queue and memory abstractions.
 ///
-/// Faults side-exit with a distinct reason; the driver then installs the
-/// canonical fault state, so no template ever needs to build one.
+/// Faults side-exit with a distinct reason and skip the pc tail; the
+/// driver then installs the canonical fault state, so no template ever
+/// needs to build one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,9 +59,13 @@ namespace talft::vm {
 /// The spilled execution context shared between the driver and emitted
 /// code. Field offsets are part of the emitter ABI (asserted in the
 /// implementation); the emitted prologue pins Cells in rbx, this frame in
-/// r12, Remaining in r13 and Entries in rbp.
+/// r12, Remaining in r13, the budget at the last absolute pc write in r14,
+/// ExitAddr in r15 and Entries in rbp.
 struct JitFrame {
-  /// The state's dense register cells (RegisterFile::rawCells()).
+  /// The state's dense register cells (RegisterFile::rawCells()). While
+  /// native code runs, the pc cells lag behind: they are brought up to
+  /// date when it returns at a boundary (a fault exit leaves them for the
+  /// driver's fault state).
   Value *Cells = nullptr;
   /// Remaining step budget, *after* the driver pre-claims the entry
   /// instruction's two transitions. Written back on exit.

@@ -14,6 +14,10 @@
 /// Single transitions (inherited instruction registers, odd budget tails,
 /// the rare untemplated op) go through the embedded vm engine's step(), so
 /// rule names and mid-instruction states are inherited, not re-derived.
+/// Native code keeps the program counters implicit and writes them back
+/// only when it returns (see JitEmitter.h), so the driver reads
+/// materialized pcs at every boundary; nothing outside native code may
+/// observe the state mid-run, and the output sinks below do not.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -227,6 +227,82 @@ TEST(ConvergenceFold, StrategySelectionFoldsOnFig10) {
   EXPECT_GT(CfiLaneTasks, 0u);
 }
 
+// Batch composition never changes a continuation's outcome. The replay
+// walks up to 64 corruption values of a site together; sharding the task
+// list changes which values share a walk, and one task per shard makes
+// every walk a batch of one, the per-value walk. Folded, the shards must
+// reproduce the whole campaign's table, violations and every convergence
+// counter: for every Figure 10 kernel at stride steps/4 cut into 7 shards
+// (which split site batches mid-site), on the vm (lane groups) and on the
+// JIT (native scalar continuations), and for a small kernel whose walks
+// lose lanes at different events, one task per shard.
+TEST(ConvergenceFold, ShardCutSiteBatchesFold) {
+  auto ExpectFold = [](const Program &P, const TheoremConfig &Config,
+                       const ExecEngine &E, unsigned Shards,
+                       const std::string &At) {
+    CampaignOptions Opts;
+    Opts.Engine = &E;
+    Opts.Threads = 4;
+    CampaignResult Whole = runSingleFaultCampaign(P, Config, Opts);
+    ASSERT_TRUE(Whole.Stats.Converge) << At;
+    if (!Shards)
+      Shards = (unsigned)Whole.Stats.TotalTasks;
+    CampaignResult Acc;
+    Opts.ShardCount = Shards;
+    for (unsigned I = 0; I != Shards; ++I) {
+      Opts.ShardIndex = I;
+      CampaignResult Shard = runSingleFaultCampaign(P, Config, Opts);
+      if (I == 0)
+        Acc = std::move(Shard);
+      else
+        foldShardResult(Acc, Shard);
+    }
+    const CampaignStats &A = Acc.Stats, &W = Whole.Stats;
+    EXPECT_EQ(Acc.Table, Whole.Table) << At;
+    EXPECT_EQ(Acc.Violations, Whole.Violations) << At;
+    EXPECT_EQ(A.EarlyExits, W.EarlyExits) << At;
+    EXPECT_EQ(A.WindowSum, W.WindowSum) << At;
+    EXPECT_EQ(A.MaxWindow, W.MaxWindow) << At;
+    EXPECT_EQ(A.StepsSaved, W.StepsSaved) << At;
+    EXPECT_EQ(A.LockstepSkips, W.LockstepSkips) << At;
+    EXPECT_EQ(A.LockstepSteps, W.LockstepSteps) << At;
+  };
+
+  for (const wile::Kernel &K : wile::benchmarkKernels()) {
+    TypeContext TC;
+    DiagnosticEngine Diags;
+    Expected<wile::CompiledProgram> CP = wile::compileWile(
+        TC, K.Source.c_str(), wile::CodegenMode::FaultTolerant, Diags);
+    ASSERT_TRUE(bool(CP)) << K.Name << ": " << CP.message();
+    const Program &P = CP->Prog;
+    vm::Engine Vm(P.code());
+    vm::JitEngine Jit(P.code());
+    Expected<MachineState> S0 = P.initialState();
+    ASSERT_TRUE(bool(S0)) << K.Name;
+    MachineState S = *S0;
+    TheoremConfig Config;
+    RunResult Ref = Vm.run(S, P.exitAddress(), Config.MaxSteps, Config.Policy);
+    ASSERT_EQ(Ref.Status, RunStatus::Halted) << K.Name;
+    Config.InjectionStride = std::max<uint64_t>(1, Ref.Steps / 4);
+    ExpectFold(P, Config, Vm, 7, K.Name + " engine=vm");
+    ExpectFold(P, Config, Jit, 7, K.Name + " engine=jit");
+  }
+
+  TypeContext TC;
+  DiagnosticEngine Diags;
+  Expected<wile::CompiledProgram> CP = wile::compileWile(
+      TC,
+      "var n = 3; var acc = 0;\n"
+      "while (n != 0) { acc = acc + n * n; n = n - 1; }\n"
+      "output(acc);\n",
+      wile::CodegenMode::FaultTolerant, Diags);
+  ASSERT_TRUE(bool(CP)) << CP.message();
+  vm::Engine Vm(CP->Prog.code());
+  TheoremConfig Config;
+  Config.InjectionStride = 7;
+  ExpectFold(CP->Prog, Config, Vm, 0, "sum of squares, one task per shard");
+}
+
 // The differential replay's event set, pinned through the convergence
 // counters of every Figure 10 kernel on the vm engine at stride steps/4.
 // The counters follow from which reference records the replay visits and

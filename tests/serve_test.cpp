@@ -118,6 +118,14 @@ void expectSameCampaign(const CampaignResult &A, const CampaignResult &B,
   EXPECT_EQ(A.ReferenceSteps, B.ReferenceSteps) << At;
   EXPECT_EQ(A.StatesTypechecked, B.StatesTypechecked) << At;
   EXPECT_EQ(A.ProgramHash, B.ProgramHash) << At;
+  // The convergence counters fold by sum and max, so they are
+  // shard-invariant too.
+  EXPECT_EQ(A.Stats.EarlyExits, B.Stats.EarlyExits) << At;
+  EXPECT_EQ(A.Stats.WindowSum, B.Stats.WindowSum) << At;
+  EXPECT_EQ(A.Stats.MaxWindow, B.Stats.MaxWindow) << At;
+  EXPECT_EQ(A.Stats.StepsSaved, B.Stats.StepsSaved) << At;
+  EXPECT_EQ(A.Stats.LockstepSkips, B.Stats.LockstepSkips) << At;
+  EXPECT_EQ(A.Stats.LockstepSteps, B.Stats.LockstepSteps) << At;
 }
 
 // Contract 1: the deterministic shard partition folds back to the

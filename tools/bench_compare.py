@@ -13,6 +13,11 @@ kernels are held to the looser --kernel-threshold (default 35) because a
 single short kernel is far noisier than the whole sweep. Exactness flags
 (tables_identical) are hard failures regardless of thresholds.
 
+Beside each ratio the report prints both of its sides in absolute seconds
+(full/accel, scalar/lanes, vm/jit or cold/warm), for the baseline and the
+current report. They are not gated, but they tell a falling ratio whose
+denominator got faster from one whose numerator got slower.
+
 Exit status: 0 = no regression, 1 = regression or exactness failure,
 2 = malformed/mismatched reports.
 
@@ -49,6 +54,21 @@ def load(path):
 def speedup_of(obj):
     """The self-normalizing ratio a report row carries."""
     return obj.get("speedup")
+
+
+# The (numerator, denominator) seconds behind each benchmark's ratio.
+SECONDS_PAIRS = [("full", "accel"), ("scalar", "lanes"), ("vm", "jit"),
+                 ("cold", "warm")]
+
+
+def seconds_of(obj):
+    """Both sides of a row's ratio in seconds, e.g. 'vm 0.73 s / jit
+    0.26 s', or '' when the row carries neither pair."""
+    for num, den in SECONDS_PAIRS:
+        a, b = obj.get(f"{num}_seconds"), obj.get(f"{den}_seconds")
+        if a is not None and b is not None:
+            return f"{num} {a:.4g} s / {den} {b:.4g} s"
+    return ""
 
 
 def main():
@@ -100,6 +120,9 @@ def main():
             bad = True
         print(f"  {label:<16} baseline {bs:6.2f}x  current {cs:6.2f}x  "
               f"({delta:+.1f}%)  {marker}")
+        bsec, csec = seconds_of(b), seconds_of(c)
+        if bsec or csec:
+            print(f"  {'':<16} baseline {bsec or '-'}  current {csec or '-'}")
 
     print(f"{name}: speedup vs {args.baseline}")
     base_kernels = {k.get("name"): k for k in base.get("kernels", [])}
