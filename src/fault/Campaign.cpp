@@ -260,52 +260,82 @@ struct PrefixTracker {
 /// execute transitions are exactly the even step indices and the record
 /// of execute step k lives at index k/2 - 1.
 ///
-/// A record *accesses* a superset of the registers whose payload or color
-/// can influence its transition or be written by it: the instruction's
-/// named operands (Rt only without an immediate), plus d for control flow
-/// (jmp and bz read and write it). Fetch transitions read only the pcs,
-/// which never carry taint (instruction operands are general registers,
-/// and a pc site never enters the replay). Over-approximating the access
-/// set only adds events; missing a genuine access would be unsound, so the
-/// superset property is what the fold oracles pin down: the ConvergenceFold
-/// tests (tests/convergence_test.cpp) at injection strides 1 and 2 and on
-/// every Figure 10 kernel, together with the replay's event-set counters
-/// pinned there.
+/// A record *accesses* exactly the registers its transition reads or
+/// writes: an ALU op Rd, Rs and Rt (Rt only without an immediate), mov
+/// Rd, ld and st Rd and Rs, bz Rd, Rs and d, jmp Rd and d. Unused operand
+/// slots hold Reg(), which is r0, so naming every slot would make r0 —
+/// the green copy of a Wile kernel's first variable — an access of almost
+/// every record. Fetch transitions read only the pcs, which never carry
+/// taint (instruction operands are general registers, and a pc site never
+/// enters the replay). A missing access would be unsound, so the access
+/// sets are what the fold oracles pin down: the ConvergenceFold tests
+/// (tests/convergence_test.cpp) at injection strides 1 and 2 and on every
+/// Figure 10 kernel, together with the replay's event-set counters pinned
+/// there.
 struct ExecRec {
   static constexpr uint32_t None = ~uint32_t{0};
   static constexpr uint8_t DenseD = NumGeneralRegs;
   static_assert(Reg::NumRegs <= 256, "dense register indices fit a byte");
+  /// The link slot a st record leaves free, holding the stG partner.
+  static constexpr unsigned PartnerSlot = 2;
 
-  /// The instruction's opcode and the dense indices of its operand
+  /// The instruction's opcode, color and the dense indices of its operand
   /// registers; an immediate operand is SrcRt. (Not the whole Inst: the
   /// recording holds one record per executed instruction, so every byte
   /// here counts on long reference runs.)
   Opcode Op = Opcode::Mov;
   bool HasImm = false;
   uint8_t Rd = 0, Rs = 0, Rt = 0;
+  Color C = Color::Green;
+  /// bz only: col(Rd) == col(d) before the step, so a green branch the
+  /// faulty run takes differently leaves d's color the reference's.
+  bool TargetColorIsD = false;
   /// Per access slot (Rd, Rs, Rt, d), the index of the next record that
-  /// accesses the same register, or None. Set by ConvergenceRecorder::link;
-  /// the slots of registers the record does not access are unused.
+  /// accesses the same register, or None. Set by ConvergenceRecorder::link.
+  /// A stG record's PartnerSlot holds its partner instead: the stB record
+  /// that pops its queue entry, provided no ld or control record lies
+  /// strictly between them (None otherwise).
   std::array<uint32_t, 4> Next = {None, None, None, None};
-  /// Pre-step val(Rs) — the ALU first operand, the Ld/St address/value
-  /// source, or the Bz test register (rz == Rs).
+  /// Pre-step val(Rs) — the ALU first operand, the ld address, the st
+  /// value, or the bz test register (rz == Rs).
   int64_t SrcRs = 0;
   /// Pre-step val(Rt), or the immediate payload under HasImm.
   int64_t SrcRt = 0;
-  /// Post-step val(Rd) (the written result for Alu/Mov/Ld; stale
-  /// otherwise).
+  /// Post-step val(Rd): the written result for alu/mov/ld, the st address
+  /// and the bz/jmp target (those never write Rd).
   int64_t Result = 0;
+
+  uint32_t partner() const { return Next[PartnerSlot]; }
 
   /// Calls \p F(Slot, DenseReg) for every register the record accesses.
   template <typename Fn> void forEachAccess(Fn F) const {
     F(0, Rd);
-    F(1, Rs);
-    if (!HasImm)
-      F(2, Rt);
-    if (Op == Opcode::Jmp || Op == Opcode::Bz)
+    switch (Op) {
+    case Opcode::Mov:
+      return;
+    case Opcode::Jmp:
       F(3, DenseD);
+      return;
+    case Opcode::Bz:
+      F(1, Rs);
+      F(3, DenseD);
+      return;
+    case Opcode::Ld:
+    case Opcode::St:
+      F(1, Rs);
+      return;
+    case Opcode::Add:
+    case Opcode::Sub:
+    case Opcode::Mul:
+      F(1, Rs);
+      if (!HasImm)
+        F(2, Rt);
+      return;
+    }
   }
 };
+static_assert(sizeof(ExecRec) == 48,
+              "one record per executed instruction: keep it at 48 bytes");
 
 /// The faulty payloads of a bailed differential replay: (dense register
 /// index, value) pairs for exactly the registers whose payload differs
@@ -334,13 +364,35 @@ void patchTaint(MachineState &S, const TaintMap &T) {
   }
 }
 
-/// One task's differential-replay outcome, written by the classifier and
-/// merged deterministically after the parallel phase.
-struct ConvergenceHit {
-  bool Hit = false;
-  uint64_t Window = 0; ///< Steps from injection to the taint draining.
-  uint64_t Saved = 0;  ///< Reference-tail steps skipped by the early exit.
-  uint64_t Skipped = 0; ///< Lockstep-prefix steps discharged unsimulated.
+/// The differential replay's counters over some set of tasks; sums, so
+/// blocks merge them in any order (CampaignStats has the meanings).
+struct ConvergenceSums {
+  uint64_t EarlyExits = 0, WindowSum = 0, MaxWindow = 0, StepsSaved = 0;
+  uint64_t LockstepSkips = 0, LockstepSteps = 0;
+
+  /// A task whose taint drained \p Window steps after the injection,
+  /// skipping \p Saved reference-tail steps.
+  void earlyExit(uint64_t Window, uint64_t Saved) {
+    ++EarlyExits;
+    WindowSum += Window;
+    MaxWindow = std::max(MaxWindow, Window);
+    StepsSaved += Saved;
+  }
+  /// A task whose replay discharged \p Steps lockstep steps unsimulated.
+  void skip(uint64_t Steps) {
+    if (!Steps)
+      return;
+    ++LockstepSkips;
+    LockstepSteps += Steps;
+  }
+  void merge(const ConvergenceSums &O) {
+    EarlyExits += O.EarlyExits;
+    WindowSum += O.WindowSum;
+    MaxWindow = std::max(MaxWindow, O.MaxWindow);
+    StepsSaved += O.StepsSaved;
+    LockstepSkips += O.LockstepSkips;
+    LockstepSteps += O.LockstepSteps;
+  }
 };
 
 /// Phase-1 collector for the differential replay: the executed-instruction
@@ -358,6 +410,10 @@ struct ConvergenceRecorder {
   /// Per injection snapshot of the campaign, the first record at or after
   /// it that accesses each dense register, or ExecRec::None.
   std::vector<std::array<uint32_t, Reg::NumRegs>> FirstAccess;
+  /// Every address a load of the reference run could find defined, sorted
+  /// and unique: the initial memory domain and queue addresses, and every
+  /// store address of the run. A load from any other address is wild.
+  std::vector<Addr> Loadable;
 
   /// Fixes the stride and reserves the recording of a \p RefSteps-step
   /// reference run.
@@ -389,6 +445,8 @@ struct ConvergenceRecorder {
     Rec.Rd = (uint8_t)I.Rd.denseIndex();
     Rec.Rs = (uint8_t)I.Rs.denseIndex();
     Rec.Rt = (uint8_t)I.Rt.denseIndex();
+    Rec.C = I.C;
+    Rec.TargetColorIsD = S.Regs.col(I.Rd) == S.Regs.col(Reg::dest());
     Rec.SrcRs = S.Regs.val(I.Rs);
     Rec.SrcRt = I.HasImm ? I.Imm.N : S.Regs.val(I.Rt);
     Execs.push_back(Rec);
@@ -407,16 +465,56 @@ struct ConvergenceRecorder {
     Snaps.push_back({S, Steps, TraceLen});
   }
 
-  /// The backward pass over the finished recording: links every record to
-  /// the next record accessing each register it accesses, and fills
+  /// The passes over the finished recording of a run that ended in
+  /// \p Final. A forward pass pairs every stB with the stG whose entry it
+  /// pops (the queue is FIFO: stG pushes the front, stB pops the back, and
+  /// the reference never fails a check). A backward pass links every record
+  /// to the next record accessing each register it accesses, and fills
   /// FirstAccess for the campaign's injection snapshots \p Inject. A
   /// snapshot at step s is followed first by the record of execute step
   /// 2 * (s/2 + 1), index s/2.
-  void link(const std::vector<UntypedSnapshot> &Inject) {
+  void link(const std::vector<UntypedSnapshot> &Inject,
+            const MachineState &Final) {
     if (!Enabled)
       return;
     // 2^32 records would be 192 GiB; sizeFor's reservation fails first.
     assert(Execs.size() < ExecRec::None && "record index overflows a link");
+    // Memory grows only by stB commits, and every queued entry is either
+    // still queued at the end or committed, so the final memory domain and
+    // queue hold every loadable address.
+    for (const auto &[A, V] : Final.Mem)
+      Loadable.push_back(A);
+    for (const QueueEntry &Q : Final.Queue)
+      Loadable.push_back(Q.Address);
+    std::sort(Loadable.begin(), Loadable.end());
+    Loadable.erase(std::unique(Loadable.begin(), Loadable.end()),
+                   Loadable.end());
+
+    // The stG records whose entries are queued, oldest first; entries
+    // queued before the run have no record.
+    std::vector<uint32_t> Pending(Snaps.front().S.Queue.size(), ExecRec::None);
+    size_t Oldest = 0;
+    uint32_t LastLdOrControl = ExecRec::None;
+    for (uint32_t I = 0; I != (uint32_t)Execs.size(); ++I) {
+      ExecRec &Rec = Execs[I];
+      if (Rec.Op == Opcode::Ld || Rec.Op == Opcode::Jmp ||
+          Rec.Op == Opcode::Bz) {
+        LastLdOrControl = I;
+      } else if (Rec.Op == Opcode::St && Rec.C == Color::Green) {
+        Pending.push_back(I);
+      } else if (Rec.Op == Opcode::St) {
+        assert(Oldest != Pending.size() && "the reference stB found no entry");
+        uint32_t G = Pending[Oldest++];
+        if (G != ExecRec::None &&
+            (LastLdOrControl == ExecRec::None || LastLdOrControl < G))
+          Execs[G].Next[ExecRec::PartnerSlot] = I;
+        if (Oldest == Pending.size()) {
+          Pending.clear();
+          Oldest = 0;
+        }
+      }
+    }
+
     std::array<uint32_t, Reg::NumRegs> Next;
     Next.fill(ExecRec::None);
     FirstAccess.resize(Inject.size());
@@ -441,31 +539,34 @@ private:
 /// The replay's progress gate: once a continuation has seen GateEvents
 /// events, it bails to concrete simulation unless they discharged at least
 /// GateStepsPerEvent reference steps each. With the gate off, an event
-/// costs 6.8-7.2 cycles per continuation it touches on the fig10 sweeps
-/// below (about 160 per event of a site walk, which touches 38-40 on
-/// average; walk setup included), against 0.8-4.7 cycles per fused native
-/// JIT step and 5.0-9.7 per vm step, so dense taint is still cheaper to
-/// simulate than to replay. Chosen by an interleaved sweep over both
-/// default paths on the fifteen Figure 10 kernels (pruned jit at stride
-/// steps/24; unpruned vm with lanes at steps/6, one thread), two runs of
-/// ten rounds on a 4-vCPU x86-64 VM, median injection seconds per path
-/// over all twenty rounds. No candidate lowers both totals against
-/// (8, 16): the step-8 and step-16 gates tie within noise (interquartile
-/// ranges of about 0.06 s on jit and 0.04 s on vm), and (8, 4) and
-/// (8, 32) make some kernel's median rise by more than its interquartile
-/// range:
+/// of a site walk costs about 200-260 cycles on the fig10 sweeps below
+/// (9-11 per continuation it touches, about 23 per event; walk setup
+/// included), against 0.8-4.7 cycles per fused native JIT step and
+/// 5.0-9.7 per vm step, so dense taint is still cheaper to simulate than
+/// to replay. Chosen by an interleaved sweep over both default paths on
+/// the fifteen Figure 10 kernels (pruned jit at stride steps/24; unpruned
+/// vm with lanes at steps/6, one thread), two runs of sixteen rounds on a
+/// 4-vCPU x86-64 VM, median injection seconds per path in each run (the
+/// ratios are per-kernel medians against (8, 16)):
 ///
-///   (GateEvents, GateStepsPerEvent)   jit    vm
-///   (8, 16)                           0.180  0.089
-///   (8, 8)                            0.177  0.110
-///   (16, 16)                          0.168  0.102
-///   (8, 4)                            0.235  0.088  (jit: crafty 1.9x,
-///                                                    g721 1.7x, adpcm 1.4x)
-///   (8, 32)                           0.263  0.114  (parser 5.8x jit,
-///                                                    4.6x vm; vortex 1.9x)
+///   (GateEvents, GateStepsPerEvent)   jit          vm
+///   (8, 16)                           0.135/0.140  0.057/0.059
+///   (8, 8)                            0.141/0.146  0.057/0.057
+///   (16, 16)                          0.131/0.132  0.053/0.056
+///   (8, 4)                            0.162/0.163  0.046/0.044  (jit:
+///                                          crafty 1.7x, g721 1.5x)
+///   (8, 32)                           0.242/0.257  0.110/0.103  (parser
+///                                          5.3x jit, 5.6x vm; vortex 3.8x)
+///   off                               0.154/0.162  0.046/0.044  (jit:
+///                                          crafty 1.7x, g721 1.5x)
+///   more than 4 tainted registers     0.141/0.152  0.061/0.065  (jpeg
+///                                          7x jit)
 ///
-/// The gate pays little: switched off entirely it tied (8, 16) in six
-/// interleaved pairs per path.
+/// (16, 16) lowers both totals within noise, but in two more runs of
+/// twenty-four rounds g721's vm median rose by more than its interquartile
+/// range both times, and g721 is one of the kernels that set the slowest
+/// cold certifications; so (8, 16) stays. Without a gate the vm path is a
+/// fifth faster and the jit path a sixth slower.
 constexpr uint64_t GateEvents = 8;
 constexpr uint64_t GateStepsPerEvent = 16;
 
@@ -516,23 +617,27 @@ struct SiteWalk {
 
 /// Sparse differential replay of one register site's continuations against
 /// the recorded reference instruction stream: the campaign's convergence
-/// shortcut. Faults whose taint drains, long-latency Detected runs and
-/// color-divergent Masked runs all resolve here without stepping the
-/// machine, where full-state simulation would classify them step by step.
+/// shortcut. Faults whose taint drains, runs whose hardware check must
+/// fail, and color-divergent Masked runs all resolve here without stepping
+/// the machine, where full-state simulation would classify them step by
+/// step.
 ///
 /// The soundness backbone is *structural lockstep*: as long as every
 /// register payload that differs from the reference is confined to the
 /// taint set, the faulty run executes exactly the reference's instruction
-/// sequence. Fetches read only the (untainted) pcs; memory changes only
-/// through stB commits, and a commit whose inputs are tainted is never
-/// reached differentially (its stG or stB is an event that bails first),
-/// so memory and queue stay reference-equal throughout; similarly a
-/// control transition bails unless it is a bz that falls through in both
-/// runs with d untainted. Every transition whose accessed registers are
-/// all untainted therefore reads reference values, fires the reference
-/// rule, writes reference values and emits the reference outputs — only
-/// the *events*, the records that access a tainted register, need
-/// attention:
+/// sequence. Taint never touches a color tag: the fault keeps its
+/// register's color, and every rule below that writes a tainted payload
+/// writes the color the reference writes. Fetches read only the
+/// (untainted) pcs; memory changes only through stB commits and the queue
+/// only through stores, and a store with a tainted operand either closes
+/// its lane or bails, so memory and queue stay reference-equal
+/// throughout; a control transition whose outcome differs from the
+/// reference's likewise closes or bails. Every transition whose accessed
+/// registers (ExecRec::forEachAccess) are all untainted therefore reads
+/// reference values, fires the reference rule, writes reference values and
+/// emits the reference outputs — only the *events*, the records that
+/// access a tainted register, need attention. The reference never fails a
+/// check, which fixes what each event's operands are in the reference run:
 ///
 ///   - alu: the faulty result is evalAluOp over the recorded source
 ///     values with taint overrides; equal to the recorded result it
@@ -541,15 +646,43 @@ struct SiteWalk {
 ///     taint unconditionally;
 ///   - ld with an untainted address: reads reference-equal memory (and,
 ///     for ldG, a reference-equal queue), so Rd gets the reference
-///     result, killing its taint; a tainted address bails;
-///   - bz with d untainted that falls through in both runs: a
-///     fall-through reads only the test register and d, so even a
-///     tainted target register is never read; no register writes, taint
-///     unchanged. A branch taken in either run bails;
-///   - everything else (st, jmp, a tainted d) bails to the
-///     concrete classifier.
+///     result, killing its taint. A tainted address outside
+///     ConvergenceRecorder::Loadable is defined neither in memory nor in
+///     the queue: under WildLoadPolicy::Trap the load faults (Detected),
+///     under Garbage Rd takes GarbageValue in the load's color, tainted
+///     iff that differs from the recorded result. Any other tainted
+///     address bails;
+///   - stB: the queue back is the reference entry, which the reference
+///     operands match, so a tainted address or value fails the check
+///     (Detected);
+///   - stG: the lane pushes an entry the reference did not. It is decided
+///     at its partner, the stB that pops it, when (1) no ld or control
+///     record lies strictly between the pair (an ldG could forward the
+///     entry into a register, and the link pass records no partner then),
+///     (2) the lane has no event of its own before the partner, so its
+///     taint is frozen until the partner reads it (an alu event could
+///     retaint the partner's operands), and (3) the entry differs from the
+///     partner's operands as the lane sees them there: then the partner's
+///     check fails (Detected). Otherwise it bails;
+///   - jmpG: the reference d is 0, so a tainted d fails the check
+///     (Detected). Otherwise d takes the target, color and payload, in
+///     both runs: a tainted target moves into d;
+///   - jmpB: the reference d equals the target and is non-zero. Taint on
+///     exactly one of them fails the check (Detected); with both tainted
+///     the lane is Detected if they differ or d is 0, and bails otherwise
+///     (a commit the reference did not make);
+///   - bz: the reference d before the step is the target at a blue taken
+///     branch and 0 otherwise. A lane whose d is non-zero where its
+///     branch requires 0, or differs from the target at a blue branch it
+///     takes, fails the check (Detected). A green branch moves the target
+///     into d where taken: when both runs take it, the target's taint
+///     moves into d; when they take it differently, d takes a payload
+///     difference, which keeps the reference's color only if the recorded
+///     col(Rd) == col(d) (ExecRec::TargetColorIsD), and bails otherwise.
+///     A blue commit the two runs do not share bails; a fall-through in
+///     both runs changes nothing.
 ///
-/// Three ways out per continuation, all verdict-exact against the full
+/// Four ways out per continuation, all verdict-exact against the full
 /// simulation:
 ///
 ///   - the taint set empties: the faulty state now equals the reference
@@ -557,6 +690,8 @@ struct SiteWalk {
 ///   - no tainted register is ever accessed again: the run is lockstep
 ///     to the halt, the trace completes, and the final state is RefFinal
 ///     with the taint patched in — only the similarity check remains;
+///   - a check that must fail: the run faults at the event with the
+///     reference's output prefix behind it — Detected;
 ///   - bail: the outcome holds the step to resume from (just before the
 ///     event) and the taint payloads there. The reference state at that
 ///     step with the taint patched in IS the faulty state there, by the
@@ -565,33 +700,37 @@ struct SiteWalk {
 ///     continuations by resume step and reconstructs each pool's base
 ///     state once.
 ///
+/// A Detected lane counts its lockstep skip as a bail at the same event
+/// would, so the skip counters do not depend on which events settle.
+///
 /// One walk settles up to SiteBatchWidth corruption values of one site,
 /// one lane each. Every lane walks the same reference records, so the
 /// walk keeps one *union* taint (SiteWalk) and visits each event record
 /// once: the next event is the smallest link over the registers tainted
 /// in any lane, and it is an event for exactly the lanes that hold a
-/// tainted register it accesses (ExecRec::forEachAccess), so each lane
-/// sees precisely the event sequence of a walk of its own. A link is a
-/// property of the reference (the next record accessing the register after
-/// the current one), so all lanes share it. Every event re-links each
-/// register it accesses, tainted or not: a register is only ever tainted
-/// again by an alu event that writes it, so its link is current the
-/// moment its mask refills. Lanes never influence each other — the gate
-/// counts each lane's own events and a lane's outcome depends only on its
-/// own payloads — so a batch of one is the single-continuation walk.
+/// tainted register it accesses, so each lane sees precisely the event
+/// sequence of a walk of its own. A link is a property of the reference
+/// (the next record accessing the register after the current one), so all
+/// lanes share it. Every event re-links each register it accesses,
+/// tainted or not: a register is only ever tainted again by an event that
+/// writes it, so its link is current the moment its mask refills. Lanes
+/// never influence each other — the gate counts each lane's own events and
+/// a lane's outcome depends only on its own payloads — so a batch of one
+/// is the single-continuation walk.
 ///
 /// An event costs several native steps per value it touches, so a run
 /// whose taint is touched at nearly every instruction caps its event count
 /// and bails instead of losing the race (see GateEvents above).
-void replaySite(const ConvergenceRecorder &CR, const InjectionTask *Lane,
-                unsigned N, uint64_t InjectedAt, const MachineState &RefFinal,
-                uint64_t RefSteps, ZapTag Z, ConvergenceHit *Hits,
-                SiteWalk &W) {
+void replaySite(const ConvergenceRecorder &CR, const StepPolicy &Policy,
+                const InjectionTask *Lane, unsigned N, uint64_t InjectedAt,
+                const MachineState &RefFinal, uint64_t RefSteps, ZapTag Z,
+                ConvergenceSums &Sums, SiteWalk &W) {
   assert(N && N <= SiteBatchWidth && "a site batch fills one lane mask");
   auto EachLane = [](uint64_t M, auto &&F) {
     for (; M; M &= M - 1)
       F((unsigned)std::countr_zero(M));
   };
+  constexpr unsigned D = ExecRec::DenseD;
   const std::vector<ExecRec> &Execs = CR.Execs;
   uint64_t Open = N == SiteBatchWidth ? ~uint64_t{0} : (uint64_t{1} << N) - 1;
   unsigned Injected = Lane[0].Site.R.denseIndex();
@@ -618,7 +757,7 @@ void replaySite(const ConvergenceRecorder &CR, const InjectionTask *Lane,
       // patched in — identical everywhere else — so the similarity check
       // reduces to the tainted registers; no state copy needed.
       EachLane(Open, [&](unsigned L) {
-        Hits[L].Skipped = RefSteps - InjectedAt;
+        Sums.skip(RefSteps - InjectedAt);
         W.Out[L].V = Verdict::Masked;
         if (RefFinal.isFault())
           return;
@@ -641,6 +780,8 @@ void replaySite(const ConvergenceRecorder &CR, const InjectionTask *Lane,
     uint64_t Step = 2 * (uint64_t(K) + 1);
     uint64_t Ev = 0;
     Rec.forEachAccess([&](unsigned, unsigned R) { Ev |= W.Mask[R]; });
+    Rec.forEachAccess(
+        [&](unsigned Slot, unsigned R) { W.Link[R] = Rec.Next[Slot]; });
 
     // Progress gate: the replay only pays off while events stay sparse.
     // Dense taint (many hot registers) discharges few steps per event;
@@ -663,8 +804,17 @@ void replaySite(const ConvergenceRecorder &CR, const InjectionTask *Lane,
         W.Counts[W.NumCounts++] = {Hit, Events};
       }
     }
+    // The event's lanes split three ways: Go lanes carry on (the switch
+    // updates their taint), Detected lanes fail a check here, and Bail
+    // lanes resume concretely with their taint as it stood before the
+    // event. Only Go lanes' masks and payloads change.
     uint64_t Go = Ev & ~Bail;
-    bool RdWasLive = W.Mask[Rec.Rd] != 0;
+    uint64_t Detected = 0;
+    // Lane L's view of register R: its faulty payload or the reference's.
+    auto View = [&](unsigned L, unsigned R, int64_t Ref) {
+      return W.Mask[R] >> L & 1 ? W.Val[R][L] : Ref;
+    };
+    bool RdWasLive = W.Mask[Rec.Rd] != 0, DWasLive = W.Mask[D] != 0;
     switch (Rec.Op) {
     case Opcode::Add:
     case Opcode::Sub:
@@ -690,60 +840,154 @@ void replaySite(const ConvergenceRecorder &CR, const InjectionTask *Lane,
     case Opcode::Mov:
       W.Mask[Rec.Rd] &= ~Go;
       break;
-    case Opcode::Ld:
-      Bail |= Go & W.Mask[Rec.Rs];
-      Go &= ~W.Mask[Rec.Rs];
-      W.Mask[Rec.Rd] &= ~Go;
-      break;
-    case Opcode::Bz: {
-      // Taken in either run, or a tainted d: bail.
-      uint64_t Stop = Rec.SrcRs == 0 ? Go : Go & W.Mask[ExecRec::DenseD];
-      EachLane(Go & W.Mask[Rec.Rs] & ~Stop, [&](unsigned L) {
-        if (W.Val[Rec.Rs][L] == 0)
-          Stop |= uint64_t{1} << L;
+    case Opcode::Ld: {
+      uint64_t TaintA = Go & W.Mask[Rec.Rs], Wild = 0;
+      EachLane(TaintA, [&](unsigned L) {
+        if (!std::binary_search(CR.Loadable.begin(), CR.Loadable.end(),
+                                W.Val[Rec.Rs][L]))
+          Wild |= uint64_t{1} << L;
       });
-      Bail |= Stop;
-      Go &= ~Stop;
+      Bail |= TaintA & ~Wild;
+      if (Policy.WildLoad == WildLoadPolicy::Trap) {
+        Detected |= Wild;
+        Go &= ~TaintA;
+        W.Mask[Rec.Rd] &= ~Go;
+        break;
+      }
+      Go &= ~(TaintA & ~Wild);
+      uint64_t Garbage = Policy.GarbageValue != Rec.Result ? Wild : 0;
+      EachLane(Garbage,
+               [&](unsigned L) { W.Val[Rec.Rd][L] = Policy.GarbageValue; });
+      W.Mask[Rec.Rd] = (W.Mask[Rec.Rd] & ~Go) | Garbage;
       break;
     }
-    default:
-      Bail |= Go; // st, jmp: hand over to the concrete classifier
+    case Opcode::St: {
+      uint32_t P = Rec.partner();
+      if (Rec.C == Color::Blue) {
+        Detected |= Go;
+      } else if (P == ExecRec::None) {
+        Bail |= Go;
+      } else {
+        const ExecRec &Pop = Execs[P];
+        EachLane(Go, [&](unsigned L) {
+          uint32_t NextEvent = ExecRec::None;
+          for (unsigned I = 0; I != W.NumLive; ++I)
+            if (W.Mask[W.Live[I]] >> L & 1)
+              NextEvent = std::min(NextEvent, W.Link[W.Live[I]]);
+          bool Fails = NextEvent >= P &&
+                       (View(L, Rec.Rd, Rec.Result) !=
+                            View(L, Pop.Rd, Pop.Result) ||
+                        View(L, Rec.Rs, Rec.SrcRs) !=
+                            View(L, Pop.Rs, Pop.SrcRs));
+          (Fails ? Detected : Bail) |= uint64_t{1} << L;
+        });
+      }
       Go = 0;
       break;
     }
+    case Opcode::Jmp: {
+      uint64_t TaintD = W.Mask[D], TaintT = W.Mask[Rec.Rd];
+      if (Rec.C == Color::Green) {
+        Detected |= Go & TaintD;
+        Go &= ~TaintD;
+        // Every remaining lane holds a tainted target.
+        EachLane(Go, [&](unsigned L) { W.Val[D][L] = W.Val[Rec.Rd][L]; });
+        W.Mask[D] |= Go;
+        break;
+      }
+      Detected |= Go & (TaintD ^ TaintT);
+      EachLane(Go & TaintD & TaintT, [&](unsigned L) {
+        int64_t Dest = W.Val[D][L];
+        (Dest == 0 || Dest != W.Val[Rec.Rd][L] ? Detected : Bail) |=
+            uint64_t{1} << L;
+      });
+      Go = 0;
+      break;
+    }
+    case Opcode::Bz: {
+      bool Blue = Rec.C == Color::Blue;
+      bool RefTaken = Rec.SrcRs == 0;
+      int64_t RefT = Rec.Result;
+      int64_t RefD = RefTaken && Blue ? RefT : 0;
+      uint64_t Stop = 0, Moves = 0;
+      EachLane(Go, [&](unsigned L) {
+        uint64_t Bit = uint64_t{1} << L;
+        int64_t Dest = View(L, D, RefD);
+        int64_t T = View(L, Rec.Rd, RefT);
+        // d's payload after a green branch: where the lane's differs from
+        // the reference's, it moves into d's taint.
+        auto MoveIntoD = [&](int64_t Faulty, int64_t Ref) {
+          if (Faulty == Ref)
+            return;
+          W.Val[D][L] = Faulty;
+          Moves |= Bit;
+        };
+        if (View(L, Rec.Rs, Rec.SrcRs) != 0) { // the lane falls through
+          if (Dest != 0)
+            Detected |= Bit;
+          else if (!RefTaken)
+            return;
+          else if (Blue || !Rec.TargetColorIsD)
+            Stop |= Bit;
+          else
+            MoveIntoD(0, RefT);
+        } else if (!Blue) { // the lane takes a green branch
+          if (Dest != 0)
+            Detected |= Bit;
+          else if (RefTaken)
+            MoveIntoD(T, RefT);
+          else if (!Rec.TargetColorIsD)
+            Stop |= Bit;
+          else
+            MoveIntoD(T, 0);
+        } else { // the lane takes a blue branch: it commits iff d == T != 0
+          (Dest == 0 || Dest != T ? Detected : Stop) |= Bit;
+        }
+      });
+      Bail |= Stop;
+      Go &= ~(Detected | Stop);
+      // Continuing lanes reach here with d untainted.
+      W.Mask[D] |= Moves;
+      break;
+    }
+    }
     if (!RdWasLive && W.Mask[Rec.Rd])
       W.Live[W.NumLive++] = Rec.Rd;
+    if (!DWasLive && W.Mask[D])
+      W.Live[W.NumLive++] = D;
 
-    // Bail: resume concretely just before the event (post-fetch, so the
-    // event instruction re-executes for real), with the lane's taint as
-    // it stood before the event.
+    // Detected and bailed lanes stop here, with the same skip accounting:
+    // resume just before the event (post-fetch, so the event instruction
+    // re-executes for real), with the lane's taint as it stood before the
+    // event.
+    uint64_t Resume = Step - 1;
+    uint64_t Skipped =
+        Resume > InjectedAt + MinCountedSkip ? Resume - InjectedAt : 0;
+    EachLane(Detected, [&](unsigned L) {
+      W.Out[L].V = Verdict::Detected;
+      Sums.skip(Skipped);
+    });
     EachLane(Bail, [&](unsigned L) {
       ReplayOutcome &O = W.Out[L];
-      O.Resume = Step - 1;
+      O.Resume = Resume;
       for (unsigned I = 0; I != W.NumLive; ++I) {
         unsigned R = W.Live[I];
         if (W.Mask[R] >> L & 1)
           O.Taint.V.push_back({R, W.Val[R][L]});
       }
-      if (O.Resume > InjectedAt + MinCountedSkip)
-        Hits[L].Skipped = O.Resume - InjectedAt;
+      Sums.skip(Skipped);
     });
     uint64_t Tainted = 0;
     for (unsigned I = 0; I != W.NumLive; ++I)
-      Tainted |= W.Mask[W.Live[I]] &= ~Bail;
+      Tainted |= W.Mask[W.Live[I]] &= ~(Bail | Detected);
     // Drained: the lane's state equals the reference from here on.
     EachLane(Go & ~Tainted, [&](unsigned L) {
-      ConvergenceHit &Hit = Hits[L];
-      Hit.Hit = true;
-      Hit.Window = Step - InjectedAt;
-      Hit.Saved = RefSteps - Step;
-      Hit.Skipped = Step - InjectedAt;
+      Sums.earlyExit(Step - InjectedAt, RefSteps - Step);
+      Sums.skip(Step - InjectedAt);
       W.Out[L].V = Verdict::Masked;
     });
     Open = Tainted;
 
-    Rec.forEachAccess(
-        [&](unsigned Slot, unsigned R) { W.Link[R] = Rec.Next[Slot]; });
     unsigned Kept = 0;
     for (unsigned I = 0; I != W.NumLive; ++I)
       if (W.Mask[W.Live[I]])
@@ -757,13 +1001,13 @@ void replaySite(const ConvergenceRecorder &CR, const InjectionTask *Lane,
       Cnt.Lanes &= Open;
       if (!Cnt.Lanes)
         continue;
-      unsigned D = 0;
-      while (D != Kept && W.Counts[D].Events != Cnt.Events)
-        ++D;
-      if (D == Kept)
+      unsigned Dst = 0;
+      while (Dst != Kept && W.Counts[Dst].Events != Cnt.Events)
+        ++Dst;
+      if (Dst == Kept)
         W.Counts[Kept++] = Cnt;
       else
-        W.Counts[D].Lanes |= Cnt.Lanes;
+        W.Counts[Dst].Lanes |= Cnt.Lanes;
     }
     W.NumCounts = Kept;
   }
@@ -1209,8 +1453,9 @@ struct LaneScratch {
 ///     its vm fallback) they would replace one native entry per
 ///     continuation with interpreted lanes.
 ///
-/// Per-task result slots keep the merge deterministic regardless of how
-/// tasks were pooled and grouped.
+/// Each block accumulates its own results (BlockResult); merging them in
+/// block order, with each block's violations sorted by task, keeps the
+/// merge deterministic regardless of how tasks were pooled and grouped.
 void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
                           const CampaignOptions &Opts,
                           const std::vector<InjectionTask> &Tasks,
@@ -1245,16 +1490,21 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
   }
   Addr ExitAddr = Prog.exitAddress();
 
-  std::vector<uint8_t> Verdicts(Tasks.size(), 0);
-  std::vector<std::string> Details(Tasks.size());
-  std::vector<RecoveryStats> TaskStats(Recover ? Tasks.size() : 0);
-  std::vector<ConvergenceHit> Hits(DiffReplay ? Tasks.size() : 0);
-  auto Settle = [&](uint64_t I, Verdict V) {
-    Verdicts[I] = (uint8_t)V;
+  // One block's results: sums, plus its violations keyed by task.
+  struct BlockResult {
+    VerdictTable Table;
+    std::vector<std::pair<uint64_t, std::string>> Violations;
+    RecoveryStats Recovery;
+    ConvergenceSums Convergence;
+    uint64_t LaneGroups = 0, LaneTasks = 0, LaneDeviations = 0, LaneSteps = 0;
+  };
+  auto Settle = [&](BlockResult &BR, uint64_t I, Verdict V) {
+    BR.Table[V] += 1;
     if (!isBenign(V)) {
       const InjectionTask &T = Tasks[I];
-      Details[I] = describeInjection(T.Site, T.Value, Snaps[T.SnapIdx].Steps,
-                                     abnormalMessage(V));
+      BR.Violations.emplace_back(
+          I, describeInjection(T.Site, T.Value, Snaps[T.SnapIdx].Steps,
+                               abnormalMessage(V)));
     }
   };
   auto ZapOf = [&](const InjectionTask &T) {
@@ -1273,10 +1523,7 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
     Blocks.push_back({I, J});
     I = J;
   }
-  struct LaneBlockStats {
-    uint64_t Groups = 0, LaneTasks = 0, Deviations = 0, Steps = 0;
-  };
-  std::vector<LaneBlockStats> BlockStats(Blocks.size());
+  std::vector<BlockResult> Results(Blocks.size());
 
   // A task waiting to run from reference step Resume: with an empty Taint
   // it injects its fault there (the injection step), otherwise it bailed
@@ -1298,16 +1545,18 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
   // \p At with \p TraceLen reference outputs behind it. The engine's
   // runContinuation checks the exit before the budget, like the serial
   // checker, so verdicts agree bit for bit with it on every engine.
-  auto RunScalar = [&](const Waiting &W, const MachineState &Base,
-                       uint64_t At, size_t TraceLen) {
+  auto RunScalar = [&](BlockResult &BR, const Waiting &W,
+                       const MachineState &Base, uint64_t At,
+                       size_t TraceLen) {
     const InjectionTask &T = Tasks[W.Task];
     if (Recover) {
       RecoveredOutcome O = classifyRecoveringContinuation(
           E, ExitAddr, Config.Policy, Config.Recovery, Config.ExtraSteps,
           RefTrace, RefFinal, RefSteps, Base, At, TraceLen, T.Site, T.Value);
-      Verdicts[W.Task] = (uint8_t)O.V;
-      Details[W.Task] = std::move(O.Detail);
-      TaskStats[W.Task] = O.Stats;
+      BR.Table[O.V] += 1;
+      if (!O.Detail.empty())
+        BR.Violations.emplace_back(W.Task, std::move(O.Detail));
+      BR.Recovery.merge(O.Stats);
       return;
     }
     MachineState S = Base;
@@ -1316,16 +1565,17 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
     RunStatus St = E.runContinuation(
         S, ExitAddr, RefSteps - At + Config.ExtraSteps, Config.Policy,
         [&Prefix](const QueueEntry &Out) { Prefix.track(Out); });
-    Settle(W.Task, verdictForStatus(St, Prefix, RefTrace, ZapOf(T), S,
-                                    RefFinal));
+    Settle(BR, W.Task,
+           verdictForStatus(St, Prefix, RefTrace, ZapOf(T), S, RefFinal));
   };
 
   // One lockstep lane group of \p N waiting tasks, every lane \p Base at
   // reference step \p At with its own fault placed, over the base's value
   // memory; each lane's outcome maps through the shared verdict logic.
-  auto RunGroup = [&](LaneScratch &SC, const Waiting *const *Ws, unsigned N,
-                      const MachineState &Base, uint64_t At, size_t TraceLen,
-                      LaneBlockStats &BS) {
+  auto RunGroup = [&](BlockResult &BR, LaneScratch &SC,
+                      const Waiting *const *Ws, unsigned N,
+                      const MachineState &Base, uint64_t At,
+                      size_t TraceLen) {
     SC.Prefixes.clear();
     for (unsigned L = 0; L != N; ++L) {
       SC.Zs[L] = ZapOf(Tasks[Ws[L]->Task]);
@@ -1342,20 +1592,21 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
     };
     LE->run(SC.States.data(), N, GSpec, SC.Outs.data(), SC.Bank);
 
-    ++BS.Groups;
+    ++BR.LaneGroups;
     for (unsigned L = 0; L != N; ++L) {
       const LaneOutcome &Out = SC.Outs[L];
-      Settle(Ws[L]->Task,
+      Settle(BR, Ws[L]->Task,
              verdictForStatus(Out.Status, SC.Prefixes[L], RefTrace, SC.Zs[L],
                               SC.States[L], RefFinal));
-      ++BS.LaneTasks;
-      BS.Deviations += Out.Deviated;
-      BS.Steps += Out.GroupSteps;
+      ++BR.LaneTasks;
+      BR.LaneDeviations += Out.Deviated;
+      BR.LaneSteps += Out.GroupSteps;
     }
   };
 
   auto RunBlock = [&](uint64_t B) -> uint64_t {
     const Block &Blk = Blocks[B];
+    BlockResult &BR = Results[B];
     const UntypedSnapshot &Snap = Snaps[Tasks[Blk.Begin].SnapIdx];
 
     // Settle. A site's corruption values are adjacent in enumeration
@@ -1376,12 +1627,12 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
              Tasks[J].Site.K == FaultSite::Kind::Register &&
              Tasks[J].Site.R == T.Site.R)
         ++J;
-      replaySite(CR, &Tasks[I], (unsigned)(J - I), Snap.Steps, RefFinal,
-                 RefSteps, ZapOf(T), &Hits[I], Walk);
+      replaySite(CR, Config.Policy, &Tasks[I], (unsigned)(J - I), Snap.Steps,
+                 RefFinal, RefSteps, ZapOf(T), BR.Convergence, Walk);
       // Settle and pool in task order, so pools keep their grouping.
       for (ReplayOutcome *O = Walk.Out.data(); I != J; ++I, ++O) {
         if (O->V)
-          Settle(I, *O->V);
+          Settle(BR, I, *O->V);
         else
           Pool.push_back({O->Resume, I, std::move(O->Taint)});
       }
@@ -1440,14 +1691,14 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
           return;
         if (!SC)
           SC.emplace();
-        RunGroup(*SC, Group.data(), N, Base, Resume, BaseLen, BlockStats[B]);
+        RunGroup(BR, *SC, Group.data(), N, Base, Resume, BaseLen);
         N = 0;
       };
       for (; P != Pool.size() && Pool[P].Resume == Resume; ++P) {
         const FaultSite &Site = Tasks[Pool[P].Task].Site;
         if (!UseLanes ||
             (Site.K == FaultSite::Kind::Register && Site.R.isPC())) {
-          RunScalar(Pool[P], Base, Resume, BaseLen);
+          RunScalar(BR, Pool[P], Base, Resume, BaseLen);
           continue;
         }
         Group[N++] = &Pool[P];
@@ -1462,37 +1713,30 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
   R.Stats.ThreadsUsed =
       dispatchTasks(Opts.Threads, Blocks.size(), Tasks.size(), RunBlock, Opts);
 
-  for (const LaneBlockStats &BS : BlockStats) {
-    R.Stats.LaneGroups += BS.Groups;
-    R.Stats.LaneTasks += BS.LaneTasks;
-    R.Stats.LaneDeviations += BS.Deviations;
-    R.Stats.LaneLockstepSteps += BS.Steps;
-  }
-  // Deterministic merge: counters sum (order-independent), violations keep
-  // enumeration order, the window maximum commutes.
-  for (size_t I = 0; I != Tasks.size(); ++I) {
-    R.Table[(Verdict)Verdicts[I]] += 1;
-    if (!Details[I].empty()) {
+  // Deterministic merge in block order: counters sum (order-independent),
+  // violations keep enumeration order, the window maximum commutes.
+  ConvergenceSums Conv;
+  for (BlockResult &BR : Results) {
+    R.Table.merge(BR.Table);
+    std::sort(BR.Violations.begin(), BR.Violations.end());
+    for (auto &[Task, Text] : BR.Violations) {
       R.Ok = false;
       if (R.Violations.size() < Config.MaxViolations)
-        R.Violations.push_back(std::move(Details[I]));
+        R.Violations.push_back(std::move(Text));
     }
-    if (Recover)
-      R.Recovery.merge(TaskStats[I]);
-    if (DiffReplay) {
-      const ConvergenceHit &H = Hits[I];
-      if (H.Hit) {
-        ++R.Stats.EarlyExits;
-        R.Stats.WindowSum += H.Window;
-        R.Stats.MaxWindow = std::max(R.Stats.MaxWindow, H.Window);
-        R.Stats.StepsSaved += H.Saved;
-      }
-      if (H.Skipped) {
-        ++R.Stats.LockstepSkips;
-        R.Stats.LockstepSteps += H.Skipped;
-      }
-    }
+    R.Recovery.merge(BR.Recovery);
+    Conv.merge(BR.Convergence);
+    R.Stats.LaneGroups += BR.LaneGroups;
+    R.Stats.LaneTasks += BR.LaneTasks;
+    R.Stats.LaneDeviations += BR.LaneDeviations;
+    R.Stats.LaneLockstepSteps += BR.LaneSteps;
   }
+  R.Stats.EarlyExits = Conv.EarlyExits;
+  R.Stats.WindowSum = Conv.WindowSum;
+  R.Stats.MaxWindow = Conv.MaxWindow;
+  R.Stats.StepsSaved = Conv.StepsSaved;
+  R.Stats.LockstepSkips = Conv.LockstepSkips;
+  R.Stats.LockstepSteps = Conv.LockstepSteps;
   if (JE)
     R.Stats.JitSideExits = JE->sideExits() - JitExitsBefore;
 }
@@ -1718,7 +1962,7 @@ CampaignResult talft::runSingleFaultCampaign(const Program &Prog,
   }
   R.ReferenceSteps = Steps;
   R.ReferenceTrace = Trace;
-  CR.link(Snaps);
+  CR.link(Snaps, S);
 
   std::vector<uint8_t> CtrlAhead(Snaps.size());
   for (size_t I = 0; I != Snaps.size(); ++I)

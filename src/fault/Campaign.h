@@ -174,19 +174,23 @@ struct CampaignOptions {
   /// Convergence acceleration by sparse differential replay: the
   /// reference phase records the operands and result of every executed
   /// instruction and dense snapshots, then links each record to the next
-  /// record that accesses each register it names. A register-site
-  /// continuation provably executes the reference instruction stream
-  /// with divergence confined to a small set of register payloads, so
-  /// the classifier walks only the reference instructions that touch a
-  /// tainted register (following the links, one step per event) instead
-  /// of simulating every step, in one walk for all the corruption values
-  /// of a fault site. One extra fault-free run of the reference on the
-  /// engine sizes the recording. A run whose taint drains has re-joined
-  /// the reference exactly and is Masked without executing the
-  /// rest of the program; a run whose taint is never touched again
-  /// reduces to a similarity check; anything outside the provable cases
-  /// resumes concretely from the reference state at the bail step with
-  /// its taint patched in. This is the first
+  /// record that accesses each register it reads or writes. A
+  /// register-site continuation provably executes the reference
+  /// instruction stream with divergence confined to a small set of
+  /// register payloads, so the classifier walks only the reference
+  /// instructions that touch a tainted register (following the links,
+  /// one step per event) instead of simulating every step, in one walk
+  /// for all the corruption values of a fault site. One extra fault-free
+  /// run of the reference on the engine sizes the recording. A run whose
+  /// taint drains has re-joined the reference exactly and is Masked
+  /// without executing the rest of the program; a run whose taint is
+  /// never touched again reduces to a similarity check; a run that
+  /// reaches a hardware check (paired store, jump, branch, wild load)
+  /// that must fail on its tainted operands is Detected there; anything
+  /// outside the provable cases resumes concretely from the reference
+  /// state at the bail step with its taint patched in. Only the runs the
+  /// walk does not settle reach the engine, so CfiCheck counts their
+  /// commits alone. This is the first
   /// stage of the classifier's one pipeline (settle, pool by resume step,
   /// run); off, every task runs from its injection step. Verdict tables
   /// and violation lists are bit-identical with and without this flag

@@ -36,9 +36,184 @@ using namespace talft;
 
 namespace {
 
+// Programs aimed at the replay's settle rules (see replaySite in
+// src/fault/Campaign.cpp). Each one reaches a case where the replay must
+// hand a faulty run to concrete simulation instead of deciding it at a
+// check, or exercises the wild-load rule under both policies; a rule
+// that decided such a run early would change its verdict.
+
+/// An ldG forwards the pending green entry into the blue store's value:
+/// a corrupted r1 is committed (silent corruption), so the stG cannot be
+/// decided at its partner when a load lies between them.
+const char *ForwardedStoreValue = R"(
+entry main
+exit done
+
+data {
+  256: int = 0
+}
+
+block main {
+  pre { forall m: mem; queue []; mem m }
+  mov r1, G 5
+  mov r2, G 256
+  stG r2, r1
+  ldG r3, r2
+  mov r4, B 256
+  stB r4, r3
+  mov r5, G @done
+  mov r6, B @done
+  jmpG r5
+  jmpB r6
+}
+)";
+
+/// An ALU op between the paired stores computes the blue value from the
+/// green register: the lane's own event between the pair retaints the
+/// partner's operand, so its view at the stG is stale by the partner.
+const char *ComputeBetweenPair = R"(
+entry main
+exit done
+
+data {
+  256: int = 0
+}
+
+block main {
+  pre { forall m: mem; queue []; mem m }
+  mov r1, G 5
+  mov r2, G 256
+  stG r2, r1
+  add r3, r1, B 0
+  mov r4, B 256
+  stB r4, r3
+  mov r5, G @done
+  mov r6, B @done
+  jmpG r5
+  jmpB r6
+}
+)";
+
+/// jmpG and jmpB through one register: a corrupted r10 moves into d and
+/// matches itself at the jmpB, which commits to the wrong block (here one
+/// that skips the store).
+const char *JmpSameReg = R"(
+entry main
+exit done
+
+data {
+  256: int = 0
+}
+
+block main {
+  pre { forall m: mem; queue []; mem m }
+  mov r10, G @store
+  jmpG r10
+  jmpB r10
+}
+
+block store {
+  pre { forall m: mem; queue []; mem m }
+  mov r1, G 7
+  mov r2, G 256
+  stG r2, r1
+  mov r3, B 7
+  mov r4, B 256
+  stB r4, r3
+  mov r5, G @done
+  mov r6, B @done
+  jmpG r5
+  jmpB r6
+}
+)";
+
+/// A green bz whose target register is blue, falling through into the
+/// exit block. Zapping the green test to 0 takes the branch: d becomes
+/// the blue target while the reference's d stays G 0, and the run halts
+/// with d's color changed (dissimilar state). Only the recorded
+/// col(Rd) == col(d) bit tells the replay that d's color moved.
+const char *BlueTargetIntoD = R"(
+entry main
+exit done
+
+data {
+  256: int = 0
+}
+
+block main {
+  pre { forall m: mem; queue []; mem m }
+  mov r1, G 1
+  mov r5, B @main
+  bzG r1, r5
+}
+)";
+
+/// The other direction: the reference takes the green branch, so its d
+/// becomes the blue target, and zapping the blue test to 1 falls through
+/// with d still G 0. Under the blue zap tag the payloads alone would be
+/// similar; the colors are not.
+const char *BlueTargetSkipped = R"(
+entry main
+exit done
+
+data {
+  256: int = 0
+}
+
+block main {
+  pre { forall m: mem; queue []; mem m }
+  mov r1, B 0
+  mov r5, B @main
+  bzG r1, r5
+}
+)";
+
+/// Loads whose corrupted address leaves the data region: they trap under
+/// WildLoadPolicy::Trap and load the garbage value under Garbage. The
+/// cell at 256 holds the garbage value itself, so a wild load replacing
+/// it leaves the output unchanged. The first store defines 257, outside
+/// the initial data, so a load zapped to 257 is not wild.
+const char *GarbageWild = R"(
+entry main
+exit done
+
+data {
+  256: int = 57005
+  260: int = 7
+}
+
+block main {
+  pre { forall m: mem; queue []; mem m }
+  mov r15, G 257
+  mov r16, G 3
+  stG r15, r16
+  mov r17, B 257
+  mov r18, B 3
+  stB r17, r18
+  mov r1, G 256
+  ldG r2, r1
+  mov r3, G 260
+  ldG r4, r3
+  add r5, r2, r4
+  mov r6, B 256
+  ldB r7, r6
+  mov r8, B 260
+  ldB r9, r8
+  add r10, r7, r9
+  mov r11, G 256
+  stG r11, r5
+  mov r12, B 256
+  stB r12, r10
+  mov r13, G @done
+  mov r14, B @done
+  jmpG r13
+  jmpB r14
+}
+)";
+
 struct NamedProgram {
   const char *Name;
-  const char *Source;
+  std::string Source;
   /// False for programs the checker rejects (they still run raw).
   bool WellTyped;
 };
@@ -51,6 +226,16 @@ const std::vector<NamedProgram> &allPrograms() {
       {"CountdownLoop", progs::CountdownLoop, true},
       {"QueueForwarding", progs::QueueForwarding, true},
       {"PendingStoreAcrossJump", progs::PendingStoreAcrossJump, true},
+      {"ForwardedStoreValue",
+       std::string(ForwardedStoreValue) + progs::ExitBlock, false},
+      {"ComputeBetweenPair",
+       std::string(ComputeBetweenPair) + progs::ExitBlock, false},
+      {"JmpSameReg", std::string(JmpSameReg) + progs::ExitBlock, false},
+      {"BlueTargetIntoD", std::string(BlueTargetIntoD) + progs::ExitBlock,
+       false},
+      {"BlueTargetSkipped",
+       std::string(BlueTargetSkipped) + progs::ExitBlock, false},
+      {"GarbageWild", std::string(GarbageWild) + progs::ExitBlock, false},
   };
   return Programs;
 }
@@ -64,8 +249,10 @@ Program parseOrDie(TypeContext &TC, const NamedProgram &NP) {
 
 // Accelerated campaigns fold bit-identically to unaccelerated ones — same
 // verdict table, violations, reference run and Ok — across engines, thread
-// counts, resume modes and injection strides (runSingleFaultCampaign
-// covers raw-semantics programs including the ill-typed one).
+// counts, resume modes, injection strides and wild-load policies
+// (runSingleFaultCampaign covers raw-semantics programs including the
+// ill-typed ones). No Figure 10 default reaches a Garbage wild load, so
+// the Garbage pass is the one that covers the replay's rule for it.
 TEST(ConvergenceFold, SingleFaultCampaignsBitIdentical) {
   uint64_t TotalDischarged = 0;
   for (const NamedProgram &NP : allPrograms()) {
@@ -75,9 +262,12 @@ TEST(ConvergenceFold, SingleFaultCampaignsBitIdentical) {
     // Stride 1 puts two injection snapshots at every record boundary
     // (after the fetch and after the execute of each instruction) and the
     // last ones past the final record; stride 2 puts one at each.
-    for (uint64_t Stride : {1, 2}) {
+    for (auto [Stride, WildLoad] :
+         {std::pair{1, WildLoadPolicy::Trap}, {2, WildLoadPolicy::Trap},
+          {1, WildLoadPolicy::Garbage}, {2, WildLoadPolicy::Garbage}}) {
       TheoremConfig Config;
       Config.InjectionStride = Stride;
+      Config.Policy.WildLoad = WildLoad;
 
       CampaignOptions Base;
       Base.Converge = false;
@@ -102,10 +292,11 @@ TEST(ConvergenceFold, SingleFaultCampaignsBitIdentical) {
         Opts.Threads = C.Threads;
         Opts.Resume = C.Resume;
         CampaignResult R = runSingleFaultCampaign(P, Config, Opts);
-        std::string At = std::string(NP.Name) + " engine=" +
-                         R.Stats.Engine +
-                         " threads=" + std::to_string(C.Threads) +
-                         " stride=" + std::to_string(Stride);
+        std::string At =
+            std::string(NP.Name) + " engine=" + R.Stats.Engine +
+            " threads=" + std::to_string(C.Threads) +
+            " stride=" + std::to_string(Stride) + " wild=" +
+            (WildLoad == WildLoadPolicy::Trap ? "trap" : "garbage");
         EXPECT_EQ(R.Ok, Baseline.Ok) << At;
         EXPECT_EQ(R.ReferenceSteps, Baseline.ReferenceSteps) << At;
         EXPECT_EQ(R.ReferenceTrace, Baseline.ReferenceTrace) << At;
@@ -306,9 +497,10 @@ TEST(ConvergenceFold, ShardCutSiteBatchesFold) {
 // The differential replay's event set, pinned through the convergence
 // counters of every Figure 10 kernel on the vm engine at stride steps/4.
 // The counters follow from which reference records the replay visits and
-// where the progress gate stops it, so a change to the access links, the
-// event order or the gate constants moves them even when every verdict
-// holds (the fold tests above cover the verdicts).
+// where it stops (a drain, a settled check, a bail or the progress gate),
+// so a change to the access sets, the settle rules, the event order or
+// the gate constants moves them even when every verdict holds (the fold
+// tests above cover the verdicts).
 TEST(ConvergenceFold, ReplayEventSetPinnedOnFig10) {
   struct Pinned {
     const char *Kernel;
@@ -316,21 +508,21 @@ TEST(ConvergenceFold, ReplayEventSetPinnedOnFig10) {
         LockstepSteps;
   };
   const Pinned Pins[] = {
-      {"164.gzip", 13029, 15812434, 11098, 78245600, 14491, 22131837},
-      {"175.vpr", 1264, 1570304, 15406, 11564128, 1659, 2837719},
-      {"176.gcc", 5976, 4423624, 8318, 28482736, 6746, 7419892},
-      {"181.mcf", 6696, 3929812, 8520, 48345516, 7847, 10050521},
-      {"186.crafty", 1802, 1782678, 17326, 19037858, 2344, 2404046},
-      {"197.parser", 4628, 21783067, 52770, 147363638, 6670, 73049041},
-      {"254.gap", 14046, 40199761, 29090, 228982514, 16318, 72244839},
-      {"255.vortex", 3984, 2298240, 6966, 17440176, 5853, 8255288},
-      {"256.bzip2", 10331, 9665843, 10282, 116846632, 12002, 14588598},
-      {"300.twolf", 1777, 1760529, 16850, 17860296, 2131, 3176718},
-      {"adpcm", 1176, 1495640, 14766, 10435048, 1594, 2714872},
+      {"164.gzip", 13029, 15812434, 11098, 78245600, 14701, 23007222},
+      {"175.vpr", 1264, 1570304, 15406, 11564128, 1720, 3108616},
+      {"176.gcc", 5976, 4423624, 8318, 28482736, 6940, 8026336},
+      {"181.mcf", 6696, 3929812, 8520, 48345516, 8063, 11248301},
+      {"186.crafty", 1802, 1782678, 17326, 19037858, 2405, 2763263},
+      {"197.parser", 4628, 21783067, 52770, 147363638, 6670, 73049531},
+      {"254.gap", 14046, 40199761, 29090, 228982514, 16774, 78880549},
+      {"255.vortex", 3984, 2298240, 6966, 17440176, 6048, 8937394},
+      {"256.bzip2", 10331, 9665843, 10282, 116846632, 12154, 14598782},
+      {"300.twolf", 1777, 1760529, 16850, 17860296, 2212, 3701736},
+      {"adpcm", 1176, 1495640, 14766, 10435048, 1656, 2981630},
       {"epic", 18906, 16233656, 8554, 89715870, 20090, 20786198},
-      {"g721", 1359, 1385465, 13498, 11437004, 2008, 2987721},
-      {"pegwit", 1010, 407355, 3882, 2337478, 1469, 764523},
-      {"jpeg", 5264, 1546590, 600, 44948910, 5541, 3437600},
+      {"g721", 1359, 1385465, 13498, 11437004, 2069, 3282517},
+      {"pegwit", 1010, 407355, 3882, 2337478, 1530, 856752},
+      {"jpeg", 5264, 1546590, 600, 44948910, 5632, 4037956},
   };
   size_t Checked = 0;
   for (const wile::Kernel &K : wile::benchmarkKernels()) {
