@@ -1014,11 +1014,13 @@ void replaySite(const ConvergenceRecorder &CR, const StepPolicy &Policy,
 }
 
 /// Maps a finished continuation's RunStatus to its verdict — the single
-/// source of truth shared by the scalar classifier and the batched lane
-/// path, so the two can never drift. Only the Halted case consults the
-/// final state.
+/// source of truth shared by the scalar, lane, recovery and plan
+/// classifiers, so they can never drift. Only the Halted case consults the
+/// final state, under the fault's zap tag \p Z; without one (a plan whose
+/// faults hit both colors, or no fault at all) similarity has no color to
+/// index by and the run classifies on its trace alone.
 Verdict verdictForStatus(RunStatus St, const PrefixTracker &Prefix,
-                         const OutputTrace &RefTrace, ZapTag Z,
+                         const OutputTrace &RefTrace, std::optional<ZapTag> Z,
                          const MachineState &S, const MachineState &RefFinal) {
   switch (St) {
   case RunStatus::OutOfSteps:
@@ -1032,7 +1034,7 @@ Verdict verdictForStatus(RunStatus St, const PrefixTracker &Prefix,
   }
   if (Prefix.Diverged || Prefix.MatchPos != RefTrace.size())
     return Verdict::SilentCorruption;
-  if (!similarStates(Z, S, RefFinal))
+  if (Z && !similarStates(*Z, S, RefFinal))
     return Verdict::DissimilarState;
   return Verdict::Masked;
 }
@@ -1072,54 +1074,44 @@ RecoveredOutcome classifyRecoveringContinuation(
   RecoveryResult RR = RE.run(S, Spec);
   O.Stats = RR.Stats;
 
-  auto Abnormal = [&](Verdict V) {
-    O.V = V;
-    O.Detail = describeInjection(Site, Value, AtSteps, abnormalMessage(V));
-  };
-  bool PrefixOk = !Prefix.Diverged;
+  if (RR.Status == RecoveryStatus::OutOfSteps && RR.Stats.Rollbacks > 0) {
+    // The step budget is shared by rollback replays, so exhausting it
+    // mid-recovery is an escalation with its own message, not a plain
+    // BudgetExhausted.
+    O.V = Verdict::RecoveryEscalated;
+    O.Detail = describeInjection(
+        Site, Value, AtSteps,
+        formatv("faulty run exceeded its shared step budget during "
+                "recovery (%llu rollback replay%s); escalated to fail-stop",
+                (unsigned long long)RR.Stats.Rollbacks,
+                RR.Stats.Rollbacks == 1 ? "" : "s")
+            .c_str());
+    return O;
+  }
+  RunStatus St = RunStatus::OutOfSteps;
   switch (RR.Status) {
-  case RecoveryStatus::OutOfSteps:
-    // Satellite fix: the step budget is shared by rollback replays, so
-    // exhausting it mid-recovery is an escalation with its own message,
-    // not a plain BudgetExhausted.
-    if (RR.Stats.Rollbacks > 0) {
-      O.V = Verdict::RecoveryEscalated;
-      O.Detail = describeInjection(
-          Site, Value, AtSteps,
-          formatv("faulty run exceeded its shared step budget during "
-                  "recovery (%llu rollback replay%s); escalated to fail-stop",
-                  (unsigned long long)RR.Stats.Rollbacks,
-                  RR.Stats.Rollbacks == 1 ? "" : "s")
-              .c_str());
-    } else {
-      Abnormal(Verdict::BudgetExhausted);
-    }
-    return O;
-  case RecoveryStatus::Stuck:
-    Abnormal(Verdict::Stuck);
-    return O;
-  case RecoveryStatus::Escalated:
-    // Fail-stop with every emitted output verified: the prefix guarantee
-    // holds and the escalation is benign. A diverged prefix is the same
-    // violation it always was.
-    if (PrefixOk)
-      O.V = Verdict::RecoveryEscalated;
-    else
-      Abnormal(Verdict::DetectedBadPrefix);
-    return O;
   case RecoveryStatus::Halted:
+    St = RunStatus::Halted;
+    break;
+  case RecoveryStatus::Escalated:
+    St = RunStatus::FaultDetected;
+    break;
+  case RecoveryStatus::Stuck:
+    St = RunStatus::Stuck;
+    break;
+  case RecoveryStatus::OutOfSteps:
     break;
   }
-
-  if (Prefix.Diverged || Prefix.MatchPos != RefTrace.size()) {
-    Abnormal(Verdict::SilentCorruption);
-    return O;
-  }
-  if (!similarStates(Z, S, RefFinal)) {
-    Abnormal(Verdict::DissimilarState);
-    return O;
-  }
-  O.V = RR.Stats.Rollbacks > 0 ? Verdict::Recovered : Verdict::Masked;
+  O.V = verdictForStatus(St, Prefix, RefTrace, Z, S, RefFinal);
+  // A fail-stop with every emitted output verified is a benign escalation
+  // (a diverged prefix is the same violation it always was), and a clean
+  // halt that needed a rollback recovered.
+  if (O.V == Verdict::Detected)
+    O.V = Verdict::RecoveryEscalated;
+  else if (O.V == Verdict::Masked && RR.Stats.Rollbacks > 0)
+    O.V = Verdict::Recovered;
+  if (!isBenign(O.V))
+    O.Detail = describeInjection(Site, Value, AtSteps, abnormalMessage(O.V));
   return O;
 }
 
@@ -1231,6 +1223,72 @@ std::unique_ptr<CfiTable> buildCfiTable(const Program &Prog,
   }
   return Table;
 }
+
+/// The frame both single-fault sweeps run in: the result under
+/// construction and the CFI table, when requested. The table rides on the
+/// step policy, so the reference interpreter validates commits through the
+/// same hook as every engine. Record-only: verdicts cannot depend on it.
+struct SweepFrame {
+  CampaignResult R;
+  std::unique_ptr<CfiTable> Cfi;
+  TheoremConfig Config;
+
+  SweepFrame(const Program &Prog, const TheoremConfig &ConfigIn,
+             const CampaignOptions &Opts)
+      : Cfi(buildCfiTable(Prog, Opts)), Config(ConfigIn) {
+    if (Cfi)
+      Config.Policy.Cfi = Cfi.get();
+  }
+
+  void addViolation(std::string V) {
+    R.Ok = false;
+    if (R.Violations.size() < Config.MaxViolations)
+      R.Violations.push_back(std::move(V));
+  }
+
+  /// Hands the result over with the CFI table's counters.
+  CampaignResult finish() {
+    if (Cfi) {
+      R.Stats.CfiChecked = true;
+      R.Stats.CfiCommits = Cfi->commits();
+      R.Stats.CfiViolations = Cfi->violations();
+      R.CfiFirstViolation = Cfi->firstViolation();
+    }
+    return std::move(R);
+  }
+
+  /// Ends the sweep early with violation \p V.
+  CampaignResult fail(std::string V) {
+    addViolation(std::move(V));
+    return finish();
+  }
+};
+
+/// The engine provenance of a classification phase: the engine's name and,
+/// for the JIT tier, its compilation stats (per-program constants) and
+/// side-exits. The side-exit counter is cumulative across the engine's
+/// lifetime, so the phase's share is the delta between construction and
+/// finish().
+struct EngineProvenance {
+  const vm::JitEngine *JE;
+  uint64_t ExitsBefore;
+
+  EngineProvenance(const ExecEngine &E, CampaignStats &Stats)
+      : JE(dynamic_cast<const vm::JitEngine *>(&E)),
+        ExitsBefore(JE ? JE->sideExits() : 0) {
+    Stats.Engine = E.name();
+    if (JE) {
+      Stats.JitNative = JE->native();
+      Stats.JitBlocksCompiled = JE->blocksCompiled();
+      Stats.JitCodeBytes = JE->codeBytes();
+    }
+  }
+
+  void finish(CampaignStats &Stats) const {
+    if (JE)
+      Stats.JitSideExits = JE->sideExits() - ExitsBefore;
+  }
+};
 
 /// Phase 2, shared by both single-fault entry points: the work list in
 /// the order the serial checker visits it, so merged violation lists
@@ -1465,22 +1523,13 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
                           const MachineState &RefFinal, uint64_t RefSteps,
                           const ConvergenceRecorder &CR, CampaignResult &R) {
   const ExecEngine &E = Opts.Engine ? *Opts.Engine : referenceEngine();
-  R.Stats.Engine = E.name();
-  // JIT-tier provenance: compilation stats are per-program constants; the
-  // side-exit counter is cumulative across the engine's lifetime, so this
-  // campaign's share is the delta over the classification phase.
-  const auto *JE = dynamic_cast<const vm::JitEngine *>(&E);
-  uint64_t JitExitsBefore = JE ? JE->sideExits() : 0;
-  if (JE) {
-    R.Stats.JitNative = JE->native();
-    R.Stats.JitBlocksCompiled = JE->blocksCompiled();
-    R.Stats.JitCodeBytes = JE->codeBytes();
-  }
+  EngineProvenance Provenance(E, R.Stats);
 
   bool Recover = Config.Recovery.Enabled;
   R.Stats.Converge = CR.Enabled;
   bool DiffReplay = CR.Enabled && !CR.Execs.empty();
-  bool NativeScalar = JE && JE->native() && !Config.Policy.Cfi;
+  bool NativeScalar =
+      Provenance.JE && Provenance.JE->native() && !Config.Policy.Cfi;
   bool UseLanes = !Recover && Opts.Lanes && !NativeScalar && !Tasks.empty();
   R.Stats.Lanes = UseLanes;
   std::optional<vm::LaneEngine> LE;
@@ -1562,11 +1611,11 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
     MachineState S = Base;
     Place(S, W);
     PrefixTracker Prefix{RefTrace, TraceLen};
-    RunStatus St = E.runContinuation(
+    ExecEngine::ContinuationResult C = E.runContinuation(
         S, ExitAddr, RefSteps - At + Config.ExtraSteps, Config.Policy,
         [&Prefix](const QueueEntry &Out) { Prefix.track(Out); });
-    Settle(BR, W.Task,
-           verdictForStatus(St, Prefix, RefTrace, ZapOf(T), S, RefFinal));
+    Settle(BR, W.Task, verdictForStatus(C.Status, Prefix, RefTrace, ZapOf(T),
+                                        S, RefFinal));
   };
 
   // One lockstep lane group of \p N waiting tasks, every lane \p Base at
@@ -1652,6 +1701,9 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
     uint64_t BaseAt = Snap.Steps;
     size_t BaseLen = 0;
     bool HaveBase = false;
+    ExecEngine::OutputSink CountOutputs = [&BaseLen](const QueueEntry &) {
+      ++BaseLen;
+    };
     std::optional<LaneScratch> SC;
     std::array<const Waiting *, LaneGroupWidth> Group{};
     for (size_t P = 0; P != Pool.size();) {
@@ -1669,9 +1721,9 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
         // matters: Replay re-executes the reference prefix from step 0.
         if (Opts.Resume == ResumeMode::Replay) {
           Base = Initial;
-          OutputTrace Prefix;
-          E.replaySteps(Base, Snap.Steps, Prefix, Config.Policy);
-          BaseLen = Prefix.size();
+          BaseLen = 0;
+          E.runContinuation(Base, /*ExitAddr=*/0, Snap.Steps, Config.Policy,
+                            CountOutputs);
         } else {
           Base = Snap.S;
           BaseLen = Snap.TraceLen;
@@ -1679,9 +1731,8 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
       }
       HaveBase = true;
       if (Resume != BaseAt) {
-        OutputTrace Rep;
-        E.replaySteps(Base, Resume - BaseAt, Rep, Config.Policy);
-        BaseLen += Rep.size();
+        E.runContinuation(Base, /*ExitAddr=*/0, Resume - BaseAt, Config.Policy,
+                          CountOutputs);
         BaseAt = Resume;
       }
 
@@ -1737,8 +1788,7 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
   R.Stats.StepsSaved = Conv.StepsSaved;
   R.Stats.LockstepSkips = Conv.LockstepSkips;
   R.Stats.LockstepSteps = Conv.LockstepSteps;
-  if (JE)
-    R.Stats.JitSideExits = JE->sideExits() - JitExitsBefore;
+  Provenance.finish(R.Stats);
 }
 
 } // namespace
@@ -1752,61 +1802,31 @@ CampaignResult talft::runFaultToleranceCampaign(TypeContext &TC,
   if (!ConfigIn.TypeCheckFaultyStates)
     return runSingleFaultCampaign(*CP.Prog, ConfigIn, Opts);
 
-  CampaignResult R;
-  // The CFI table (when requested) rides on the step policy, so the
-  // reference interpreter validates commits through the same hook as
-  // every engine. Record-only: verdicts cannot depend on it.
-  std::unique_ptr<CfiTable> Cfi = buildCfiTable(*CP.Prog, Opts);
-  TheoremConfig Config = ConfigIn;
-  if (Cfi)
-    Config.Policy.Cfi = Cfi.get();
-  auto FinishCfi = [&] {
-    if (!Cfi)
-      return;
-    R.Stats.CfiChecked = true;
-    R.Stats.CfiCommits = Cfi->commits();
-    R.Stats.CfiViolations = Cfi->violations();
-    R.CfiFirstViolation = Cfi->firstViolation();
-  };
-  auto AddViolation = [&](std::string V) {
-    R.Ok = false;
-    if (R.Violations.size() < Config.MaxViolations)
-      R.Violations.push_back(std::move(V));
-  };
-  if (Config.Recovery.Enabled) {
-    AddViolation("recovery cannot be combined with TypeCheckFaultyStates: "
-                 "rollback replays run on the raw semantics");
-    FinishCfi();
-    return R;
-  }
+  SweepFrame F(*CP.Prog, ConfigIn, Opts);
+  CampaignResult &R = F.R;
+  const TheoremConfig &Config = F.Config;
+  if (Config.Recovery.Enabled)
+    return F.fail("recovery cannot be combined with TypeCheckFaultyStates: "
+                  "rollback replays run on the raw semantics");
 
   // Phase 1 (serial): the reference execution, keeping a full TrackedRun
   // snapshot (state plus closing substitution) at every injection step.
   Clock::time_point RefStart = Clock::now();
   uint64_t Stride = std::max<uint64_t>(1, Config.InjectionStride);
   TrackedRun Run(TC, CP, Config.Policy);
-  if (Error E = Run.start()) {
-    AddViolation("cannot start: " + E.message());
-    FinishCfi();
-    return R;
-  }
+  if (Error E = Run.start())
+    return F.fail("cannot start: " + E.message());
   std::vector<TrackedRun::Snapshot> Snaps;
   Snaps.push_back(Run.snapshot()); // Step 0 is always an injection point.
   while (!Run.atExitBlock()) {
-    if (Run.steps() >= Config.MaxSteps) {
-      AddViolation("reference run exceeded MaxSteps");
-      FinishCfi();
-      return R;
-    }
+    if (Run.steps() >= Config.MaxSteps)
+      return F.fail("reference run exceeded MaxSteps");
     StepResult SR = Run.stepOnce();
-    if (SR.Status != StepStatus::Ok) {
-      AddViolation(formatv("reference run failed at step %llu (%s)",
-                           (unsigned long long)Run.steps(),
-                           SR.Status == StepStatus::Stuck ? "stuck"
-                                                          : "false positive"));
-      FinishCfi();
-      return R;
-    }
+    if (SR.Status != StepStatus::Ok)
+      return F.fail(formatv("reference run failed at step %llu (%s)",
+                            (unsigned long long)Run.steps(),
+                            SR.Status == StepStatus::Stuck ? "stuck"
+                                                           : "false positive"));
     if (Run.steps() % Stride == 0)
       Snaps.push_back(Run.snapshot());
   }
@@ -1821,10 +1841,8 @@ CampaignResult talft::runFaultToleranceCampaign(TypeContext &TC,
       [&](size_t SI) -> const MachineState & { return Snaps[SI].S; },
       nullptr, R);
   R.Stats.ReferenceSeconds = secondsSince(RefStart);
-  if (!Tasks) {
-    FinishCfi();
-    return R;
-  }
+  if (!Tasks)
+    return F.finish();
 
   // Phase 3 (serial): every continuation re-checks ⊢Z S through the
   // shared TypeContext, which TrackedRun owns, so typed campaigns always
@@ -1839,11 +1857,8 @@ CampaignResult talft::runFaultToleranceCampaign(TypeContext &TC,
     if (Opts.Resume == ResumeMode::Replay) {
       // Rebuild the snapshot by re-executing the reference prefix.
       TrackedRun Fresh(TC, CP, Config.Policy);
-      if (Error E = Fresh.start()) {
-        AddViolation("cannot start: " + E.message());
-        FinishCfi();
-        return R;
-      }
+      if (Error E = Fresh.start())
+        return F.fail("cannot start: " + E.message());
       while (Fresh.steps() < At->Steps)
         Fresh.stepOnce();
       Replayed = Fresh.snapshot();
@@ -1854,7 +1869,7 @@ CampaignResult talft::runFaultToleranceCampaign(TypeContext &TC,
     R.Table[O.V] += 1;
     R.StatesTypechecked += O.Typechecked;
     if (!isBenign(O.V))
-      AddViolation(std::move(O.Detail));
+      F.addViolation(std::move(O.Detail));
     ++Done;
     if (Opts.Progress && Opts.ProgressInterval &&
         (Done % Opts.ProgressInterval == 0 || Done == Tasks->size()))
@@ -1866,37 +1881,18 @@ CampaignResult talft::runFaultToleranceCampaign(TypeContext &TC,
   R.Stats.WallSeconds = secondsSince(InjectStart);
   if (R.Stats.WallSeconds > 0)
     R.Stats.TriplesPerSecond = (double)Tasks->size() / R.Stats.WallSeconds;
-  FinishCfi();
-  return R;
+  return F.finish();
 }
 
 CampaignResult talft::runSingleFaultCampaign(const Program &Prog,
                                              const TheoremConfig &ConfigIn,
                                              const CampaignOptions &Opts) {
-  CampaignResult R;
-  std::unique_ptr<CfiTable> Cfi = buildCfiTable(Prog, Opts);
-  TheoremConfig Config = ConfigIn;
-  if (Cfi)
-    Config.Policy.Cfi = Cfi.get();
-  auto FinishCfi = [&] {
-    if (!Cfi)
-      return;
-    R.Stats.CfiChecked = true;
-    R.Stats.CfiCommits = Cfi->commits();
-    R.Stats.CfiViolations = Cfi->violations();
-    R.CfiFirstViolation = Cfi->firstViolation();
-  };
-  auto AddViolation = [&](std::string V) {
-    R.Ok = false;
-    if (R.Violations.size() < Config.MaxViolations)
-      R.Violations.push_back(std::move(V));
-  };
-  if (Config.TypeCheckFaultyStates) {
-    AddViolation("the raw-semantics sweep cannot re-typecheck faulty states; "
-                 "use runFaultToleranceCampaign on a checked program");
-    FinishCfi();
-    return R;
-  }
+  SweepFrame F(Prog, ConfigIn, Opts);
+  CampaignResult &R = F.R;
+  const TheoremConfig &Config = F.Config;
+  if (Config.TypeCheckFaultyStates)
+    return F.fail("the raw-semantics sweep cannot re-typecheck faulty states; "
+                  "use runFaultToleranceCampaign on a checked program");
 
   // Phase 1 (serial): the reference execution on the raw semantics,
   // snapshotting every injection step — the same loop shape as the typed
@@ -1906,11 +1902,8 @@ CampaignResult talft::runSingleFaultCampaign(const Program &Prog,
   const ExecEngine &E = Opts.Engine ? *Opts.Engine : referenceEngine();
 
   Expected<MachineState> S0 = Prog.initialState();
-  if (Error Err = S0.takeError()) {
-    AddViolation("cannot start: " + Err.message());
-    FinishCfi();
-    return R;
-  }
+  if (Error Err = S0.takeError())
+    return F.fail("cannot start: " + Err.message());
   MachineState S = *S0;
   Addr ExitAddr = Prog.exitAddress();
   R.ProgramHash =
@@ -1934,11 +1927,8 @@ CampaignResult talft::runSingleFaultCampaign(const Program &Prog,
   uint64_t UntilInjection = Stride;
   CR.start(S);
   while (!atExit(S, ExitAddr)) {
-    if (Steps >= Config.MaxSteps) {
-      AddViolation("reference run exceeded MaxSteps");
-      FinishCfi();
-      return R;
-    }
+    if (Steps >= Config.MaxSteps)
+      return F.fail("reference run exceeded MaxSteps");
     if (S.IR && S.IR->isControlFlow())
       LastCtrl = (int64_t)Steps;
     CR.beforeStep(S, Steps + 1);
@@ -1946,14 +1936,11 @@ CampaignResult talft::runSingleFaultCampaign(const Program &Prog,
     ++Steps;
     if (SR.Output)
       Trace.push_back(*SR.Output);
-    if (SR.Status != StepStatus::Ok) {
-      AddViolation(formatv("reference run failed at step %llu (%s)",
-                           (unsigned long long)Steps,
-                           SR.Status == StepStatus::Stuck ? "stuck"
-                                                          : "false positive"));
-      FinishCfi();
-      return R;
-    }
+    if (SR.Status != StepStatus::Ok)
+      return F.fail(formatv("reference run failed at step %llu (%s)",
+                            (unsigned long long)Steps,
+                            SR.Status == StepStatus::Stuck ? "stuck"
+                                                           : "false positive"));
     CR.afterStep(S, Steps, Trace.size());
     if (--UntilInjection == 0) {
       UntilInjection = Stride;
@@ -1972,10 +1959,8 @@ CampaignResult talft::runSingleFaultCampaign(const Program &Prog,
       [&](size_t SI) -> const MachineState & { return Snaps[SI].S; },
       &CtrlAhead, R);
   R.Stats.ReferenceSeconds = secondsSince(RefStart);
-  if (!Tasks) {
-    FinishCfi();
-    return R;
-  }
+  if (!Tasks)
+    return F.finish();
 
   Clock::time_point InjectStart = Clock::now();
   classifyUntypedTasks(Prog, Config, Opts, *Tasks, Snaps, *S0, Trace, S, Steps,
@@ -1985,8 +1970,7 @@ CampaignResult talft::runSingleFaultCampaign(const Program &Prog,
   R.Stats.WallSeconds = secondsSince(InjectStart);
   if (R.Stats.WallSeconds > 0)
     R.Stats.TriplesPerSecond = (double)Tasks->size() / R.Stats.WallSeconds;
-  FinishCfi();
-  return R;
+  return F.finish();
 }
 
 namespace {
@@ -1998,53 +1982,37 @@ Verdict classifyPlan(const ExecEngine &E, const Program &Prog,
                      uint64_t RefSteps, MachineState S,
                      const InjectionPlan &Plan) {
   PrefixTracker Prefix{RefTrace, 0};
+  ExecEngine::OutputSink Track = [&Prefix](const QueueEntry &Out) {
+    Prefix.track(Out);
+  };
 
   uint64_t Now = 0;
   std::optional<Color> ZapColor;
   bool MixedColors = false;
   for (const InjectionPoint &P : Plan) {
     assert(P.Step >= Now && "injection plan must be step-ordered");
-    // Fault and stuck transitions never emit output, so match-tracking the
-    // chunk after the replay is equivalent to tracking each step inline.
-    OutputTrace Chunk;
-    ReplayResult RR = E.replaySteps(S, P.Step - Now, Chunk, Policy);
-    Now += RR.Taken;
-    for (const QueueEntry &Out : Chunk)
-      Prefix.track(Out);
-    if (RR.Last == StepStatus::Stuck)
-      return Verdict::Stuck;
-    if (RR.Last == StepStatus::Fault)
-      return Prefix.Diverged ? Verdict::DetectedBadPrefix : Verdict::Detected;
-    Color C = faultColor(S, P.Site);
-    if (ZapColor && *ZapColor != C)
+    // No exit address: the reference prefix up to the injection step runs
+    // out of budget unless a previous fault is detected or sticks first.
+    ExecEngine::ContinuationResult C =
+        E.runContinuation(S, /*ExitAddr=*/0, P.Step - Now, Policy, Track);
+    Now += C.Steps;
+    if (C.Status != RunStatus::OutOfSteps)
+      return verdictForStatus(C.Status, Prefix, RefTrace, std::nullopt, S,
+                              RefFinal);
+    Color Col = faultColor(S, P.Site);
+    if (ZapColor && *ZapColor != Col)
       MixedColors = true;
-    ZapColor = C;
+    ZapColor = Col;
     injectFault(S, P.Site, P.Value);
   }
 
   uint64_t Budget = (RefSteps > Now ? RefSteps - Now : 0) + ExtraSteps;
-  RunStatus St = E.runContinuation(
-      S, Prog.exitAddress(), Budget, Policy,
-      [&Prefix](const QueueEntry &Out) { Prefix.track(Out); });
-  switch (St) {
-  case RunStatus::OutOfSteps:
-    return Verdict::BudgetExhausted;
-  case RunStatus::Stuck:
-    return Verdict::Stuck;
-  case RunStatus::FaultDetected:
-    return Prefix.Diverged ? Verdict::DetectedBadPrefix : Verdict::Detected;
-  case RunStatus::Halted:
-    break;
-  }
-
-  if (Prefix.Diverged || Prefix.MatchPos != RefTrace.size())
-    return Verdict::SilentCorruption;
-  // Similarity is indexed by a single zap color; a cross-color plan has no
-  // such index, so it classifies on the trace alone.
-  if (!MixedColors && ZapColor &&
-      !similarStates(ZapTag::color(*ZapColor), S, RefFinal))
-    return Verdict::DissimilarState;
-  return Verdict::Masked;
+  RunStatus St =
+      E.runContinuation(S, Prog.exitAddress(), Budget, Policy, Track).Status;
+  std::optional<ZapTag> Z;
+  if (ZapColor && !MixedColors)
+    Z = ZapTag::color(*ZapColor);
+  return verdictForStatus(St, Prefix, RefTrace, Z, S, RefFinal);
 }
 
 std::string describePlan(const InjectionPlan &Plan, const char *What) {
@@ -2068,14 +2036,7 @@ CampaignResult talft::runInjectionPlans(const PlanCampaign &Spec,
   assert(Spec.Prog && "plan campaign needs a program");
 
   const ExecEngine &E = Opts.Engine ? *Opts.Engine : referenceEngine();
-  R.Stats.Engine = E.name();
-  const auto *JE = dynamic_cast<const vm::JitEngine *>(&E);
-  uint64_t JitExitsBefore = JE ? JE->sideExits() : 0;
-  if (JE) {
-    R.Stats.JitNative = JE->native();
-    R.Stats.JitBlocksCompiled = JE->blocksCompiled();
-    R.Stats.JitCodeBytes = JE->codeBytes();
-  }
+  EngineProvenance Provenance(E, R.Stats);
 
   Clock::time_point RefStart = Clock::now();
   Expected<MachineState> S0 = Spec.Prog->initialState();
@@ -2131,8 +2092,7 @@ CampaignResult talft::runInjectionPlans(const PlanCampaign &Spec,
   if (R.Stats.WallSeconds > 0)
     R.Stats.TriplesPerSecond =
         (double)Spec.Plans.size() / R.Stats.WallSeconds;
-  if (JE)
-    R.Stats.JitSideExits = JE->sideExits() - JitExitsBefore;
+  Provenance.finish(R.Stats);
   return R;
 }
 

@@ -254,7 +254,8 @@ struct CampaignStats {
   /// plans in plan campaigns); always 1 for typed campaigns.
   unsigned ThreadsUsed = 1;
   uint64_t Tasks = 0;
-  /// Name of the engine that produced the verdicts ("reference", "vm").
+  /// Name of the engine that produced the verdicts ("reference", "vm",
+  /// "jit").
   const char *Engine = "reference";
   /// True when CampaignOptions::Prune was requested and the analysis
   /// accepted the program (pruning actually ran).

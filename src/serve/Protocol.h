@@ -67,7 +67,7 @@ struct SubmitSpec {
   std::string Name;        ///< Display name (reports and logs only).
   std::string Lang = "wile"; ///< "wile" or "tal".
   std::string Source;
-  std::string Engine = "vm"; ///< "vm" or "reference".
+  std::string Engine = "vm"; ///< "vm", "jit" or "reference".
   /// Injection stride; 0 = adaptive max(1, referenceSteps / 12), the
   /// batch CLI's --fig10 rule.
   uint64_t Stride = 0;

@@ -622,15 +622,17 @@ void Server::runSubmission(int Fd, const SubmitSpec &Spec,
 
   // Engine choice is provenance, not policy: tables are engine-invariant
   // by the engine contract, and the options digest keeps entries from
-  // answering across engines.
+  // answering across engines. Pool workers decode their own, so this one
+  // is built only for the stride probe and in-process shards.
   std::unique_ptr<ExecEngine> Vm;
   const ExecEngine *E = &referenceEngine();
-  if (Spec.Engine == "vm") {
-    Vm = vm::createEngine(Prog->code());
-    E = Vm.get();
-  } else if (Spec.Engine == "jit") {
-    Vm = vm::createJitEngine(Prog->code());
-    E = Vm.get();
+  if (Spec.Stride == 0 || !Pool.enabled()) {
+    if (Spec.Engine == "vm")
+      Vm = vm::createEngine(Prog->code());
+    else if (Spec.Engine == "jit")
+      Vm = vm::createJitEngine(Prog->code());
+    if (Vm)
+      E = Vm.get();
   }
 
   // Stride: explicit, or adapted from the reference length exactly as the

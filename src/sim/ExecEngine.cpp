@@ -8,11 +8,25 @@
 
 using namespace talft;
 
+RunResult ExecEngine::run(MachineState &S, Addr ExitAddr, uint64_t MaxSteps,
+                          const StepPolicy &Policy) const {
+  RunResult R;
+  ContinuationResult C =
+      runContinuation(S, ExitAddr, MaxSteps, Policy,
+                      [&R](const QueueEntry &Out) { R.Trace.push_back(Out); });
+  R.Steps = C.Steps;
+  // talft::run checks the budget first: arriving at the exit with the
+  // budget spent is running out of steps, not halting.
+  R.Status = C.Status == RunStatus::Halted && C.Steps == MaxSteps
+                 ? RunStatus::OutOfSteps
+                 : C.Status;
+  return R;
+}
+
 namespace {
 
-/// Wraps the structural interpreter's free functions. The continuation
-/// loop mirrors the campaign classifier's historical control flow exactly
-/// (exit check, then budget check, then step).
+/// Wraps the structural interpreter's step function in the continuation
+/// loop's check order (exit, then budget, then step).
 class ReferenceEngine final : public ExecEngine {
 public:
   const char *name() const override { return "reference"; }
@@ -21,34 +35,27 @@ public:
     return talft::step(S, Policy);
   }
 
-  RunResult run(MachineState &S, Addr ExitAddr, uint64_t MaxSteps,
-                const StepPolicy &Policy) const override {
-    return talft::run(S, ExitAddr, MaxSteps, Policy);
-  }
-
-  ReplayResult replaySteps(MachineState &S, uint64_t NSteps,
-                           OutputTrace &Trace,
-                           const StepPolicy &Policy) const override {
-    return talft::replaySteps(S, NSteps, Trace, Policy);
-  }
-
-  RunStatus runContinuation(MachineState &S, Addr ExitAddr, uint64_t Budget,
-                            const StepPolicy &Policy,
-                            const OutputSink &OnOutput) const override {
-    uint64_t Taken = 0;
+  ContinuationResult runContinuation(MachineState &S, Addr ExitAddr,
+                                     uint64_t Budget, const StepPolicy &Policy,
+                                     const OutputSink &OnOutput) const override {
+    ContinuationResult C;
+    auto Stop = [&C](RunStatus St) {
+      C.Status = St;
+      return C;
+    };
     while (true) {
       if (atExit(S, ExitAddr))
-        return RunStatus::Halted;
-      if (Taken >= Budget)
-        return RunStatus::OutOfSteps;
+        return Stop(RunStatus::Halted);
+      if (C.Steps >= Budget)
+        return Stop(RunStatus::OutOfSteps);
       StepResult SR = talft::step(S, Policy);
-      ++Taken;
+      if (SR.Status == StepStatus::Stuck)
+        return Stop(RunStatus::Stuck);
+      ++C.Steps;
       if (SR.Output && OnOutput)
         OnOutput(*SR.Output);
-      if (SR.Status == StepStatus::Stuck)
-        return RunStatus::Stuck;
       if (SR.Status == StepStatus::Fault)
-        return RunStatus::FaultDetected;
+        return Stop(RunStatus::FaultDetected);
     }
   }
 };

@@ -15,11 +15,17 @@
 /// step counts, same StepPolicy handling — on every state, including the
 /// corrupted mid-instruction states the fault model produces.
 ///
-/// Two implementations ship:
+/// An engine implements step(), one transition, and runContinuation(), its
+/// one fused run loop. The whole-run driver run() is written once, here,
+/// on top of that loop, so each engine has a single loop for the
+/// differential tests to hold against the spec (talft::run and
+/// talft::replaySteps in sim/Machine.h). Three implementations ship:
 ///   - referenceEngine(): the structural small-step interpreter (Step.cpp),
 ///     stateless, valid for any program;
 ///   - vm::createEngine() (vm/Engine.h): a pre-decoded micro-op engine bound
-///     to one CodeMemory, roughly an order of magnitude faster per step.
+///     to one CodeMemory, roughly an order of magnitude faster per step;
+///   - vm::createJitEngine() (vm/JitEngine.h): native x86-64 code for the
+///     same micro-ops, falling back to the vm engine where it cannot run.
 ///
 /// The checkpoint/rollback layer (recover/RecoveringEngine.h) composes on
 /// top of this interface: it drives any engine through step() and turns the
@@ -50,33 +56,41 @@ public:
   /// faulty traces).
   using OutputSink = std::function<void(const QueueEntry &)>;
 
+  /// How a run loop stopped, and the transitions it took, counted as
+  /// talft::run counts them: a failed fetch and a faulting execution each
+  /// count, a stuck fetch does not.
+  struct ContinuationResult {
+    RunStatus Status = RunStatus::OutOfSteps;
+    uint64_t Steps = 0;
+  };
+
   virtual ~ExecEngine() = default;
 
-  /// Stable engine name ("reference", "vm") used in CLIs and JSON reports.
+  /// Stable engine name ("reference", "vm", "jit") used in CLIs and JSON
+  /// reports.
   virtual const char *name() const = 0;
 
   /// One transition of \p S; exactly talft::step.
   virtual StepResult step(MachineState &S, const StepPolicy &Policy) const = 0;
 
-  /// Whole-run driver; exactly talft::run (budget checked before the exit
-  /// condition, so a run that needs its full budget reports OutOfSteps).
-  virtual RunResult run(MachineState &S, Addr ExitAddr, uint64_t MaxSteps,
-                        const StepPolicy &Policy) const = 0;
+  /// The engine's one fused run loop. Checks the exit condition *before*
+  /// the budget on every transition, so a continuation arriving at the
+  /// exit block with zero budget left counts as Halted; an \p ExitAddr of
+  /// 0 never halts, which makes the loop exactly talft::replaySteps.
+  /// Invokes \p OnOutput (when set) for each committed store. Returns
+  /// Halted / FaultDetected / Stuck / OutOfSteps; a budget that expires
+  /// between a fetch and its execution leaves the fetched instruction in
+  /// S.IR.
+  virtual ContinuationResult runContinuation(MachineState &S, Addr ExitAddr,
+                                             uint64_t Budget,
+                                             const StepPolicy &Policy,
+                                             const OutputSink &OnOutput) const = 0;
 
-  /// Exactly talft::replaySteps: \p NSteps transitions in place, stopping
-  /// early only on fault/stuck, appending outputs to \p Trace.
-  virtual ReplayResult replaySteps(MachineState &S, uint64_t NSteps,
-                                   OutputTrace &Trace,
-                                   const StepPolicy &Policy) const = 0;
-
-  /// The faulty-continuation loop of the campaign classifier: checks the
-  /// exit condition *before* the budget on every transition (unlike run),
-  /// so a continuation arriving at the exit block with zero budget left
-  /// still counts as Halted. Invokes \p OnOutput for each committed store.
-  /// Returns Halted / FaultDetected / Stuck / OutOfSteps.
-  virtual RunStatus runContinuation(MachineState &S, Addr ExitAddr,
-                                    uint64_t Budget, const StepPolicy &Policy,
-                                    const OutputSink &OnOutput) const = 0;
+  /// Whole-run driver; exactly talft::run. Budget is checked before the
+  /// exit condition there, so a run that needs its full budget to reach
+  /// the exit reports OutOfSteps.
+  RunResult run(MachineState &S, Addr ExitAddr, uint64_t MaxSteps,
+                const StepPolicy &Policy) const;
 };
 
 /// The structural small-step interpreter as an engine. Stateless; valid for

@@ -4,12 +4,12 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// One execOp switch performs a single decoded instruction execution; the
-// public entry points wrap it in loops that reproduce the exact stopping
-// conditions of talft::run, talft::replaySteps and the campaign
-// classifier's continuation loop. Each case mirrors its counterpart in
-// sim/Step.cpp statement for statement (same read/write order, same rule
-// names, same fault-state transitions); the only differences are mechanical
+// One execOp switch performs a single decoded instruction execution; step()
+// and the one fused loop, runContinuation(), wrap it (ExecEngine::run and
+// the campaign's exit-less replays are built on that loop). Each case
+// mirrors its counterpart in sim/Step.cpp statement for statement (same
+// read/write order, same rule names, same fault-state transitions); the
+// only differences are mechanical
 // — register names arrive pre-resolved, the opcode/color/immediate
 // discrimination happened at decode time, and fetches index an array
 // instead of a std::map.
@@ -36,7 +36,7 @@ inline Reg reg(uint8_t Dense) { return Reg::fromDenseIndex(Dense); }
 /// Executes \p M against \p S. On Exec::Output, \p Out is the committed
 /// store. \p Rule receives the operational rule name (as in sim/Step.cpp).
 /// Does not touch S.IR; the callers own instruction-register bookkeeping.
-/// Forced inline: the fused loops below run about 1.5x slower when the
+/// Forced inline: the fused loop below runs about 1.5x slower when the
 /// compiler's size heuristics leave it as a call per step.
 [[gnu::always_inline]] inline Exec execOp(MachineState &S, const MicroOp &M,
                                           const StepPolicy &Policy,
@@ -250,12 +250,12 @@ inline Reg reg(uint8_t Dense) { return Reg::fromDenseIndex(Dense); }
   talft_unreachable("unknown micro-op kind");
 }
 
-/// The in-flight instruction of a fused loop: either inherited from the
+/// The in-flight instruction of the fused loop: either inherited from the
 /// state's instruction register (whose pc may no longer match it after a
 /// fault) or fetched from the decoded array (pc still points at it, since
 /// pcs advance only at execution). Keeping it out of S.IR during the loop
 /// avoids a std::optional<Inst> store per fetch; leave() rematerializes
-/// S.IR when a loop stops between a fetch and its execution.
+/// S.IR when the loop stops between a fetch and its execution.
 struct InFlight {
   const MicroOp *Op = nullptr;
   MicroOp Inherited;
@@ -314,136 +314,52 @@ StepResult Engine::step(MachineState &S, const StepPolicy &Policy) const {
   return {StepStatus::Ok, std::nullopt, "fetch"};
 }
 
-RunResult Engine::run(MachineState &S, Addr ExitAddr, uint64_t MaxSteps,
-                      const StepPolicy &Policy) const {
+ExecEngine::ContinuationResult
+Engine::runContinuation(MachineState &S, Addr ExitAddr, uint64_t Budget,
+                        const StepPolicy &Policy,
+                        const OutputSink &OnOutput) const {
   assert(S.Code == &P.code() && "state executed on a foreign engine");
-  RunResult Res;
+  ContinuationResult C;
+  auto Stop = [&C](RunStatus St) {
+    C.Status = St;
+    return C;
+  };
   InFlight Cur(S);
   while (true) {
-    // talft::run checks the budget before the exit condition.
-    if (Res.Steps >= MaxSteps) {
-      Res.Status = RunStatus::OutOfSteps;
-      Cur.leave(S, P);
-      return Res;
-    }
-    if (!Cur.Op) {
-      Value PcG = S.pcG(), PcB = S.pcB();
-      if (ExitAddr != 0 && PcG.N == ExitAddr && PcB.N == ExitAddr) {
-        Res.Status = RunStatus::Halted;
-        return Res;
-      }
-      if (PcG.N != PcB.N) {
-        S = MachineState::faultState();
-        ++Res.Steps;
-        Res.Status = RunStatus::FaultDetected;
-        return Res;
-      }
-      if (!P.contains(PcG.N)) {
-        Res.Status = RunStatus::Stuck;
-        return Res;
-      }
-      Cur.Op = &P.op(PcG.N);
-      Cur.FromIR = false;
-      ++Res.Steps;
-      continue;
-    }
-    QueueEntry Out;
-    const char *Rule;
-    Exec E = execOp(S, *Cur.Op, Policy, Out, Rule);
-    Cur.Op = nullptr;
-    ++Res.Steps;
-    if (E == Exec::Output) {
-      Res.Trace.push_back(Out);
-    } else if (E == Exec::Fault) {
-      Res.Status = RunStatus::FaultDetected;
-      return Res;
-    }
-  }
-}
-
-ReplayResult Engine::replaySteps(MachineState &S, uint64_t NSteps,
-                                 OutputTrace &Trace,
-                                 const StepPolicy &Policy) const {
-  assert(S.Code == &P.code() && "state executed on a foreign engine");
-  ReplayResult Res;
-  InFlight Cur(S);
-  while (Res.Taken < NSteps) {
-    if (!Cur.Op) {
-      Value PcG = S.pcG(), PcB = S.pcB();
-      if (PcG.N != PcB.N) {
-        S = MachineState::faultState();
-        ++Res.Taken;
-        Res.Last = StepStatus::Fault;
-        return Res;
-      }
-      if (!P.contains(PcG.N)) {
-        Res.Last = StepStatus::Stuck;
-        return Res;
-      }
-      Cur.Op = &P.op(PcG.N);
-      Cur.FromIR = false;
-      ++Res.Taken;
-      continue;
-    }
-    QueueEntry Out;
-    const char *Rule;
-    Exec E = execOp(S, *Cur.Op, Policy, Out, Rule);
-    Cur.Op = nullptr;
-    ++Res.Taken;
-    if (E == Exec::Output) {
-      Trace.push_back(Out);
-    } else if (E == Exec::Fault) {
-      Res.Last = StepStatus::Fault;
-      return Res;
-    }
-  }
-  Cur.leave(S, P);
-  return Res;
-}
-
-RunStatus Engine::runContinuation(MachineState &S, Addr ExitAddr,
-                                  uint64_t Budget, const StepPolicy &Policy,
-                                  const OutputSink &OnOutput) const {
-  assert(S.Code == &P.code() && "state executed on a foreign engine");
-  uint64_t Taken = 0;
-  InFlight Cur(S);
-  while (true) {
-    // The classifier checks the exit condition before the budget: a
-    // continuation arriving at the exit with zero budget left halts.
+    // The exit condition is checked before the budget: a continuation
+    // arriving at the exit with zero budget left halts.
     if (!Cur.Op) {
       Value PcG = S.pcG(), PcB = S.pcB();
       if (ExitAddr != 0 && PcG.N == ExitAddr && PcB.N == ExitAddr)
-        return RunStatus::Halted;
-      if (Taken >= Budget) {
-        Cur.leave(S, P);
-        return RunStatus::OutOfSteps;
-      }
+        return Stop(RunStatus::Halted);
+      if (C.Steps >= Budget)
+        break;
       if (PcG.N != PcB.N) {
         S = MachineState::faultState();
-        return RunStatus::FaultDetected;
+        ++C.Steps;
+        return Stop(RunStatus::FaultDetected);
       }
-      if (!P.contains(PcG.N)) {
-        return RunStatus::Stuck;
-      }
+      if (!P.contains(PcG.N))
+        return Stop(RunStatus::Stuck);
       Cur.Op = &P.op(PcG.N);
       Cur.FromIR = false;
-      ++Taken;
+      ++C.Steps;
       continue;
     }
-    if (Taken >= Budget) {
-      Cur.leave(S, P);
-      return RunStatus::OutOfSteps;
-    }
+    if (C.Steps >= Budget)
+      break;
     QueueEntry Out;
     const char *Rule;
     Exec E = execOp(S, *Cur.Op, Policy, Out, Rule);
     Cur.Op = nullptr;
-    ++Taken;
+    ++C.Steps;
     if (E == Exec::Output) {
       if (OnOutput)
         OnOutput(Out);
     } else if (E == Exec::Fault) {
-      return RunStatus::FaultDetected;
+      return Stop(RunStatus::FaultDetected);
     }
   }
+  Cur.leave(S, P);
+  return Stop(RunStatus::OutOfSteps);
 }

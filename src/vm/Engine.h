@@ -42,14 +42,9 @@ public:
 
   const char *name() const override { return "vm"; }
   StepResult step(MachineState &S, const StepPolicy &Policy) const override;
-  RunResult run(MachineState &S, Addr ExitAddr, uint64_t MaxSteps,
-                const StepPolicy &Policy) const override;
-  ReplayResult replaySteps(MachineState &S, uint64_t NSteps,
-                           OutputTrace &Trace,
-                           const StepPolicy &Policy) const override;
-  RunStatus runContinuation(MachineState &S, Addr ExitAddr, uint64_t Budget,
-                            const StepPolicy &Policy,
-                            const OutputSink &OnOutput) const override;
+  ContinuationResult runContinuation(MachineState &S, Addr ExitAddr,
+                                     uint64_t Budget, const StepPolicy &Policy,
+                                     const OutputSink &OnOutput) const override;
 
 private:
   DecodedProgram P;

@@ -391,7 +391,7 @@ std::unique_ptr<JitProgram> vm::emitJitProgram(const DecodedProgram &P) {
 
     // Boundary: exit address (held in r15), then the budget, claimed and
     // checked in one subtraction — either hit side-exits; the driver
-    // re-runs the per-mode ordering.
+    // re-runs the loop's boundary ordering.
     BoundaryOff[Slot] = (uint32_t)A.off();
     A.cmpRI32(R15, Addr32);
     A.jccTo(CcE, Epi);

@@ -26,9 +26,9 @@
 ///   - every boundary re-checks, in order, the exit address (pinned in
 ///     r15) and the 2-step budget (claimed and tested by one subtraction
 ///     from r13), side-exiting to the C++ driver whenever either needs
-///     attention (the driver re-evaluates the full per-mode boundary
-///     contract, so run / replaySteps / runContinuation ordering semantics
-///     live in exactly one place);
+///     attention (the driver re-evaluates the full boundary contract, so
+///     the continuation loop's ordering semantics live in exactly one
+///     place);
 ///   - jmpB / taken bzB commits chain directly to the target's boundary
 ///     code through an entry table (rbp), keeping loops native;
 ///   - loads and stores call out to C++ helpers that reuse the store
@@ -79,7 +79,7 @@ struct JitFrame {
   const StepPolicy *Policy = nullptr;
   /// Output sink for committed stores (stB); may be null.
   void (*Out)(JitFrame *F, int64_t Address, int64_t Val) = nullptr;
-  void *OutCtx = nullptr;
+  const void *OutCtx = nullptr;
 };
 
 /// Why emitted code returned to the driver.

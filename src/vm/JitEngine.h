@@ -7,13 +7,14 @@
 /// \file
 /// The JIT engine: lowers the decoded micro-op array to native x86-64 at
 /// construction (JitEmitter.h) and drives it behind the unchanged
-/// ExecEngine contract. The C++ driver owns every boundary decision —
-/// exit, budget, pc agreement, fetch misses — in the exact per-mode order
-/// of the vm engine; native code only executes whole
-/// instruction runs between boundaries, side-exiting whenever a boundary
-/// condition needs attention. That split keeps the engine observationally
-/// bit-identical to vm/reference on every state the fault model produces,
-/// while loops chain natively at an order of magnitude less dispatch cost.
+/// ExecEngine contract. The C++ driver, the engine's one run loop
+/// (runContinuation), owns every boundary decision — exit, budget, pc
+/// agreement, fetch misses — in the exact order of the vm engine's loop;
+/// native code only executes whole instruction runs between boundaries,
+/// side-exiting whenever a boundary condition needs attention. That split
+/// keeps the engine observationally bit-identical to vm/reference on every
+/// state the fault model produces, while loops chain natively at an order
+/// of magnitude less dispatch cost.
 ///
 /// On hosts where code pages cannot be mapped (non-x86-64, hardened W^X
 /// refusing PROT_EXEC) the engine still answers to name() == "jit" but
@@ -60,14 +61,9 @@ public:
   const DecodedProgram &program() const { return Fallback.program(); }
 
   StepResult step(MachineState &S, const StepPolicy &Policy) const override;
-  RunResult run(MachineState &S, Addr ExitAddr, uint64_t MaxSteps,
-                const StepPolicy &Policy) const override;
-  ReplayResult replaySteps(MachineState &S, uint64_t NSteps,
-                           OutputTrace &Trace,
-                           const StepPolicy &Policy) const override;
-  RunStatus runContinuation(MachineState &S, Addr ExitAddr, uint64_t Budget,
-                            const StepPolicy &Policy,
-                            const OutputSink &OnOutput) const override;
+  ContinuationResult runContinuation(MachineState &S, Addr ExitAddr,
+                                     uint64_t Budget, const StepPolicy &Policy,
+                                     const OutputSink &OnOutput) const override;
 
 private:
   struct NativeExit {
@@ -76,8 +72,8 @@ private:
   };
   NativeExit enterNative(MachineState &S, const StepPolicy &Policy,
                          Addr ExitAddr, uint64_t Avail,
-                         void (*OutFn)(JitFrame *, int64_t, int64_t),
-                         void *OutCtx, const uint8_t *Body) const;
+                         const OutputSink &OnOutput,
+                         const uint8_t *Body) const;
   const uint8_t *bodyFor(Addr A) const {
     return Jit->body((size_t)(A - Jit->base()));
   }

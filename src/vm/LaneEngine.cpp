@@ -89,14 +89,14 @@ void LaneEngine::run(MachineState *States, unsigned N,
   auto Fallback = [&](unsigned L, const std::optional<Inst> &IR) {
     MachineState S = LS.take(L, P.code());
     S.IR = IR;
-    RunStatus St = Scalar.runContinuation(
+    ExecEngine::ContinuationResult C = Scalar.runContinuation(
         S, Spec.ExitAddr, Spec.Budget - Taken, Spec.Policy,
         [&Sink = Spec.OnOutput, L](const QueueEntry &E) {
           if (Sink)
             Sink(L, E);
         });
     Out[L].Deviated = true;
-    Finish(L, St, std::move(S), Taken);
+    Finish(L, C.Status, std::move(S), Taken);
   };
 
   // Retires every remaining lane with status St, each lane's state

@@ -166,9 +166,13 @@ void compareGroupsToScalar(const char *Name, const Program &P,
     for (unsigned L = 0; L != N; ++L) {
       MachineState S = Lanes[At + L];
       OutputTrace ScalarOut;
-      RunStatus St = LE.scalar().runContinuation(
-          S, P.exitAddress(), Budget, StepPolicy(),
-          [&](const QueueEntry &E) { ScalarOut.push_back(E); });
+      RunStatus St = LE.scalar()
+                         .runContinuation(S, P.exitAddress(), Budget,
+                                          StepPolicy(),
+                                          [&](const QueueEntry &E) {
+                                            ScalarOut.push_back(E);
+                                          })
+                         .Status;
 
       std::string At2 = std::string(Name) + " step " + std::to_string(K) +
                         " lane " + std::to_string(At + L) + " width " +
@@ -251,9 +255,13 @@ TEST(LaneEngine, DivergentBranchFallsBackToScalar) {
   for (unsigned L = 0; L != N; ++L) {
     MachineState S = Lanes[L];
     OutputTrace ScalarOut;
-    RunStatus St = LE.scalar().runContinuation(
-        S, P.exitAddress(), Spec.Budget, StepPolicy(),
-        [&](const QueueEntry &E) { ScalarOut.push_back(E); });
+    RunStatus St = LE.scalar()
+                       .runContinuation(S, P.exitAddress(), Spec.Budget,
+                                        StepPolicy(),
+                                        [&](const QueueEntry &E) {
+                                          ScalarOut.push_back(E);
+                                        })
+                       .Status;
     EXPECT_EQ(Outs[L].Status, St) << "lane " << L;
     EXPECT_EQ(St, RunStatus::Halted) << "lane " << L;
     EXPECT_EQ(LaneOuts[L], ScalarOut) << "lane " << L;

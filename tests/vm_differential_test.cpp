@@ -4,13 +4,15 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The differential oracle for the decoded engine (vm/Engine.h): the VM is
-// only allowed to exist because it is observationally indistinguishable
-// from the structural interpreter. Every shared test program runs on both
-// engines in lockstep — same rule names, same outputs, same full machine
-// states after every transition, on fault-free and fault-injected runs,
-// under both wild-load policies — and whole campaigns must produce
-// identical verdict tables on either engine.
+// The differential oracle for the engines (sim/ExecEngine.h): the vm and
+// the JIT are only allowed to exist because they are observationally
+// indistinguishable from the structural interpreter. Every shared test
+// program runs on the vm in lockstep with talft::step — same rule names,
+// same outputs, same full machine states after every transition, on
+// fault-free and fault-injected runs, under both wild-load policies. Each
+// engine's one run loop, and the run() built on it, is held against the
+// spec drivers talft::run and talft::replaySteps over a budget ladder, and
+// whole campaigns must produce identical verdict tables on every engine.
 //
 //===----------------------------------------------------------------------===//
 
@@ -79,14 +81,14 @@ void expectSameState(const MachineState &A, const MachineState &B,
   }
 }
 
-/// Steps both engines in lockstep for \p MaxSteps transitions (or until
-/// both stop), comparing the StepResult and the full state after every
-/// transition.
+/// Steps \p Vm in lockstep with talft::step for \p MaxSteps transitions
+/// (or until both stop), comparing the StepResult and the full state after
+/// every transition.
 void lockstep(const ExecEngine &Vm, MachineState Ref, MachineState VmS,
               const StepPolicy &Policy, uint64_t MaxSteps,
               const std::string &Where) {
   for (uint64_t I = 0; I != MaxSteps; ++I) {
-    StepResult RR = referenceEngine().step(Ref, Policy);
+    StepResult RR = talft::step(Ref, Policy);
     StepResult VR = Vm.step(VmS, Policy);
     std::string At = Where + " step " + std::to_string(I);
     ASSERT_EQ(RR.Status, VR.Status) << At;
@@ -126,38 +128,127 @@ TEST(VmDifferential, LockstepFaultFree) {
   }
 }
 
-TEST(VmDifferential, RunResultsAndMidPairBudgets) {
+/// Holds \p E's run loop against the spec from \p S0 for each budget of
+/// \p Budgets: run() against talft::run; runContinuation() with the exit
+/// against talft::run, which checks the budget first where the loop checks
+/// the exit first; and runContinuation() with exit address 0 against
+/// talft::replaySteps. Odd budgets expire between a fetch and its
+/// execution, where every engine must leave the same materialized
+/// instruction register behind.
+void expectLoopsMatchSpec(const ExecEngine &E, const MachineState &S0,
+                          Addr Exit, const StepPolicy &Policy,
+                          const std::vector<uint64_t> &Budgets,
+                          const std::string &Where) {
+  auto Record = [](OutputTrace &T) {
+    return [&T](const QueueEntry &Q) { T.push_back(Q); };
+  };
+  for (uint64_t Budget : Budgets) {
+    std::string At =
+        Where + " " + E.name() + " budget " + std::to_string(Budget);
+    MachineState Spec = S0;
+    RunResult Want = talft::run(Spec, Exit, Budget, Policy);
+    {
+      MachineState S = S0;
+      RunResult Got = E.run(S, Exit, Budget, Policy);
+      ASSERT_EQ(Got.Status, Want.Status) << At << " (run)";
+      ASSERT_EQ(Got.Steps, Want.Steps) << At << " (run)";
+      EXPECT_EQ(Got.Trace, Want.Trace) << At << " (run)";
+      expectSameState(S, Spec, At + " (run)");
+    }
+    {
+      // Reaching the exit with the budget spent halts a continuation.
+      RunStatus WantSt =
+          Want.Status == RunStatus::OutOfSteps && atExit(Spec, Exit)
+              ? RunStatus::Halted
+              : Want.Status;
+      MachineState S = S0;
+      OutputTrace Trace;
+      ExecEngine::ContinuationResult Got =
+          E.runContinuation(S, Exit, Budget, Policy, Record(Trace));
+      ASSERT_EQ(Got.Status, WantSt) << At << " (continuation)";
+      ASSERT_EQ(Got.Steps, Want.Steps) << At << " (continuation)";
+      EXPECT_EQ(Trace, Want.Trace) << At << " (continuation)";
+      expectSameState(S, Spec, At + " (continuation)");
+    }
+    {
+      MachineState SpecR = S0, S = S0;
+      OutputTrace WantT, Trace;
+      ReplayResult WantR = talft::replaySteps(SpecR, Budget, WantT, Policy);
+      RunStatus WantSt = WantR.Last == StepStatus::Fault
+                             ? RunStatus::FaultDetected
+                         : WantR.Last == StepStatus::Stuck
+                             ? RunStatus::Stuck
+                             : RunStatus::OutOfSteps;
+      ExecEngine::ContinuationResult Got =
+          E.runContinuation(S, /*ExitAddr=*/0, Budget, Policy, Record(Trace));
+      ASSERT_EQ(Got.Status, WantSt) << At << " (replay)";
+      ASSERT_EQ(Got.Steps, WantR.Taken) << At << " (replay)";
+      EXPECT_EQ(Trace, WantT) << At << " (replay)";
+      expectSameState(S, SpecR, At + " (replay)");
+    }
+  }
+}
+
+/// States whose program counters a fault corrupted, taken from the clean
+/// run of \p S0 at fetch boundaries and mid-pair (an instruction in
+/// flight): one pc moved (the next fetch fails), both pcs moved off the
+/// code (the next fetch is stuck) and both moved to the exit block.
+std::vector<std::pair<std::string, MachineState>>
+pcCorruptedStates(const MachineState &S0, Addr Exit, uint64_t HaltSteps) {
+  std::vector<std::pair<std::string, MachineState>> Out;
+  for (uint64_t At : {uint64_t(0), uint64_t(1), HaltSteps / 2,
+                      HaltSteps / 2 + 1, HaltSteps - 1}) {
+    MachineState S = S0;
+    OutputTrace Prefix;
+    talft::replaySteps(S, At, Prefix);
+    std::string Tag = "pc fault at " + std::to_string(At);
+    MachineState G = S, B = S, Off = S, ToExit = S;
+    injectFault(G, FaultSite::reg(Reg::pcG()), S.pcG().N + 1);
+    injectFault(B, FaultSite::reg(Reg::pcB()), Exit);
+    injectFault(Off, FaultSite::reg(Reg::pcG()), 0);
+    injectFault(Off, FaultSite::reg(Reg::pcB()), 0);
+    injectFault(ToExit, FaultSite::reg(Reg::pcG()), Exit);
+    injectFault(ToExit, FaultSite::reg(Reg::pcB()), Exit);
+    Out.emplace_back(Tag + " (pcG+1)", std::move(G));
+    Out.emplace_back(Tag + " (pcB=exit)", std::move(B));
+    Out.emplace_back(Tag + " (both off code)", std::move(Off));
+    Out.emplace_back(Tag + " (both at exit)", std::move(ToExit));
+  }
+  return Out;
+}
+
+TEST(EngineSpec, LoopsMatchSpecOnBudgetLadder) {
   for (const NamedProgram &NP : allPrograms()) {
     TypeContext TC;
     Program P = parseOrDie(TC, NP);
-    std::unique_ptr<ExecEngine> Vm = vm::createEngine(P.code());
+    vm::Engine Vm(P.code());
+    vm::JitEngine Jit(P.code());
+    std::vector<const ExecEngine *> Engines = {&referenceEngine(), &Vm, &Jit};
     Expected<MachineState> S0 = P.initialState();
     ASSERT_TRUE(bool(S0)) << NP.Name;
-    // Odd budgets deliberately expire between a fetch and its execution:
-    // the VM must leave the same materialized instruction register behind.
-    for (uint64_t Budget : {0ull, 1ull, 2ull, 3ull, 7ull, 17ull, 40ull,
-                            101ull, 5000ull}) {
-      MachineState Ref = *S0, VmS = *S0;
-      RunResult RR = referenceEngine().run(Ref, P.exitAddress(), Budget,
-                                           StepPolicy());
-      RunResult VR = Vm->run(VmS, P.exitAddress(), Budget, StepPolicy());
-      std::string At =
-          std::string(NP.Name) + " budget " + std::to_string(Budget);
-      EXPECT_EQ(RR.Status, VR.Status) << At;
-      EXPECT_EQ(RR.Steps, VR.Steps) << At;
-      EXPECT_EQ(RR.Trace, VR.Trace) << At;
-      expectSameState(Ref, VmS, At);
+    MachineState Probe = *S0;
+    RunResult Clean = talft::run(Probe, P.exitAddress(), 100000);
+    ASSERT_EQ(Clean.Status, RunStatus::Halted) << NP.Name;
+    uint64_t H = Clean.Steps;
 
-      // replaySteps must stop at the same point with the same outputs.
-      MachineState Ref2 = *S0, VmS2 = *S0;
-      OutputTrace RefT, VmT;
-      ReplayResult Rp = referenceEngine().replaySteps(Ref2, Budget, RefT,
-                                                      StepPolicy());
-      ReplayResult Vp = Vm->replaySteps(VmS2, Budget, VmT, StepPolicy());
-      EXPECT_EQ(Rp.Last, Vp.Last) << At;
-      EXPECT_EQ(Rp.Taken, Vp.Taken) << At;
-      EXPECT_EQ(RefT, VmT) << At;
-      expectSameState(Ref2, VmS2, At + " (replay)");
+    // The exact halting step count and its neighbours separate the two
+    // check orders: with budget H talft::run is out of steps at the exit.
+    std::vector<uint64_t> Budgets = {0,     1,     2,     3,  7,  17,
+                                     40,    101,   H - 1, H,  H + 1,
+                                     100000};
+    std::vector<std::pair<std::string, MachineState>> States = {
+        {"clean", *S0}};
+    for (auto &C : pcCorruptedStates(*S0, P.exitAddress(), H))
+      States.push_back(std::move(C));
+    for (WildLoadPolicy WL : {WildLoadPolicy::Trap, WildLoadPolicy::Garbage}) {
+      StepPolicy Policy;
+      Policy.WildLoad = WL;
+      for (const auto &[Tag, S] : States)
+        for (const ExecEngine *E : Engines)
+          expectLoopsMatchSpec(
+              *E, S, P.exitAddress(), Policy, Budgets,
+              std::string(NP.Name) + " " + Tag +
+                  (WL == WildLoadPolicy::Trap ? " /trap" : " /garbage"));
     }
   }
 }
@@ -172,8 +263,7 @@ TEST(VmDifferential, LockstepUnderRandomSingleFaults) {
     ASSERT_TRUE(bool(S0)) << NP.Name;
 
     MachineState Probe = *S0;
-    RunResult Ref = referenceEngine().run(Probe, P.exitAddress(), 100000,
-                                          StepPolicy());
+    RunResult Ref = talft::run(Probe, P.exitAddress(), 100000);
     ASSERT_EQ(Ref.Status, RunStatus::Halted) << NP.Name;
 
     std::vector<int64_t> Values = representativeCorruptions(P);
@@ -182,7 +272,7 @@ TEST(VmDifferential, LockstepUnderRandomSingleFaults) {
           0, Ref.Steps)(Rng);
       MachineState S = *S0;
       OutputTrace Prefix;
-      referenceEngine().replaySteps(S, At, Prefix, StepPolicy());
+      talft::replaySteps(S, At, Prefix);
       std::vector<FaultSite> Sites = enumerateFaultSites(S);
       ASSERT_FALSE(Sites.empty());
       const FaultSite &Site = Sites[std::uniform_int_distribution<size_t>(
@@ -208,8 +298,7 @@ TEST(VmDifferential, InjectionPlanCampaignsAgree) {
     std::unique_ptr<ExecEngine> Vm = vm::createEngine(P.code());
 
     MachineState Probe = *P.initialState();
-    RunResult Ref = referenceEngine().run(Probe, P.exitAddress(), 100000,
-                                          StepPolicy());
+    RunResult Ref = talft::run(Probe, P.exitAddress(), 100000);
     ASSERT_EQ(Ref.Status, RunStatus::Halted) << NP.Name;
 
     PlanCampaign Spec;
@@ -280,56 +369,12 @@ TEST(VmDifferential, FaultToleranceCampaignsAgree) {
 }
 
 //===----------------------------------------------------------------------===//
-// JIT tier vs vm: the native engine is held to the same oracle the vm was
-// held to against the reference. step() delegates, so the interesting
-// surfaces are the fused loops: run / replaySteps / runContinuation from
-// clean, mid-pair and fault-corrupted states, plus whole campaigns. On
-// hosts without the native tier the engine degenerates to the vm engine;
-// the differential would pass vacuously, so we skip with a visible notice.
+// JIT tier vs vm: the native engine is held to the spec like the others
+// (EngineSpec above, and the random single faults below), and whole
+// campaigns must fold onto the vm's. On hosts without the native tier the
+// engine degenerates to the vm engine; the campaign comparisons would pass
+// vacuously, so they skip with a visible notice.
 //===----------------------------------------------------------------------===//
-
-/// Compares every fused-loop surface of \p A and \p B from \p S0 across a
-/// budget ladder that covers empty, mid-pair and unconstrained runs.
-void compareFusedLoops(const ExecEngine &A, const ExecEngine &B,
-                       const MachineState &S0, Addr Exit,
-                       const StepPolicy &Policy, const std::string &Where) {
-  for (uint64_t Budget :
-       {0ull, 1ull, 2ull, 3ull, 17ull, 301ull, 100000ull}) {
-    std::string At = Where + " budget " + std::to_string(Budget);
-    {
-      MachineState SA = S0, SB = S0;
-      RunResult RA = A.run(SA, Exit, Budget, Policy);
-      RunResult RB = B.run(SB, Exit, Budget, Policy);
-      ASSERT_EQ(RA.Status, RB.Status) << At << " (run)";
-      ASSERT_EQ(RA.Steps, RB.Steps) << At << " (run)";
-      EXPECT_EQ(RA.Trace, RB.Trace) << At << " (run)";
-      expectSameState(SA, SB, At + " (run)");
-    }
-    {
-      MachineState SA = S0, SB = S0;
-      OutputTrace TA, TB;
-      ReplayResult RA = A.replaySteps(SA, Budget, TA, Policy);
-      ReplayResult RB = B.replaySteps(SB, Budget, TB, Policy);
-      ASSERT_EQ(RA.Last, RB.Last) << At << " (replay)";
-      ASSERT_EQ(RA.Taken, RB.Taken) << At << " (replay)";
-      EXPECT_EQ(TA, TB) << At << " (replay)";
-      expectSameState(SA, SB, At + " (replay)");
-    }
-    {
-      MachineState SA = S0, SB = S0;
-      OutputTrace TA, TB;
-      RunStatus RA = A.runContinuation(
-          SA, Exit, Budget, Policy,
-          [&](const QueueEntry &Q) { TA.push_back(Q); });
-      RunStatus RB = B.runContinuation(
-          SB, Exit, Budget, Policy,
-          [&](const QueueEntry &Q) { TB.push_back(Q); });
-      ASSERT_EQ(RA, RB) << At << " (continuation)";
-      EXPECT_EQ(TA, TB) << At << " (continuation)";
-      expectSameState(SA, SB, At + " (continuation)");
-    }
-  }
-}
 
 #define TALFT_REQUIRE_JIT(Jit)                                                 \
   do {                                                                         \
@@ -338,40 +383,19 @@ void compareFusedLoops(const ExecEngine &A, const ExecEngine &B,
                       "W^X mapping refused); jit==vm by fallback";             \
   } while (0)
 
-TEST(JitDifferential, FusedLoopsMatchVm) {
-  for (const NamedProgram &NP : allPrograms()) {
-    TypeContext TC;
-    Program P = parseOrDie(TC, NP);
-    vm::Engine Vm(P.code());
-    vm::JitEngine Jit(P.code());
-    TALFT_REQUIRE_JIT(Jit);
-    for (WildLoadPolicy WL : {WildLoadPolicy::Trap, WildLoadPolicy::Garbage}) {
-      StepPolicy Policy;
-      Policy.WildLoad = WL;
-      Expected<MachineState> S = P.initialState();
-      ASSERT_TRUE(bool(S)) << NP.Name;
-      compareFusedLoops(Vm, Jit, *S, P.exitAddress(), Policy,
-                        std::string(NP.Name) +
-                            (WL == WildLoadPolicy::Trap ? "/trap"
-                                                        : "/garbage"));
-    }
-  }
-}
-
-TEST(JitDifferential, FusedLoopsUnderRandomSingleFaults) {
+TEST(EngineSpec, LoopsMatchSpecUnderRandomSingleFaults) {
   std::mt19937 Rng(20070612);
   for (const NamedProgram &NP : allPrograms()) {
     TypeContext TC;
     Program P = parseOrDie(TC, NP);
     vm::Engine Vm(P.code());
     vm::JitEngine Jit(P.code());
-    TALFT_REQUIRE_JIT(Jit);
+    std::vector<const ExecEngine *> Engines = {&referenceEngine(), &Vm, &Jit};
     Expected<MachineState> S0 = P.initialState();
     ASSERT_TRUE(bool(S0)) << NP.Name;
 
     MachineState Probe = *S0;
-    RunResult Ref =
-        referenceEngine().run(Probe, P.exitAddress(), 100000, StepPolicy());
+    RunResult Ref = talft::run(Probe, P.exitAddress(), 100000);
     ASSERT_EQ(Ref.Status, RunStatus::Halted) << NP.Name;
 
     std::vector<int64_t> Values = representativeCorruptions(P);
@@ -380,7 +404,7 @@ TEST(JitDifferential, FusedLoopsUnderRandomSingleFaults) {
           std::uniform_int_distribution<uint64_t>(0, Ref.Steps)(Rng);
       MachineState S = *S0;
       OutputTrace Prefix;
-      referenceEngine().replaySteps(S, At, Prefix, StepPolicy());
+      talft::replaySteps(S, At, Prefix);
       std::vector<FaultSite> Sites = enumerateFaultSites(S);
       ASSERT_FALSE(Sites.empty());
       const FaultSite &Site = Sites[std::uniform_int_distribution<size_t>(
@@ -390,9 +414,12 @@ TEST(JitDifferential, FusedLoopsUnderRandomSingleFaults) {
       if (V == currentValueAt(S, Site))
         continue;
       injectFault(S, Site, V);
-      compareFusedLoops(Vm, Jit, S, P.exitAddress(), StepPolicy(),
-                        std::string(NP.Name) + " trial " +
-                            std::to_string(Trial));
+      // The ladder covers empty, mid-pair and unconstrained runs.
+      for (const ExecEngine *E : Engines)
+        expectLoopsMatchSpec(*E, S, P.exitAddress(), StepPolicy(),
+                             {0, 1, 2, 3, 17, 301, 100000},
+                             std::string(NP.Name) + " trial " +
+                                 std::to_string(Trial));
     }
   }
 }
