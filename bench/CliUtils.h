@@ -1,11 +1,12 @@
-//===- bench/CliUtils.h - Shared CLI parsing and report-writing helpers ---===//
+//===- bench/CliUtils.h - Shared CLI, report and kernel-loading helpers ---===//
 //
 // Part of the TALFT project.
 //
 //===----------------------------------------------------------------------===//
 //
-// Every bench harness parses the same kinds of flags and writes the same
-// kinds of JSON reports. Two policies live here so they cannot drift:
+// Every bench harness parses the same kinds of flags, writes the same
+// kinds of JSON reports and sweeps the same Figure 10 kernels. Three
+// policies live here so they cannot drift:
 //
 //   - numeric flags parse strictly: the entire argument must be a base-10
 //     integer, so '--threads abc' (or '8x', or '') is a usage error in
@@ -14,20 +15,29 @@
 //     directory, then rename — so a crashed or OOM-killed run can never
 //     leave a truncated report for a workflow to upload. The actual
 //     write lives in support/AtomicFile.h so non-bench code (the
-//     certification server's memo store) links the same logic.
+//     certification server's memo store) links the same logic;
+//   - a Figure 10 sweep injects at every max(1, steps/12)-th reference
+//     state, so fault_coverage --fig10 and campaign_matrix sweep the
+//     same tasks (loadFig10Kernel).
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef TALFT_BENCH_CLIUTILS_H
 #define TALFT_BENCH_CLIUTILS_H
 
+#include "fault/Campaign.h"
 #include "support/AtomicFile.h"
+#include "vm/Engine.h"
+#include "wile/Codegen.h"
+#include "wile/Kernels.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -113,6 +123,48 @@ inline bool engineArg(int Argc, char **Argv, int &I, std::string &Out) {
 inline bool writeFileAtomic(const std::string &Path,
                             const std::string &Contents) {
   return support::writeFileAtomic(Path, Contents);
+}
+
+/// A Figure 10 kernel compiled for a sweep.
+struct Fig10Kernel {
+  wile::CompiledProgram CP;
+  /// Length of the fault-free reference run.
+  uint64_t RefSteps = 0;
+  /// Inject at every Stride-th reference state: max(1, RefSteps / 12).
+  uint64_t Stride = 1;
+};
+
+/// Compiles \p K into \p TC (which must outlive the result) and probes its
+/// fault-free reference length on the vm engine. The stride adapts to that
+/// length so every kernel's sweep stays tractable; step counts are
+/// engine-independent by the engine contract, so no verdict table can
+/// depend on the engine through the stride. Prints why to stderr and
+/// returns nothing when the kernel does not compile or halt.
+inline std::optional<Fig10Kernel> loadFig10Kernel(TypeContext &TC,
+                                                  const wile::Kernel &K) {
+  DiagnosticEngine Diags;
+  Expected<wile::CompiledProgram> CP = wile::compileWile(
+      TC, K.Source.c_str(), wile::CodegenMode::FaultTolerant, Diags);
+  if (!CP) {
+    std::fprintf(stderr, "%s: %s\n", K.Name.c_str(), CP.message().c_str());
+    return std::nullopt;
+  }
+  Expected<MachineState> S0 = CP->Prog.initialState();
+  if (Error Err = S0.takeError()) {
+    std::fprintf(stderr, "%s: %s\n", K.Name.c_str(), Err.message().c_str());
+    return std::nullopt;
+  }
+  TheoremConfig Probe;
+  RunResult RR = vm::createEngine(CP->Prog.code())
+                     ->run(*S0, CP->Prog.exitAddress(), Probe.MaxSteps,
+                           Probe.Policy);
+  if (RR.Status != RunStatus::Halted) {
+    std::fprintf(stderr, "%s: reference run did not halt (%s)\n",
+                 K.Name.c_str(), runStatusName(RR.Status));
+    return std::nullopt;
+  }
+  return Fig10Kernel{std::move(*CP), RR.Steps,
+                     std::max<uint64_t>(1, RR.Steps / 12)};
 }
 
 } // namespace talft::cli

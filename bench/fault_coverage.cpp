@@ -66,16 +66,16 @@
 //   --no-converge skip the classifier's first stage, the sparse
 //                 differential replay: every injection runs from its
 //                 injection step. Verdict tables are bit-identical
-//                 either way — the nightly workflow asserts exactly
+//                 either way — bench/campaign_matrix asserts exactly
 //                 that — so this is the reference configuration fold
 //                 checks compare against.
 //   --no-lanes    run every injection continuation by continuation on
 //                 the engine instead of in lockstep groups of 16 on the
 //                 batched structure-of-arrays lane engine
 //                 (vm/LaneEngine.h). Verdict tables are bit-identical
-//                 either way — the lane-determinism CI job asserts
-//                 exactly that — so this is the reference configuration
-//                 fold checks compare against.
+//                 either way — bench/campaign_matrix asserts exactly
+//                 that on every Figure 10 kernel — so this is the
+//                 reference configuration fold checks compare against.
 //   --shards N    deterministically partition every campaign's task list
 //                 into N contiguous shards and run only one of them
 //                 (fault/Campaign.h applyShardSlice semantics: shard I
@@ -109,6 +109,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "CliUtils.h"
+#include "CoveragePrograms.h"
 #include "analysis/Certify.h"
 #include "check/ProgramChecker.h"
 #include "fault/Campaign.h"
@@ -122,81 +123,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 using namespace talft;
 
 namespace {
-
-// The Section 2.2 paired-store example.
-const char *PairedStore = R"(
-entry main
-exit done
-data { 256: int = 0 }
-block main {
-  pre { forall m: mem; queue []; mem m }
-  mov r1, G 5
-  mov r2, G 256
-  stG r2, r1
-  mov r3, B 5
-  mov r4, B 256
-  stB r4, r3
-  mov r5, G @done
-  mov r6, B @done
-  jmpG r5
-  jmpB r6
-}
-block done {
-  pre { forall m: mem; queue []; mem m }
-  mov r60, G @done
-  mov r61, B @done
-  jmpG r60
-  jmpB r61
-}
-)";
-
-// A loop with branches, stores and forwarding.
-const char *CountdownLoop = R"(
-entry main
-exit done
-data { 500: int = 0 }
-block main {
-  pre { forall m: mem; queue []; mem m }
-  mov r1, G 4
-  mov r2, B 4
-  mov r10, G @loop
-  mov r11, B @loop
-  jmpG r10
-  jmpB r11
-}
-block loop {
-  pre { forall n: int, m: mem;
-        r1: (G, int, n); r2: (B, int, n);
-        queue []; mem m }
-  mov r20, G @done
-  mov r21, B @done
-  bzG r1, r20
-  bzB r2, r21
-  mov r3, G 500
-  stG r3, r1
-  mov r4, B 500
-  stB r4, r2
-  sub r1, r1, G 1
-  sub r2, r2, B 1
-  mov r10, G @loop
-  mov r11, B @loop
-  jmpG r10
-  jmpB r11
-}
-block done {
-  pre { forall m: mem; queue []; mem m }
-  mov r60, G @done
-  mov r61, B @done
-  jmpG r60
-  jmpB r61
-}
-)";
 
 struct Cli {
   unsigned Threads = 1;
@@ -412,47 +345,20 @@ bool sweepKernel(const Cli &C, const char *Name, const char *Source,
 /// The Figure 10 kernels on the raw-semantics campaign: typability is not
 /// required, so all fifteen sweep — including the dynamically-addressed
 /// kernels the checker rejects. The injection stride adapts to each
-/// kernel's reference length so the sweep stays tractable; it is derived
-/// from the (engine-independent) step count, so verdict tables still
-/// cannot depend on the engine.
+/// kernel's reference length (cli::loadFig10Kernel) unless --stride
+/// fixes it.
 bool sweepFig10(const Cli &C, std::vector<SweepRow> &Rows) {
   bool Ok = true;
   for (const wile::Kernel &K : wile::benchmarkKernels()) {
     TypeContext TC;
-    DiagnosticEngine Diags;
-    Expected<wile::CompiledProgram> CP = wile::compileWile(
-        TC, K.Source.c_str(), wile::CodegenMode::FaultTolerant, Diags);
-    if (!CP) {
-      std::fprintf(stderr, "%s: %s\n", K.Name.c_str(), CP.message().c_str());
+    std::optional<cli::Fig10Kernel> FK = cli::loadFig10Kernel(TC, K);
+    if (!FK) {
       Ok = false;
       continue;
     }
-    std::unique_ptr<ExecEngine> Eng = makeEngine(C, CP->Prog.code());
-    const ExecEngine *E = Eng ? Eng.get() : &referenceEngine();
-
-    // Probe the reference length to pick the stride (deterministic: step
-    // counts are engine-independent by the engine contract).
-    TheoremConfig Probe;
-    uint64_t Stride = C.Stride;
-    if (Stride == 0) {
-      Expected<MachineState> S0 = CP->Prog.initialState();
-      if (Error Err = S0.takeError()) {
-        std::fprintf(stderr, "%s: %s\n", K.Name.c_str(),
-                     Err.message().c_str());
-        Ok = false;
-        continue;
-      }
-      MachineState S = *S0;
-      RunResult RR =
-          E->run(S, CP->Prog.exitAddress(), Probe.MaxSteps, Probe.Policy);
-      if (RR.Status != RunStatus::Halted) {
-        std::fprintf(stderr, "%s: reference run did not halt (%s)\n",
-                     K.Name.c_str(), runStatusName(RR.Status));
-        Ok = false;
-        continue;
-      }
-      Stride = std::max<uint64_t>(1, RR.Steps / 12);
-    }
+    const Program &Prog = FK->CP.Prog;
+    uint64_t Stride = C.Stride ? C.Stride : FK->Stride;
+    std::unique_ptr<ExecEngine> Eng = makeEngine(C, Prog.code());
 
     TheoremConfig Config = sweepConfig(C, Stride);
     CampaignOptions Opts;
@@ -464,11 +370,11 @@ bool sweepFig10(const Cli &C, std::vector<SweepRow> &Rows) {
     Opts.Lanes = C.Lanes;
     Opts.ShardCount = C.Shards;
     Opts.ShardIndex = C.ShardIndex;
-    CampaignResult R = runSingleFaultCampaign(CP->Prog, Config, Opts);
+    CampaignResult R = runSingleFaultCampaign(Prog, Config, Opts);
     // Raw-semantics sweeps report the certification rung the analysis
     // ladder assigns (Typed / AnalysisCertified / Inconsistent) instead
     // of the old ad-hoc rejected/unsupported booleans.
-    analysis::Certification Cert = analysis::certifyProgram(TC, CP->Prog);
+    analysis::Certification Cert = analysis::certifyProgram(TC, Prog);
     Rows.push_back({K.Name, std::move(R), Stride, Cert.Status,
                     Cert.Resolution});
     printRow(tableStream(C), Rows.back());
@@ -545,20 +451,9 @@ int main(int Argc, char **Argv) {
 
   std::vector<SweepRow> Rows;
   bool Ok = true;
-  uint64_t TalStride = C.Stride ? C.Stride : 1;
-  Ok &= sweepTal(C, "paired-store", PairedStore, TalStride, Rows);
-  Ok &= sweepTal(C, "countdown-loop", CountdownLoop, TalStride, Rows);
-
-  // A compiled kernel: stride the injection points to keep the sweep
-  // tractable (default every 7th reference state; all sites and values at
-  // each).
-  const char *TinyKernel = R"(
-var n = 3; var acc = 0;
-while (n != 0) { acc = acc + n * n; n = n - 1; }
-output(acc);
-)";
-  Ok &= sweepKernel(C, "wile-sum-squares", TinyKernel,
-                    C.Stride ? C.Stride : 7, Rows);
+  for (const coverage::SweptProgram &P : coverage::Programs)
+    Ok &= (P.Wile ? sweepKernel : sweepTal)(
+        C, P.Name, P.Source, C.Stride ? C.Stride : P.Stride, Rows);
 
   if (C.Fig10)
     Ok &= sweepFig10(C, Rows);

@@ -24,6 +24,7 @@
 #include "wile/Codegen.h"
 #include "wile/Kernels.h"
 
+#include "CoveragePrograms.h"
 #include "TestPrograms.h"
 
 #include <gtest/gtest.h>
@@ -561,6 +562,87 @@ TEST(ConvergenceFold, ReplayEventSetPinnedOnFig10) {
     ++Checked;
   }
   EXPECT_EQ(Checked, std::size(Pins));
+}
+
+// The programs fault_coverage sweeps besides the Figure 10 kernels, at its
+// strides and on the typed campaign it runs them on. campaign_matrix holds
+// the kernels to these checks, and this holds the other three: every cell
+// (the vm with the replay and lane groups each on and off, the JIT with
+// the replay on and off) folds onto the vm cell with both off, on the
+// table, violations, reference run, Ok and program hash; every replay
+// cell exits early, with the same counters on the vm and the JIT; and the
+// vm lane cells classify lane tasks.
+TEST(ConvergenceFold, CoverageProgramsFoldInEveryCell) {
+  struct Cell {
+    const char *Name;
+    bool Jit, Converge, Lanes;
+  };
+  // The base cell first, the vm cell (both accelerators on) second.
+  const Cell Cells[] = {{"vm-no-converge-no-lanes", false, false, false},
+                        {"vm", false, true, true},
+                        {"vm-no-lanes", false, true, false},
+                        {"vm-no-converge", false, false, true},
+                        {"jit", true, true, true},
+                        {"jit-no-converge", true, false, true}};
+  uint64_t LaneTasks[std::size(Cells)] = {};
+  for (const coverage::SweptProgram &SP : coverage::Programs) {
+    TypeContext TC;
+    DiagnosticEngine Diags;
+    auto Load = [&]() -> Expected<Program> {
+      if (!SP.Wile)
+        return parseAndLayoutTalProgram(TC, SP.Source, Diags);
+      Expected<wile::CompiledProgram> W = wile::compileWile(
+          TC, SP.Source, wile::CodegenMode::FaultTolerant, Diags);
+      if (!W)
+        return W.takeError();
+      return std::move(W->Prog);
+    };
+    Expected<Program> P = Load();
+    ASSERT_TRUE(bool(P)) << SP.Name << ": " << Diags.str();
+    Expected<CheckedProgram> CP = checkProgram(TC, *P, Diags);
+    ASSERT_TRUE(bool(CP)) << SP.Name << ": " << Diags.str();
+    vm::Engine Vm(P->code());
+    vm::JitEngine Jit(P->code());
+    TheoremConfig Config;
+    Config.InjectionStride = SP.Stride;
+
+    std::vector<CampaignResult> Runs;
+    for (const Cell &C : Cells) {
+      CampaignOptions Opts;
+      Opts.Engine = C.Jit ? static_cast<const ExecEngine *>(&Jit) : &Vm;
+      Opts.Converge = C.Converge;
+      Opts.Lanes = C.Lanes;
+      Opts.Threads = 4;
+      Runs.push_back(runFaultToleranceCampaign(TC, *CP, Config, Opts));
+    }
+    const CampaignResult &Base = Runs[0], &Replay = Runs[1];
+    EXPECT_TRUE(Base.Ok) << SP.Name;
+    for (size_t I = 0; I != Runs.size(); ++I) {
+      const CampaignResult &R = Runs[I];
+      std::string At = std::string(SP.Name) + " " + Cells[I].Name;
+      EXPECT_EQ(R.Table, Base.Table) << At;
+      EXPECT_EQ(R.Violations, Base.Violations) << At;
+      EXPECT_EQ(R.ReferenceSteps, Base.ReferenceSteps) << At;
+      EXPECT_EQ(R.Ok, Base.Ok) << At;
+      EXPECT_EQ(R.ProgramHash, Base.ProgramHash) << At;
+      LaneTasks[I] += R.Stats.LaneTasks;
+      if (!Cells[I].Converge)
+        continue;
+      const CampaignStats &A = R.Stats, &B = Replay.Stats;
+      EXPECT_GT(A.EarlyExits, 0u) << At;
+      EXPECT_EQ(A.EarlyExits, B.EarlyExits) << At;
+      EXPECT_EQ(A.WindowSum, B.WindowSum) << At;
+      EXPECT_EQ(A.MaxWindow, B.MaxWindow) << At;
+      EXPECT_EQ(A.StepsSaved, B.StepsSaved) << At;
+      EXPECT_EQ(A.LockstepSkips, B.LockstepSkips) << At;
+      EXPECT_EQ(A.LockstepSteps, B.LockstepSteps) << At;
+    }
+  }
+  for (size_t I = 0; I != std::size(Cells); ++I) {
+    if (!Cells[I].Jit && Cells[I].Lanes) {
+      EXPECT_GT(LaneTasks[I], 0u) << Cells[I].Name;
+    }
+  }
 }
 
 } // namespace
