@@ -16,6 +16,13 @@
 // memo store: warm latency is protocol + lookup, independent of
 // campaign size.
 //
+// Five rounds run, each on a fresh server, so every cold submit misses
+// the memo (at the adaptive stride). A warm submit is a loopback round
+// trip of a millisecond or so, and one pair's ratio swings several-fold
+// run to run, so each kernel reports the median of its five cold/warm
+// pairs by speedup: that pair's cold and warm seconds and their ratio.
+// The totals sum the reported pairs.
+//
 //   serve_latency [--threads N] [--shards N] [--engine reference|vm|jit]
 //                 [--prune] [--json [FILE]]
 //
@@ -29,11 +36,12 @@
 //                 to FILE (written atomically) or stdout, with the human
 //                 table on stderr.
 //
-// Exit status is nonzero if any warm submission misses the cache or any
-// warm campaign differs from its cold baseline. Warm latency is mostly
-// loopback round-trips, so the per-kernel speedup is noisy; the gate in
-// CI runs tools/bench_compare.py with generous thresholds and leans on
-// the tables_identical flag.
+// Exit status is nonzero if any cold submission hits the cache, any warm
+// submission misses it, or any campaign differs from the kernel's first
+// cold one. Warm latency is mostly loopback round-trips, so even the
+// median pair's speedup is noisy; the gate in CI runs
+// tools/bench_compare.py with generous thresholds and leans on the
+// tables_identical flag.
 //
 //===----------------------------------------------------------------------===//
 
@@ -43,10 +51,12 @@
 #include "serve/Server.h"
 #include "wile/Kernels.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace talft;
@@ -92,14 +102,21 @@ bool parseCli(int Argc, char **Argv, Cli &C) {
   return true;
 }
 
+/// Rounds per run, each on a fresh server; odd, so the median pair is one
+/// of them.
+constexpr unsigned Rounds = 5;
+
 struct KernelRow {
   std::string Name;
   std::string Suite;
+  /// The median pair by speedup.
   double ColdSeconds = 0;
   double WarmSeconds = 0;
+  /// Every round's pair, in round order.
+  std::vector<std::pair<double, double>> Pairs;
   serve::SubmitOutcome Cold;
   serve::SubmitOutcome Warm;
-  bool Identical = false;
+  bool Identical = true;
 };
 
 bool sameCampaign(const CampaignResult &A, const CampaignResult &B) {
@@ -123,6 +140,7 @@ std::string reportJson(const Cli &C, const std::vector<KernelRow> &Rows,
   S += "  \"threads\": " + std::to_string(C.Threads) + ",\n";
   S += "  \"shards\": " + std::to_string(C.Shards) + ",\n";
   S += "  \"prune\": " + std::string(C.Prune ? "true" : "false") + ",\n";
+  S += "  \"rounds\": " + std::to_string(Rounds) + ",\n";
   S += "  \"tables_identical\": " + std::string(Identical ? "true" : "false") +
        ",\n";
   S += "  \"kernels\": [\n";
@@ -170,84 +188,122 @@ int main(int Argc, char **Argv) {
   serve::ServerOptions SO;
   SO.CampaignThreads = C.Threads;
   SO.DefaultShards = C.Shards;
-  serve::Server S(SO);
-  std::string Err;
-  if (!S.start(&Err)) {
-    std::fprintf(stderr, "serve_latency: %s\n", Err.c_str());
-    return 1;
-  }
 
   std::fprintf(Out, "Cold vs warm certification-serving latency\n");
   std::fprintf(Out,
-               "(in-process server on 127.0.0.1:%u; %u shard%s per "
-               "campaign; %s engine;\n warm = resubmission answered by the "
-               "content-addressed memo store)\n\n",
-               S.port(), C.Shards, C.Shards == 1 ? "" : "s",
-               C.Engine.c_str());
+               "(in-process server on 127.0.0.1, a fresh one per round; "
+               "%u shard%s per campaign;\n %s engine; warm = resubmission "
+               "answered by the content-addressed memo store;\n each row "
+               "is the median of %u cold/warm pairs by speedup)\n\n",
+               C.Shards, C.Shards == 1 ? "" : "s", C.Engine.c_str(), Rounds);
+
+  std::vector<KernelRow> Rows;
+  for (const wile::Kernel &K : wile::benchmarkKernels()) {
+    KernelRow Row;
+    Row.Name = K.Name;
+    Row.Suite = K.Suite;
+    Rows.push_back(std::move(Row));
+  }
+  bool Ok = true;
+  for (unsigned Round = 0; Round != Rounds; ++Round) {
+    serve::Server S(SO);
+    std::string Err;
+    if (!S.start(&Err)) {
+      std::fprintf(stderr, "serve_latency: %s\n", Err.c_str());
+      return 1;
+    }
+    size_t I = 0;
+    for (const wile::Kernel &K : wile::benchmarkKernels()) {
+      KernelRow &Row = Rows[I++];
+      serve::SubmitSpec Spec;
+      Spec.Name = K.Name;
+      Spec.Lang = "wile";
+      Spec.Source = K.Source;
+      Spec.Engine = C.Engine;
+      Spec.Prune = C.Prune;
+      Spec.Shards = C.Shards;
+
+      auto T0 = std::chrono::steady_clock::now();
+      serve::SubmitOutcome Cold = serve::submitProgram("127.0.0.1", S.port(),
+                                                       Spec);
+      double ColdSeconds = secondsSince(T0);
+      if (!Cold.Error.empty() || !Cold.GotResult) {
+        std::fprintf(stderr, "%s: cold submit failed: %s\n", K.Name.c_str(),
+                     Cold.Error.c_str());
+        Ok = false;
+        continue;
+      }
+      if (Cold.Cache != "miss") {
+        std::fprintf(stderr, "%s: cold submission was not a miss (%s)\n",
+                     K.Name.c_str(), Cold.Cache.c_str());
+        Ok = false;
+      }
+
+      auto T1 = std::chrono::steady_clock::now();
+      serve::SubmitOutcome Warm = serve::submitProgram("127.0.0.1", S.port(),
+                                                       Spec);
+      double WarmSeconds = secondsSince(T1);
+      if (!Warm.Error.empty() || !Warm.GotResult) {
+        std::fprintf(stderr, "%s: warm submit failed: %s\n", K.Name.c_str(),
+                     Warm.Error.c_str());
+        Ok = false;
+        continue;
+      }
+      if (Warm.Cache != "hit") {
+        std::fprintf(stderr, "%s: warm submission was not a cache hit (%s)\n",
+                     K.Name.c_str(), Warm.Cache.c_str());
+        Ok = false;
+      }
+      if (Warm.ShardEvents != 0) {
+        std::fprintf(stderr, "%s: warm submission ran %u shard(s)\n",
+                     K.Name.c_str(), Warm.ShardEvents);
+        Ok = false;
+      }
+      // Every round serves the same tables: the first round's cold result
+      // is the baseline for every later submit.
+      if (Row.Pairs.empty())
+        Row.Cold = Cold;
+      bool Identical = sameCampaign(Cold.Campaign, Warm.Campaign) &&
+                       sameCampaign(Row.Cold.Campaign, Cold.Campaign);
+      Row.Identical &= Identical;
+      Ok &= Identical;
+      Row.Warm = std::move(Warm);
+      Row.Pairs.push_back({ColdSeconds, WarmSeconds});
+    }
+    S.stop();
+  }
+
   std::fprintf(Out, "%-14s %11s %9s %9s %8s %7s %9s\n", "kernel",
                "injections", "cold(s)", "warm(s)", "speedup", "cache",
                "identical");
   std::fprintf(Out, "%.*s\n", 74,
                "----------------------------------------------------------"
                "----------------");
-
-  std::vector<KernelRow> Rows;
-  bool Ok = true;
-  for (const wile::Kernel &K : wile::benchmarkKernels()) {
-    serve::SubmitSpec Spec;
-    Spec.Name = K.Name;
-    Spec.Lang = "wile";
-    Spec.Source = K.Source;
-    Spec.Engine = C.Engine;
-    Spec.Prune = C.Prune;
-    Spec.Shards = C.Shards;
-
-    KernelRow Row;
-    Row.Name = K.Name;
-    Row.Suite = K.Suite;
-
-    auto T0 = std::chrono::steady_clock::now();
-    Row.Cold = serve::submitProgram("127.0.0.1", S.port(), Spec);
-    Row.ColdSeconds = secondsSince(T0);
-    if (!Row.Cold.Error.empty() || !Row.Cold.GotResult) {
-      std::fprintf(stderr, "%s: cold submit failed: %s\n", K.Name.c_str(),
-                   Row.Cold.Error.c_str());
+  std::vector<KernelRow> Served;
+  for (KernelRow &Row : Rows) {
+    if (Row.Pairs.size() != Rounds) {
       Ok = false;
       continue;
     }
-
-    auto T1 = std::chrono::steady_clock::now();
-    Row.Warm = serve::submitProgram("127.0.0.1", S.port(), Spec);
-    Row.WarmSeconds = secondsSince(T1);
-    if (!Row.Warm.Error.empty() || !Row.Warm.GotResult) {
-      std::fprintf(stderr, "%s: warm submit failed: %s\n", K.Name.c_str(),
-                   Row.Warm.Error.c_str());
-      Ok = false;
-      continue;
-    }
-
-    Row.Identical = sameCampaign(Row.Cold.Campaign, Row.Warm.Campaign);
-    if (Row.Warm.Cache != "hit") {
-      std::fprintf(stderr, "%s: warm submission was not a cache hit (%s)\n",
-                   K.Name.c_str(), Row.Warm.Cache.c_str());
-      Ok = false;
-    }
-    if (Row.Warm.ShardEvents != 0) {
-      std::fprintf(stderr, "%s: warm submission ran %u shard(s)\n",
-                   K.Name.c_str(), Row.Warm.ShardEvents);
-      Ok = false;
-    }
-    Ok &= Row.Identical;
-
+    std::vector<std::pair<double, double>> ByRatio = Row.Pairs;
+    auto Ratio = [](const std::pair<double, double> &P) {
+      return P.second > 0 ? P.first / P.second : 0.0;
+    };
+    std::nth_element(ByRatio.begin(), ByRatio.begin() + Rounds / 2,
+                     ByRatio.end(), [&](const auto &A, const auto &B) {
+                       return Ratio(A) < Ratio(B);
+                     });
+    Row.ColdSeconds = ByRatio[Rounds / 2].first;
+    Row.WarmSeconds = ByRatio[Rounds / 2].second;
     std::fprintf(Out, "%-14s %11llu %9.4f %9.4f %7.1fx %7s %9s\n",
                  Row.Name.c_str(),
                  (unsigned long long)Row.Cold.Campaign.Stats.Tasks,
                  Row.ColdSeconds, Row.WarmSeconds,
                  Row.WarmSeconds > 0 ? Row.ColdSeconds / Row.WarmSeconds : 0.0,
                  Row.Warm.Cache.c_str(), Row.Identical ? "yes" : "NO");
-    Rows.push_back(std::move(Row));
+    Served.push_back(std::move(Row));
   }
-  S.stop();
+  Rows = std::move(Served);
 
   if (C.Json) {
     std::string Doc = reportJson(C, Rows, Ok);

@@ -18,12 +18,12 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <bitset>
 #include <cassert>
 #include <chrono>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <thread>
 
 using namespace talft;
@@ -205,21 +205,22 @@ unsigned dispatchTasks(unsigned Threads, uint64_t Count, uint64_t TotalTasks,
   return Threads;
 }
 
-/// Registers the program mentions anywhere, plus the specials.
-std::set<unsigned> mentionedRegisters(const Program &Prog) {
-  std::set<unsigned> Used;
+/// Registers the program mentions anywhere, plus the specials, as a mask
+/// over dense register indices.
+std::bitset<Reg::NumRegs> mentionedRegisters(const Program &Prog) {
+  std::bitset<Reg::NumRegs> Used;
   for (const Block &B : Prog.blocks()) {
     for (const ProgInst &PI : B.Insts) {
       const Inst &I = PI.I;
-      Used.insert(I.Rd.denseIndex());
-      Used.insert(I.Rs.denseIndex());
+      Used.set(I.Rd.denseIndex());
+      Used.set(I.Rs.denseIndex());
       if (!I.HasImm)
-        Used.insert(I.Rt.denseIndex());
+        Used.set(I.Rt.denseIndex());
     }
   }
-  Used.insert(Reg::dest().denseIndex());
-  Used.insert(Reg::pcG().denseIndex());
-  Used.insert(Reg::pcB().denseIndex());
+  Used.set(Reg::dest().denseIndex());
+  Used.set(Reg::pcG().denseIndex());
+  Used.set(Reg::pcB().denseIndex());
   return Used;
 }
 
@@ -1224,8 +1225,8 @@ std::unique_ptr<CfiTable> buildCfiTable(const Program &Prog,
   return Table;
 }
 
-/// The frame both single-fault sweeps run in: the result under
-/// construction and the CFI table, when requested. The table rides on the
+/// The frame the typed sweep runs in: the result under construction and
+/// the CFI table, when requested. The table rides on the
 /// step policy, so the reference interpreter validates commits through the
 /// same hook as every engine. Record-only: verdicts cannot depend on it.
 struct SweepFrame {
@@ -1290,14 +1291,39 @@ struct EngineProvenance {
   }
 };
 
-/// Phase 2, shared by both single-fault entry points: the work list in
-/// the order the serial checker visits it, so merged violation lists
-/// match it exactly. \p StateAt resolves the reference state of snapshot
-/// \p SI (typed and untyped campaigns store snapshots differently). With
-/// Opts.Prune and an oracle that vouches for the program, provably-dead
-/// register sites are tallied into R.Table as StaticallyMasked instead of
-/// being enumerated — exactly the triples the unpruned sweep would have
-/// classified, so the table total is invariant under pruning.
+/// One fault site the sweep simulates. Its tasks, one per corruption value
+/// other than the site's current one, are numbered from First in
+/// enumeration order, up to the next site's First.
+struct SiteTasks {
+  uint64_t First;
+  uint32_t SnapIdx;
+  FaultSite Site;
+};
+
+/// Phase 2's shard-independent half: the work list in the order the serial
+/// checker visits it, one entry per simulated site, so merged violation
+/// lists match it exactly and a shard finds its slice without walking the
+/// tasks before it.
+struct TaskCounts {
+  /// The sorted corruption values (representativeCorruptions).
+  std::vector<int64_t> Corruptions;
+  std::vector<SiteTasks> Sites;
+  uint64_t Total = 0;
+  /// StaticallyMasked and StaticallyDetected tallies of the discharged
+  /// sites.
+  VerdictTable Static;
+  /// True when the prune oracle vouched for the program.
+  bool Pruned = false;
+};
+
+/// Counts the tasks of every injection site of the \p NumSnaps snapshots,
+/// shared by both single-fault entry points. \p StateAt resolves the
+/// reference state of snapshot \p SI (typed and untyped campaigns store
+/// snapshots differently). With Opts.Prune and an oracle that vouches for
+/// the program, provably-dead register sites are tallied as
+/// StaticallyMasked instead of being enumerated — exactly the triples the
+/// unpruned sweep would have classified, so the table total is invariant
+/// under pruning.
 ///
 /// A non-null \p CtrlAhead ("some control instruction executes at or after
 /// this snapshot in the reference run", per snapshot; untyped campaigns
@@ -1321,23 +1347,17 @@ struct EngineProvenance {
 ///   pcs with the verified target and reproduces the reference state
 ///   exactly (Masked).
 ///
-/// Only shard I of the Opts.ShardCount = N shards is kept: the contiguous
-/// slice [I*T/N, (I+1)*T/N) of the T tasks in enumeration order. A
-/// sharded call counts the tasks in a first walk, so no shard ever holds
-/// the whole work list. Enumeration is deterministic and tasks classify
-/// independently, so folding the N shard results in index order
-/// (foldShardResult) reproduces the unsharded campaign bit for bit.
-///
-/// Records the shard provenance and the task and pruning statistics in
-/// \p R. Returns nullopt (with a campaign-level violation) on an
-/// out-of-range shard index.
-std::optional<std::vector<InjectionTask>>
-enumerateTasks(const Program &Prog, const TheoremConfig &Config,
-               const CampaignOptions &Opts, size_t NumSnaps,
-               const std::function<const MachineState &(size_t)> &StateAt,
-               const std::vector<uint8_t> *CtrlAhead, CampaignResult &R) {
+/// A site's task count is the number of corruption values, less one when
+/// they include its current value (a reg-zap replaces the value with a
+/// *different* one), so no triple is visited here.
+TaskCounts countTasks(const Program &Prog, const TheoremConfig &Config,
+                      const CampaignOptions &Opts, size_t NumSnaps,
+                      const std::function<const MachineState &(size_t)> &StateAt,
+                      const std::vector<uint8_t> *CtrlAhead) {
+  TaskCounts TC;
   std::optional<analysis::ZapCoverage> Oracle = buildPruneOracle(Prog, Opts);
   const analysis::ZapCoverage *Prune = Oracle ? &*Oracle : nullptr;
+  TC.Pruned = Prune != nullptr;
   // The control-register discharge needs the oracle's guarantee that the
   // specials never appear as instruction operands, no recovery (it
   // rewrites continuations), and enough extra steps for the corrupted run
@@ -1345,84 +1365,79 @@ enumerateTasks(const Program &Prog, const TheoremConfig &Config,
   if (!Prune || !Prune->specialSiteDischargeSound() ||
       Config.Recovery.Enabled || Config.ExtraSteps < 2)
     CtrlAhead = nullptr;
+  std::bitset<Reg::NumRegs> Sited;
+  if (Config.OnlyMentionedRegisters)
+    Sited = mentionedRegisters(Prog);
+  else
+    Sited.set();
+  TC.Corruptions = representativeCorruptions(Prog);
+
+  for (size_t SI = 0; SI != NumSnaps; ++SI) {
+    const MachineState &S = StateAt(SI);
+    // The pcs are only bumped when the next rule fires, so pcG's payload
+    // is the address of the instruction the next transition executes —
+    // whether or not it is already fetched into IR.
+    Addr Here = S.pcG().N;
+    for (const FaultSite &Site : enumerateFaultSites(S)) {
+      bool IsReg = Site.K == FaultSite::Kind::Register;
+      if (IsReg && !Sited[Site.R.denseIndex()])
+        continue;
+      uint32_t N = (uint32_t)(TC.Corruptions.size() -
+                              std::binary_search(TC.Corruptions.begin(),
+                                                 TC.Corruptions.end(),
+                                                 currentValueAt(S, Site)));
+      if (IsReg && Prune && Prune->deadRegisterSite(Here, Site.R)) {
+        TC.Static[Verdict::StaticallyMasked] += N;
+        continue;
+      }
+      if (CtrlAhead && IsReg && (Site.R.isDest() || Site.R.isPC())) {
+        Verdict V;
+        if (Site.R.isDest()) {
+          V = (*CtrlAhead)[SI] ? Verdict::StaticallyDetected
+                               : Verdict::StaticallyMasked;
+        } else {
+          bool CommitInFlight =
+              S.IR && S.IR->isControlFlow() && S.IR->C == Color::Blue &&
+              (S.IR->Op == Opcode::Jmp || S.Regs.val(S.IR->rz()) == 0);
+          V = CommitInFlight ? Verdict::StaticallyMasked
+                             : Verdict::StaticallyDetected;
+        }
+        TC.Static[V] += N;
+        continue;
+      }
+      if (!N)
+        continue;
+      TC.Sites.push_back({TC.Total, (uint32_t)SI, Site});
+      TC.Total += N;
+    }
+  }
+  return TC;
+}
+
+/// Phase 2's shard half: the tasks of shard I of the Opts.ShardCount = N
+/// shards, the contiguous slice [I*T/N, (I+1)*T/N) of the T tasks in
+/// enumeration order, in one walk over the sites that hold them.
+/// Enumeration is deterministic and tasks classify independently, so
+/// folding the N shard results in index order (foldShardResult) reproduces
+/// the unsharded campaign bit for bit.
+///
+/// Records the shard provenance and the task and pruning statistics in
+/// \p R. Returns nullopt (with a campaign-level violation) on an
+/// out-of-range shard index.
+std::optional<std::vector<InjectionTask>>
+sliceTasks(const TaskCounts &TC, const TheoremConfig &Config,
+           const CampaignOptions &Opts,
+           const std::function<const MachineState &(size_t)> &StateAt,
+           CampaignResult &R) {
   unsigned Shards = std::max(1u, Opts.ShardCount);
   unsigned Shard = Opts.ShardIndex;
-  std::set<unsigned> UsedRegs;
-  if (Config.OnlyMentionedRegisters)
-    UsedRegs = mentionedRegisters(Prog);
-  std::vector<int64_t> Corruptions = representativeCorruptions(Prog);
-
-  // Visits every triple in enumeration order, tallying the static
-  // discharges into Tab and handing each task left to simulate to Emit.
-  auto Walk = [&](VerdictTable &Tab, auto &&Emit) {
-    for (size_t SI = 0; SI != NumSnaps; ++SI) {
-      const MachineState &S = StateAt(SI);
-      // The pcs are only bumped when the next rule fires, so pcG's
-      // payload is the address of the instruction the next transition
-      // executes — whether or not it is already fetched into IR.
-      Addr Here = S.pcG().N;
-      for (const FaultSite &Site : enumerateFaultSites(S)) {
-        if (Config.OnlyMentionedRegisters &&
-            Site.K == FaultSite::Kind::Register &&
-            !UsedRegs.count(Site.R.denseIndex()))
-          continue;
-        int64_t Current = currentValueAt(S, Site);
-        if (Prune && Site.K == FaultSite::Kind::Register &&
-            Prune->deadRegisterSite(Here, Site.R)) {
-          for (int64_t Corruption : Corruptions)
-            if (Corruption != Current)
-              ++Tab[Verdict::StaticallyMasked];
-          continue;
-        }
-        if (CtrlAhead && Site.K == FaultSite::Kind::Register &&
-            (Site.R.isDest() || Site.R.isPC())) {
-          Verdict V;
-          if (Site.R.isDest()) {
-            V = (*CtrlAhead)[SI] ? Verdict::StaticallyDetected
-                                 : Verdict::StaticallyMasked;
-          } else {
-            bool CommitInFlight =
-                S.IR && S.IR->isControlFlow() && S.IR->C == Color::Blue &&
-                (S.IR->Op == Opcode::Jmp || S.Regs.val(S.IR->rz()) == 0);
-            V = CommitInFlight ? Verdict::StaticallyMasked
-                               : Verdict::StaticallyDetected;
-          }
-          for (int64_t Corruption : Corruptions)
-            if (Corruption != Current)
-              ++Tab[V];
-          continue;
-        }
-        for (int64_t Corruption : Corruptions) {
-          if (Corruption == Current)
-            continue; // reg-zap replaces the value with a *different* one.
-          Emit(InjectionTask{(uint32_t)SI, Site, Corruption});
-        }
-      }
-    }
-  };
-
-  uint64_t Lo = 0, Hi = ~uint64_t{0};
-  if (Shards > 1 || Shard != 0) {
-    VerdictTable Ignored;
-    uint64_t T = 0;
-    Walk(Ignored, [&T](const InjectionTask &) { ++T; });
-    Lo = Shard < Shards ? T * Shard / Shards : 0;
-    Hi = Shard < Shards ? T * (Shard + 1) / Shards : 0;
-  }
-  std::vector<InjectionTask> Tasks;
-  if (Hi != ~uint64_t{0})
-    Tasks.reserve(Hi - Lo);
-  uint64_t Idx = 0;
-  Walk(R.Table, [&](const InjectionTask &T) {
-    if (Idx >= Lo && Idx < Hi)
-      Tasks.push_back(T);
-    ++Idx;
-  });
-
   R.Stats.ShardCount = Shards;
   R.Stats.ShardIndex = Shard;
-  R.Stats.TotalTasks = Idx;
+  R.Stats.TotalTasks = TC.Total;
   if (Shard >= Shards) {
+    // A shard out of range covers no slice and is never folded; its table
+    // carries the static tallies, as the unsharded sweep's does.
+    R.Table.merge(TC.Static);
     R.Ok = false;
     if (R.Violations.size() < Config.MaxViolations)
       R.Violations.push_back(
@@ -1430,19 +1445,39 @@ enumerateTasks(const Program &Prog, const TheoremConfig &Config,
                   Shards));
     return std::nullopt;
   }
-  R.Stats.ShardFirstTask = Idx * Shard / Shards;
-  // Statically pruned sites are tallied during enumeration, which every
-  // shard repeats; assign them to shard 0 alone so the N shard tables sum
-  // to the unsharded table exactly.
-  if (Shard != 0) {
-    R.Table[Verdict::StaticallyMasked] = 0;
-    R.Table[Verdict::StaticallyDetected] = 0;
-  }
-  R.Stats.Tasks = Tasks.size();
-  R.Stats.Pruned = Prune != nullptr;
+  uint64_t Lo = TC.Total * Shard / Shards;
+  uint64_t Hi = TC.Total * (Shard + 1) / Shards;
+  R.Stats.ShardFirstTask = Lo;
+  // Shard 0 alone tallies the statically discharged sites, so the N shard
+  // tables sum to the unsharded table exactly.
+  if (Shard == 0)
+    R.Table.merge(TC.Static);
+  R.Stats.Pruned = TC.Pruned;
   R.Stats.PrunedTasks = R.Table[Verdict::StaticallyMasked] +
                         R.Table[Verdict::StaticallyDetected];
   R.Stats.PrunedDetected = R.Table[Verdict::StaticallyDetected];
+
+  std::vector<InjectionTask> Tasks;
+  Tasks.reserve(Hi - Lo);
+  // The site holding task Lo is the last one whose tasks start at or
+  // before it.
+  auto Site = std::upper_bound(
+      TC.Sites.begin(), TC.Sites.end(), Lo,
+      [](uint64_t I, const SiteTasks &ST) { return I < ST.First; });
+  if (Site != TC.Sites.begin())
+    --Site;
+  for (; Site != TC.Sites.end() && Site->First < Hi; ++Site) {
+    int64_t Current = currentValueAt(StateAt(Site->SnapIdx), Site->Site);
+    uint64_t Idx = Site->First;
+    for (int64_t Corruption : TC.Corruptions) {
+      if (Corruption == Current)
+        continue;
+      if (Idx >= Lo && Idx < Hi)
+        Tasks.push_back({Site->SnapIdx, Site->Site, Corruption});
+      ++Idx;
+    }
+  }
+  R.Stats.Tasks = Tasks.size();
   return Tasks;
 }
 
@@ -1836,10 +1871,12 @@ CampaignResult talft::runFaultToleranceCampaign(TypeContext &TC,
 
   R.ProgramHash = programContentHash(CP.Prog->code(), CP.Prog->entryAddress(),
                                      CP.Prog->exitAddress(), Snaps[0].S);
-  std::optional<std::vector<InjectionTask>> Tasks = enumerateTasks(
-      *CP.Prog, Config, Opts, Snaps.size(),
-      [&](size_t SI) -> const MachineState & { return Snaps[SI].S; },
-      nullptr, R);
+  auto StateAt = [&](size_t SI) -> const MachineState & {
+    return Snaps[SI].S;
+  };
+  std::optional<std::vector<InjectionTask>> Tasks = sliceTasks(
+      countTasks(*CP.Prog, Config, Opts, Snaps.size(), StateAt, nullptr),
+      Config, Opts, StateAt, R);
   R.Stats.ReferenceSeconds = secondsSince(RefStart);
   if (!Tasks)
     return F.finish();
@@ -1884,93 +1921,175 @@ CampaignResult talft::runFaultToleranceCampaign(TypeContext &TC,
   return F.finish();
 }
 
-CampaignResult talft::runSingleFaultCampaign(const Program &Prog,
-                                             const TheoremConfig &ConfigIn,
-                                             const CampaignOptions &Opts) {
-  SweepFrame F(Prog, ConfigIn, Opts);
-  CampaignResult &R = F.R;
-  const TheoremConfig &Config = F.Config;
-  if (Config.TypeCheckFaultyStates)
-    return F.fail("the raw-semantics sweep cannot re-typecheck faulty states; "
-                  "use runFaultToleranceCampaign on a checked program");
-
-  // Phase 1 (serial): the reference execution on the raw semantics,
-  // snapshotting every injection step — the same loop shape as the typed
-  // campaign's, so the violation wording matches.
-  Clock::time_point RefStart = Clock::now();
-  uint64_t Stride = std::max<uint64_t>(1, Config.InjectionStride);
-  const ExecEngine &E = Opts.Engine ? *Opts.Engine : referenceEngine();
-
-  Expected<MachineState> S0 = Prog.initialState();
-  if (Error Err = S0.takeError())
-    return F.fail("cannot start: " + Err.message());
-  MachineState S = *S0;
-  Addr ExitAddr = Prog.exitAddress();
-  R.ProgramHash =
-      programContentHash(Prog.code(), Prog.entryAddress(), ExitAddr, S);
-  OutputTrace Trace;
-  uint64_t Steps = 0;
-  ConvergenceRecorder CR;
-  CR.Enabled = !Config.Recovery.Enabled && Opts.Converge;
-  if (CR.Enabled) {
-    // Size the recording from a fused fault-free run, without the CFI hook
-    // so that Stats.CfiCommits counts the recorded run alone. Halted or
-    // not, the recording stops where this run did.
-    MachineState Pre = S;
-    StepPolicy Unchecked = Config.Policy;
-    Unchecked.Cfi = nullptr;
-    CR.sizeFor(E.run(Pre, ExitAddr, Config.MaxSteps, Unchecked).Steps);
-  }
+/// The recording behind a SweepReference. Everything here but Charged is
+/// written once, by the constructor, and read by any number of shards
+/// after.
+struct SweepReference::Impl {
+  const Program &Prog;
+  /// The sweep's configuration; Policy.Cfi points at Cfi.
+  TheoremConfig Config;
+  /// The static target sets under CfiCheck. Its counters hold the
+  /// reference run's tallies; each shard counts on a fresh copy.
+  std::unique_ptr<CfiTable> Cfi;
+  /// The result fields the reference decides: the program hash, the
+  /// reference steps and trace, and Ok with the violation when the
+  /// reference run failed (Recorded false), which every shard returns.
+  CampaignResult Head;
+  bool Recorded = false;
+  MachineState Initial;
+  /// The injection snapshots, every InjectionStride steps from step 0.
   std::vector<UntypedSnapshot> Snaps;
-  int64_t LastCtrl = -1;
-  Snaps.push_back({S, 0, 0}); // Step 0 is always an injection point.
-  uint64_t UntilInjection = Stride;
-  CR.start(S);
-  while (!atExit(S, ExitAddr)) {
-    if (Steps >= Config.MaxSteps)
-      return F.fail("reference run exceeded MaxSteps");
-    if (S.IR && S.IR->isControlFlow())
-      LastCtrl = (int64_t)Steps;
-    CR.beforeStep(S, Steps + 1);
-    StepResult SR = E.step(S, Config.Policy);
-    ++Steps;
-    if (SR.Output)
-      Trace.push_back(*SR.Output);
-    if (SR.Status != StepStatus::Ok)
-      return F.fail(formatv("reference run failed at step %llu (%s)",
+  MachineState Final;
+  ConvergenceRecorder CR;
+  TaskCounts Counts;
+  /// Wall seconds of the recording, and whether a shard has reported them.
+  double Seconds = 0;
+  mutable std::atomic<bool> Charged{false};
+
+  Impl(const Program &Prog, const TheoremConfig &ConfigIn,
+       const CampaignOptions &Opts)
+      : Prog(Prog), Config(ConfigIn), Cfi(buildCfiTable(Prog, Opts)) {
+    Clock::time_point Start = Clock::now();
+    if (Cfi)
+      Config.Policy.Cfi = Cfi.get();
+    Recorded = record(Opts);
+    Seconds = secondsSince(Start);
+  }
+
+  /// Phase 1 (serial): the reference execution on the raw semantics,
+  /// snapshotting every injection step — the same loop shape as the typed
+  /// campaign's, so the violation wording matches — then the task counts.
+  /// Returns false with the failure in Head.
+  bool record(const CampaignOptions &Opts) {
+    auto Fail = [&](std::string V) {
+      Head.Ok = false;
+      if (Head.Violations.size() < Config.MaxViolations)
+        Head.Violations.push_back(std::move(V));
+      return false;
+    };
+    if (Config.TypeCheckFaultyStates)
+      return Fail("the raw-semantics sweep cannot re-typecheck faulty "
+                  "states; use runFaultToleranceCampaign on a checked "
+                  "program");
+    uint64_t Stride = std::max<uint64_t>(1, Config.InjectionStride);
+    const ExecEngine &E = Opts.Engine ? *Opts.Engine : referenceEngine();
+
+    Expected<MachineState> S0 = Prog.initialState();
+    if (Error Err = S0.takeError())
+      return Fail("cannot start: " + Err.message());
+    Initial = *S0;
+    MachineState S = Initial;
+    Addr ExitAddr = Prog.exitAddress();
+    Head.ProgramHash =
+        programContentHash(Prog.code(), Prog.entryAddress(), ExitAddr, S);
+    OutputTrace Trace;
+    uint64_t Steps = 0;
+    CR.Enabled = !Config.Recovery.Enabled && Opts.Converge;
+    if (CR.Enabled) {
+      // Size the recording from a fused fault-free run, without the CFI
+      // hook so that the CFI tallies count the recorded run alone. Halted
+      // or not, the recording stops where this run did.
+      MachineState Pre = S;
+      StepPolicy Unchecked = Config.Policy;
+      Unchecked.Cfi = nullptr;
+      CR.sizeFor(E.run(Pre, ExitAddr, Config.MaxSteps, Unchecked).Steps);
+    }
+    int64_t LastCtrl = -1;
+    Snaps.push_back({S, 0, 0}); // Step 0 is always an injection point.
+    uint64_t UntilInjection = Stride;
+    CR.start(S);
+    while (!atExit(S, ExitAddr)) {
+      if (Steps >= Config.MaxSteps)
+        return Fail("reference run exceeded MaxSteps");
+      if (S.IR && S.IR->isControlFlow())
+        LastCtrl = (int64_t)Steps;
+      CR.beforeStep(S, Steps + 1);
+      StepResult SR = E.step(S, Config.Policy);
+      ++Steps;
+      if (SR.Output)
+        Trace.push_back(*SR.Output);
+      if (SR.Status != StepStatus::Ok)
+        return Fail(formatv("reference run failed at step %llu (%s)",
                             (unsigned long long)Steps,
                             SR.Status == StepStatus::Stuck ? "stuck"
                                                            : "false positive"));
-    CR.afterStep(S, Steps, Trace.size());
-    if (--UntilInjection == 0) {
-      UntilInjection = Stride;
-      Snaps.push_back({S, Steps, Trace.size()});
+      CR.afterStep(S, Steps, Trace.size());
+      if (--UntilInjection == 0) {
+        UntilInjection = Stride;
+        Snaps.push_back({S, Steps, Trace.size()});
+      }
     }
-  }
-  R.ReferenceSteps = Steps;
-  R.ReferenceTrace = Trace;
-  CR.link(Snaps, S);
+    Head.ReferenceSteps = Steps;
+    Head.ReferenceTrace = std::move(Trace);
+    Final = std::move(S);
+    CR.link(Snaps, Final);
 
-  std::vector<uint8_t> CtrlAhead(Snaps.size());
-  for (size_t I = 0; I != Snaps.size(); ++I)
-    CtrlAhead[I] = LastCtrl >= 0 && (uint64_t)LastCtrl >= Snaps[I].Steps;
-  std::optional<std::vector<InjectionTask>> Tasks = enumerateTasks(
-      Prog, Config, Opts, Snaps.size(),
-      [&](size_t SI) -> const MachineState & { return Snaps[SI].S; },
-      &CtrlAhead, R);
-  R.Stats.ReferenceSeconds = secondsSince(RefStart);
+    std::vector<uint8_t> CtrlAhead(Snaps.size());
+    for (size_t I = 0; I != Snaps.size(); ++I)
+      CtrlAhead[I] = LastCtrl >= 0 && (uint64_t)LastCtrl >= Snaps[I].Steps;
+    Counts = countTasks(
+        Prog, Config, Opts, Snaps.size(),
+        [&](size_t SI) -> const MachineState & { return Snaps[SI].S; },
+        &CtrlAhead);
+    return true;
+  }
+};
+
+SweepReference::SweepReference(const Program &Prog,
+                               const TheoremConfig &Config,
+                               const CampaignOptions &Opts)
+    : P(std::make_unique<Impl>(Prog, Config, Opts)) {}
+
+SweepReference::~SweepReference() = default;
+
+CampaignResult SweepReference::runShard(const CampaignOptions &Opts) const {
+  const Impl &Ref = *P;
+  CampaignResult R = Ref.Head;
+  std::unique_ptr<CfiTable> Cfi =
+      Ref.Cfi ? Ref.Cfi->withFreshCounters() : nullptr;
+  // The CFI tallies are the reference run's, then the shard's own.
+  auto Finish = [&] {
+    if (Cfi) {
+      R.Stats.CfiChecked = true;
+      R.Stats.CfiCommits = Ref.Cfi->commits() + Cfi->commits();
+      R.Stats.CfiViolations = Ref.Cfi->violations() + Cfi->violations();
+      R.CfiFirstViolation = Ref.Cfi->firstViolation();
+      if (R.CfiFirstViolation.empty())
+        R.CfiFirstViolation = Cfi->firstViolation();
+    }
+    return std::move(R);
+  };
+  if (!Ref.Recorded)
+    return Finish();
+
+  TheoremConfig Config = Ref.Config;
+  Config.Policy.Cfi = Cfi.get();
+  Clock::time_point SliceStart = Clock::now();
+  std::optional<std::vector<InjectionTask>> Tasks = sliceTasks(
+      Ref.Counts, Config, Opts,
+      [&](size_t SI) -> const MachineState & { return Ref.Snaps[SI].S; }, R);
+  R.Stats.ReferenceSeconds = secondsSince(SliceStart);
+  if (!Ref.Charged.exchange(true))
+    R.Stats.ReferenceSeconds += Ref.Seconds;
   if (!Tasks)
-    return F.finish();
+    return Finish();
 
   Clock::time_point InjectStart = Clock::now();
-  classifyUntypedTasks(Prog, Config, Opts, *Tasks, Snaps, *S0, Trace, S, Steps,
-                       CR, R);
+  classifyUntypedTasks(Ref.Prog, Config, Opts, *Tasks, Ref.Snaps, Ref.Initial,
+                       Ref.Head.ReferenceTrace, Ref.Final,
+                       Ref.Head.ReferenceSteps, Ref.CR, R);
   if (Opts.ShardRetiredHook)
     Opts.ShardRetiredHook(R.Stats.ShardIndex, R.Stats.ShardCount);
   R.Stats.WallSeconds = secondsSince(InjectStart);
   if (R.Stats.WallSeconds > 0)
     R.Stats.TriplesPerSecond = (double)Tasks->size() / R.Stats.WallSeconds;
-  return F.finish();
+  return Finish();
+}
+
+CampaignResult talft::runSingleFaultCampaign(const Program &Prog,
+                                             const TheoremConfig &Config,
+                                             const CampaignOptions &Opts) {
+  return SweepReference(Prog, Config, Opts).runShard(Opts);
 }
 
 namespace {

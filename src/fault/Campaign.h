@@ -38,6 +38,7 @@
 
 #include <array>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -243,10 +244,14 @@ struct CampaignOptions {
 struct CampaignStats {
   /// Injection phase only (excludes the reference run).
   double WallSeconds = 0;
-  /// The reference phase: the fault-free reference run with its
-  /// injection snapshots, the differential replay's sizing run, recording
-  /// and link pass (when Converge is on), and task enumeration, including
-  /// the static pruning analysis.
+  /// The reference phase this result paid for: enumerating the shard's
+  /// own slice, plus recording the sweep's SweepReference — the fault-free
+  /// reference run with its injection snapshots, the differential
+  /// replay's sizing run, recording and link pass (when Converge is on),
+  /// and counting the tasks per fault site, including the static pruning
+  /// analysis — when this is the first shard run from it. Later shards of
+  /// the same reference report only their slice, so the sum over a
+  /// sweep's shards counts the recording once.
   double ReferenceSeconds = 0;
   double TriplesPerSecond = 0;
   /// Workers that ran: the requested count capped by the units they
@@ -388,9 +393,52 @@ CampaignResult runFaultToleranceCampaign(TypeContext &TC,
 /// continuations run under the checkpoint/rollback layer
 /// (recover/RecoveringEngine.h) and the benign verdicts become
 /// Masked / Recovered / RecoveryEscalated.
+///
+/// This is SweepReference(Prog, Config, Opts).runShard(Opts). Callers that
+/// run several shards of one sweep build the reference once and run each
+/// shard from it instead.
 CampaignResult runSingleFaultCampaign(const Program &Prog,
                                       const TheoremConfig &Config,
                                       const CampaignOptions &Opts);
+
+/// The shard-independent half of runSingleFaultCampaign: everything a
+/// shard needs before it classifies its slice of the task list. It holds
+/// the program hash, the fault-free reference run with its injection
+/// snapshots, output trace and final state, the differential replay's
+/// recording and links (Opts.Converge), and the tasks each fault site
+/// contributes, counted after the OnlyMentionedRegisters filter and the
+/// static discharges (Opts.Prune), whose tallies it keeps. The prune
+/// oracle and the control-ahead flags of the injection snapshots decide
+/// those discharges while it is built and are dropped after. When the
+/// reference run fails, it holds that failure, and every shard returns it.
+///
+/// Building one runs the campaign's whole reference phase on Opts.Engine
+/// under Opts's Converge, Prune and CfiCheck; the shards only read it
+/// (the first one also claims its recording time), so any number of them
+/// may run from one reference, in any order. The recorded states point
+/// into \p Prog, which must outlive the reference.
+class SweepReference {
+public:
+  SweepReference(const Program &Prog, const TheoremConfig &Config,
+                 const CampaignOptions &Opts);
+  ~SweepReference();
+
+  /// Enumerates shard Opts.ShardIndex of Opts.ShardCount, in one walk over
+  /// the sites of its slice, and classifies it. Reads the execution knobs
+  /// of \p Opts (Threads, Resume, Engine, Lanes, progress, the shard slice
+  /// and ShardRetiredHook); Converge, Prune and CfiCheck are the
+  /// reference's. The result equals runSingleFaultCampaign's with the same
+  /// options in every field but the timings, whose ReferenceSeconds covers
+  /// the recording only in the first shard run from this reference (see
+  /// CampaignStats::ReferenceSeconds). Under CfiCheck its counts are the
+  /// reference run's plus the shard's own, as when every shard recorded
+  /// its own reference.
+  CampaignResult runShard(const CampaignOptions &Opts) const;
+
+private:
+  struct Impl;
+  std::unique_ptr<Impl> P;
+};
 
 /// One scheduled corruption of an explicit multi-fault plan: when the run
 /// reaches \p Step transitions, replace the payload at \p Site with

@@ -669,6 +669,9 @@ void Server::runSubmission(int Fd, const SubmitSpec &Spec,
   TheoremConfig Config = theoremConfig(Spec, Stride);
   unsigned Shards = Entry.ShardsTotal;
   bool Drained = false;
+  // In-process shards share one sweep reference, recorded by the first
+  // shard this submission runs (pool workers keep their own).
+  std::optional<SweepReference> Ref;
   for (unsigned I = StartShard; I != Shards; ++I) {
     if (Draining.load()) {
       Drained = true;
@@ -734,7 +737,9 @@ void Server::runSubmission(int Fd, const SubmitSpec &Spec,
       applySpecOptions(Spec, CO);
       CO.ShardCount = Shards;
       CO.ShardIndex = I;
-      R = runSingleFaultCampaign(*Prog, Config, CO);
+      if (!Ref)
+        Ref.emplace(*Prog, Config, CO);
+      R = Ref->runShard(CO);
     }
     noteShardRetired(R);
 

@@ -68,6 +68,15 @@ bool readAll(int Fd, void *Data, size_t Len) {
 /// TypeContext its Program interns types into, and builds each engine at
 /// most once — engines are immutable after construction, so reuse across
 /// frames is safe by the same argument as reuse across campaign threads.
+///
+/// The entry also keeps the sweep reference (fault/Campaign.h) its last
+/// shard ran on, so the next shard of the same submission skips the
+/// reference phase: the fault-free run, the replay recording and links,
+/// and the task counts. The recorded states point into this entry's
+/// program, so the reference lives and dies with the entry. It is keyed
+/// by the resolved stride and the options digest, which covers the engine
+/// and every other knob the reference depends on; a worker holds one
+/// reference at a time (CompileCache::dropReferences).
 struct CompiledEntry {
   TypeContext TC;
   std::optional<wile::CompiledProgram> Compiled;
@@ -76,6 +85,9 @@ struct CompiledEntry {
   std::string CompileError; // sticky: a source that failed once fails fast
   std::unique_ptr<ExecEngine> Vm;
   std::unique_ptr<ExecEngine> Jit;
+  std::unique_ptr<SweepReference> Ref;
+  uint64_t RefStride = 0;
+  uint64_t RefDigest = 0;
 
   const ExecEngine *engineFor(const std::string &Name) {
     if (Name == "vm") {
@@ -97,25 +109,34 @@ struct CompiledEntry {
 /// to name a failure. The worker loop is single-threaded, so no locking;
 /// FIFO eviction keeps a crashed-and-respawned worker's memory bounded
 /// when a server mixes many programs onto one worker.
-CompiledEntry *lookupCompiled(const std::string &Lang,
-                              const std::string &Source) {
-  static std::unordered_map<std::string, std::unique_ptr<CompiledEntry>> Cache;
-  static std::deque<std::string> Order;
-  constexpr size_t Capacity = 8;
-  std::string Key = Lang + '\n' + Source;
-  auto It = Cache.find(Key);
-  if (It != Cache.end())
-    return It->second.get();
-  while (Cache.size() >= Capacity) {
-    Cache.erase(Order.front());
-    Order.pop_front();
+struct CompileCache {
+  static constexpr size_t Capacity = 8;
+  std::unordered_map<std::string, std::unique_ptr<CompiledEntry>> Entries;
+  std::deque<std::string> Order;
+
+  CompiledEntry *lookup(const std::string &Lang, const std::string &Source) {
+    std::string Key = Lang + '\n' + Source;
+    auto It = Entries.find(Key);
+    if (It != Entries.end())
+      return It->second.get();
+    while (Entries.size() >= Capacity) {
+      Entries.erase(Order.front());
+      Order.pop_front();
+    }
+    auto Entry = std::make_unique<CompiledEntry>();
+    CompiledEntry *E = Entry.get();
+    Entries.emplace(Key, std::move(Entry));
+    Order.push_back(std::move(Key));
+    return E;
   }
-  auto Entry = std::make_unique<CompiledEntry>();
-  CompiledEntry *E = Entry.get();
-  Cache.emplace(Key, std::move(Entry));
-  Order.push_back(std::move(Key));
-  return E;
-}
+
+  /// Frees the sweep reference, whichever entry holds it. Called before
+  /// recording another, so a worker's peak memory holds one reference.
+  void dropReferences() {
+    for (auto &[Key, E] : Entries)
+      E->Ref.reset();
+  }
+};
 
 /// The child's whole job for one request frame. Returns the response
 /// payload (ok+campaign or a structured error object).
@@ -145,7 +166,17 @@ std::string serveShardRequest(const std::string &Request) {
   // and, for the vm/jit engines, the decode (and native code emission) —
   // happens once per program per worker; every later shard of the same
   // submission reuses the cached entry.
-  CompiledEntry *Entry = lookupCompiled(Spec.Lang, Spec.Source);
+  static CompileCache Cache;
+  CompiledEntry *Entry = Cache.lookup(Spec.Lang, Spec.Source);
+  // The shards of one submission reach this worker back to back (the
+  // pool hands a handler its own worker again), so they share one sweep
+  // reference: the first records it, the rest reuse it. Any other request
+  // frees the held reference first, before it compiles or records.
+  uint64_t Digest = optionsDigest(Spec);
+  bool Record = !Entry->Ref || Entry->RefStride != Stride ||
+                Entry->RefDigest != Digest;
+  if (Record)
+    Cache.dropReferences();
   if (!Entry->CompileError.empty())
     return Fail("compile_error", Entry->CompileError);
   if (!Entry->Prog) {
@@ -187,8 +218,13 @@ std::string serveShardRequest(const std::string &Request) {
       ::raise(ChaosSignal);
     };
 
-  TheoremConfig Config = theoremConfig(Spec, Stride);
-  CampaignResult R = runSingleFaultCampaign(*Prog, Config, CO);
+  if (Record) {
+    Entry->Ref = std::make_unique<SweepReference>(
+        *Prog, theoremConfig(Spec, Stride), CO);
+    Entry->RefStride = Stride;
+    Entry->RefDigest = Digest;
+  }
+  CampaignResult R = Entry->Ref->runShard(CO);
   return "{\"ok\": true, \"campaign\": " + campaignJsonLine(R) + "}";
 }
 

@@ -30,6 +30,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -92,6 +93,15 @@ public:
       return false;
     const std::vector<int64_t> &T = Allowed[I];
     return std::binary_search(T.begin(), T.end(), Target);
+  }
+
+  /// A table with the same target sets and zeroed counters, for a run
+  /// that reports its own tallies.
+  std::unique_ptr<CfiTable> withFreshCounters() const {
+    auto T = std::make_unique<CfiTable>(Base, Checked.size());
+    T->Checked = Checked;
+    T->Allowed = Allowed;
+    return T;
   }
 
   /// True when \p A is a declared commit site.

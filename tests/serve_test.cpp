@@ -10,8 +10,9 @@
 //      shard and folding (fault/Campaign.h foldShardResult) reproduces
 //      the unsharded campaign bit-identically — verdict table, violation
 //      list, Ok flag and program hash — with and without pruning, on both
-//      campaign entry points; an out-of-range shard index is a violation,
-//      not silence;
+//      campaign entry points; shards run from one shared SweepReference
+//      equal shards that each record their own, field for field; an
+//      out-of-range shard index is a violation, not silence;
 //   2. the whole-program content hash is stable across recompiles of the
 //      same source, sensitive to program edits, and pinned bit for bit on
 //      the Figure 10 kernels and the examples, so it can anchor the memo
@@ -30,7 +31,9 @@
 //      stop() returns promptly however it races idle handler threads;
 //   6. crash isolation: shards run on forked worker processes; a worker
 //      crashing at the shard boundary (the chaos hook) is retried on a
-//      fresh worker and the served table stays bit-identical; a
+//      fresh worker and the served table stays bit-identical; a worker
+//      reuses its sweep reference for the next shard of the same
+//      submission and replaces it for any other, bit-identically; a
 //      deterministic crasher poisons its one submission, not the server;
 //      deadlines fail structured, not silent;
 //   7. durability: the write-ahead submission log survives retires,
@@ -52,8 +55,12 @@
 #include "serve/Protocol.h"
 #include "serve/Server.h"
 #include "serve/SubmitLog.h"
+#include "serve/WorkerPool.h"
 #include "support/Crc32.h"
+#include "support/StringUtils.h"
 #include "tal/Parser.h"
+#include "vm/Engine.h"
+#include "vm/JitEngine.h"
 #include "wile/Codegen.h"
 #include "wile/Kernels.h"
 
@@ -68,10 +75,12 @@
 #include <future>
 #include <map>
 #include <netinet/in.h>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <sys/socket.h>
 #include <thread>
+#include <tuple>
 #include <unistd.h>
 #include <vector>
 
@@ -128,9 +137,141 @@ void expectSameCampaign(const CampaignResult &A, const CampaignResult &B,
   EXPECT_EQ(A.Stats.LockstepSteps, B.Stats.LockstepSteps) << At;
 }
 
+/// Every field of a shard result outside the timings, including the
+/// strategy counters (lanes, jit side exits) and the CFI tallies: what a
+/// shard run from a shared SweepReference must reproduce of a shard that
+/// recorded its own.
+void expectSameShard(const CampaignResult &A, const CampaignResult &B,
+                     const std::string &At) {
+  expectSameCampaign(A, B, At);
+  EXPECT_EQ(A.ReferenceTrace, B.ReferenceTrace) << At;
+  const CampaignStats &X = A.Stats, &Y = B.Stats;
+  EXPECT_STREQ(X.Engine, Y.Engine) << At;
+  EXPECT_EQ(X.ThreadsUsed, Y.ThreadsUsed) << At;
+  EXPECT_EQ(X.Tasks, Y.Tasks) << At;
+  EXPECT_EQ(X.ShardCount, Y.ShardCount) << At;
+  EXPECT_EQ(X.ShardIndex, Y.ShardIndex) << At;
+  EXPECT_EQ(X.ShardFirstTask, Y.ShardFirstTask) << At;
+  EXPECT_EQ(X.TotalTasks, Y.TotalTasks) << At;
+  EXPECT_EQ(X.ShardsFolded, Y.ShardsFolded) << At;
+  EXPECT_EQ(X.Pruned, Y.Pruned) << At;
+  EXPECT_EQ(X.PrunedTasks, Y.PrunedTasks) << At;
+  EXPECT_EQ(X.PrunedDetected, Y.PrunedDetected) << At;
+  EXPECT_EQ(X.Converge, Y.Converge) << At;
+  EXPECT_EQ(X.Lanes, Y.Lanes) << At;
+  EXPECT_EQ(X.LaneGroups, Y.LaneGroups) << At;
+  EXPECT_EQ(X.LaneTasks, Y.LaneTasks) << At;
+  EXPECT_EQ(X.LaneDeviations, Y.LaneDeviations) << At;
+  EXPECT_EQ(X.LaneLockstepSteps, Y.LaneLockstepSteps) << At;
+  EXPECT_EQ(X.SimdLaneWidth, Y.SimdLaneWidth) << At;
+  EXPECT_EQ(X.JitNative, Y.JitNative) << At;
+  EXPECT_EQ(X.JitBlocksCompiled, Y.JitBlocksCompiled) << At;
+  EXPECT_EQ(X.JitCodeBytes, Y.JitCodeBytes) << At;
+  EXPECT_EQ(X.JitSideExits, Y.JitSideExits) << At;
+  EXPECT_EQ(A.Recovery.Checkpoints, B.Recovery.Checkpoints) << At;
+  EXPECT_EQ(A.Recovery.Rollbacks, B.Recovery.Rollbacks) << At;
+  EXPECT_EQ(A.Recovery.ReplayedOutputs, B.Recovery.ReplayedOutputs) << At;
+  EXPECT_EQ(X.CfiChecked, Y.CfiChecked) << At;
+  EXPECT_EQ(X.CfiCommits, Y.CfiCommits) << At;
+  EXPECT_EQ(X.CfiViolations, Y.CfiViolations) << At;
+  EXPECT_EQ(A.CfiFirstViolation, B.CfiFirstViolation) << At;
+}
+
+/// Runs every shard of \p Config's sweep from one SweepReference for each
+/// shard count in \p Ns (0 stands for three more shards than tasks), folds
+/// them and holds the fold to the unsharded campaign. With \p OwnShards,
+/// every shard also runs on its own runSingleFaultCampaign, recording its
+/// own reference, and the two runs must agree shard for shard and folded
+/// (expectSameShard).
+void expectShardFolds(const Program &P, const TheoremConfig &Config,
+                      const CampaignOptions &Base,
+                      const std::vector<unsigned> &Ns, const std::string &At,
+                      bool OwnShards = true) {
+  CampaignResult Whole = runSingleFaultCampaign(P, Config, Base);
+  EXPECT_NE(Whole.ProgramHash, 0u) << At;
+  SweepReference Ref(P, Config, Base);
+  // An out-of-range shard classifies nothing, so its CFI commits are the
+  // reference run's alone: every committed transfer of a fault-free run,
+  // which a table declaring no commit site counts without judging any.
+  CampaignOptions Outside = Base;
+  Outside.ShardIndex = 1;
+  uint64_t RefCommits = Ref.runShard(Outside).Stats.CfiCommits;
+  if (Base.CfiCheck) {
+    CfiTable Counter(P.entryAddress(), 0);
+    StepPolicy Counting = Config.Policy;
+    Counting.Cfi = &Counter;
+    MachineState S = *P.initialState();
+    referenceEngine().run(S, P.exitAddress(), Config.MaxSteps, Counting);
+    EXPECT_EQ(RefCommits, Counter.commits()) << At;
+    EXPECT_GT(RefCommits, 0u) << At;
+  }
+  for (unsigned N : Ns) {
+    if (N == 0)
+      N = (unsigned)Whole.Stats.TotalTasks + 3;
+    std::string AtN = At + " shards=" + std::to_string(N);
+    CampaignResult Own, Shared;
+    for (unsigned I = 0; I != N; ++I) {
+      CampaignOptions Opts = Base;
+      Opts.ShardCount = N;
+      Opts.ShardIndex = I;
+      CampaignResult B = Ref.runShard(Opts);
+      EXPECT_EQ(B.Stats.ShardIndex, I) << AtN;
+      EXPECT_EQ(B.Stats.ShardCount, N) << AtN;
+      if (OwnShards) {
+        // The one-shard run is the unsharded campaign itself.
+        CampaignResult A =
+            N == 1 ? Whole : runSingleFaultCampaign(P, Config, Opts);
+        expectSameShard(A, B, AtN + " shard=" + std::to_string(I));
+        if (I == 0)
+          Own = std::move(A);
+        else
+          foldShardResult(Own, A);
+      }
+      if (I == 0)
+        Shared = std::move(B);
+      else
+        foldShardResult(Shared, B);
+    }
+    if (OwnShards)
+      expectSameShard(Own, Shared, AtN + " folded");
+    // The fold is the whole campaign, slice provenance and all.
+    expectSameCampaign(Shared, Whole, AtN + " vs whole");
+    EXPECT_EQ(Shared.ReferenceTrace, Whole.ReferenceTrace) << AtN;
+    const CampaignStats &F = Shared.Stats, &W = Whole.Stats;
+    EXPECT_EQ(F.ShardCount, N) << AtN;
+    EXPECT_EQ(F.ShardIndex, 0u) << AtN;
+    EXPECT_EQ(F.ShardFirstTask, 0u) << AtN;
+    EXPECT_EQ(F.Tasks, W.Tasks) << AtN;
+    EXPECT_EQ(F.TotalTasks, W.TotalTasks) << AtN;
+    // ShardsFolded counts fold operations: 0 marks an unfolded
+    // single-shard result, N a genuine N-way fold.
+    EXPECT_EQ(F.ShardsFolded, N == 1 ? 0u : N) << AtN;
+    EXPECT_EQ(F.Pruned, W.Pruned) << AtN;
+    EXPECT_EQ(F.PrunedTasks, W.PrunedTasks) << AtN;
+    EXPECT_EQ(F.PrunedDetected, W.PrunedDetected) << AtN;
+    // Lane groups form per pool of one resume step, and a shard boundary
+    // splits the pool it falls in, so the group count alone does not
+    // fold; what the lanes did does.
+    EXPECT_EQ(F.LaneTasks, W.LaneTasks) << AtN;
+    EXPECT_EQ(F.LaneDeviations, W.LaneDeviations) << AtN;
+    EXPECT_EQ(F.LaneLockstepSteps, W.LaneLockstepSteps) << AtN;
+    EXPECT_EQ(Shared.Recovery.Checkpoints, Whole.Recovery.Checkpoints) << AtN;
+    EXPECT_EQ(Shared.Recovery.Rollbacks, Whole.Recovery.Rollbacks) << AtN;
+    EXPECT_EQ(Shared.Recovery.ReplayedOutputs, Whole.Recovery.ReplayedOutputs)
+        << AtN;
+    // Every shard counts the reference run's commits, as when each records
+    // its own reference, so the fold counts them N times. (A block a shard
+    // boundary splits rebuilds its base state on both sides, which could
+    // count a commit twice more; on these programs none does.)
+    EXPECT_EQ(F.CfiCommits, W.CfiCommits + (N - 1) * RefCommits) << AtN;
+    EXPECT_EQ(F.CfiViolations, W.CfiViolations) << AtN;
+  }
+}
+
 // Contract 1: the deterministic shard partition folds back to the
 // unsharded table exactly, for shard counts around and beyond the task
-// count, with pruning on and off.
+// count, with pruning on and off, whether each shard records its own
+// sweep reference or all of them share one.
 TEST(ShardFold, SingleFaultShardsFoldBitIdentically) {
   for (const NamedProgram &NP : allPrograms()) {
     TypeContext TC;
@@ -140,35 +281,83 @@ TEST(ShardFold, SingleFaultShardsFoldBitIdentically) {
     for (bool Prune : {false, true}) {
       CampaignOptions Base;
       Base.Prune = Prune;
-      CampaignResult Whole = runSingleFaultCampaign(P, Config, Base);
-      EXPECT_NE(Whole.ProgramHash, 0u) << NP.Name;
-
-      for (unsigned N : {1u, 4u, 16u}) {
-        CampaignResult Acc;
-        for (unsigned I = 0; I != N; ++I) {
-          CampaignOptions Opts;
-          Opts.Prune = Prune;
-          Opts.ShardCount = N;
-          Opts.ShardIndex = I;
-          CampaignResult Shard = runSingleFaultCampaign(P, Config, Opts);
-          EXPECT_EQ(Shard.Stats.ShardIndex, I);
-          EXPECT_EQ(Shard.Stats.ShardCount, N);
-          if (I == 0)
-            Acc = std::move(Shard);
-          else
-            foldShardResult(Acc, Shard);
-        }
-        std::string At = std::string(NP.Name) + " prune=" +
-                         (Prune ? "1" : "0") + " shards=" +
-                         std::to_string(N);
-        expectSameCampaign(Acc, Whole, At);
-        // ShardsFolded counts fold operations: 0 marks an unfolded
-        // single-shard result, N a genuine N-way fold.
-        EXPECT_EQ(Acc.Stats.ShardsFolded, N == 1 ? 0u : N) << At;
-        EXPECT_EQ(Acc.Stats.TotalTasks, Whole.Stats.TotalTasks) << At;
-      }
+      // One shard per task and more, on the sweeps small enough to afford
+      // a reference recording per shard (PairedStore and CseBroken
+      // pruned, 183 and 125 tasks).
+      std::vector<unsigned> Ns = {1, 4, 7, 16};
+      if (runSingleFaultCampaign(P, Config, Base).Stats.TotalTasks <= 200)
+        Ns.push_back(0);
+      expectShardFolds(P, Config, Base, Ns,
+                       std::string(NP.Name) + " prune=" + (Prune ? "1" : "0"));
     }
   }
+}
+
+// The shared reference on every Figure 10 kernel at stride steps/2, on
+// the vm (lane groups) and on the JIT (native scalar continuations), with
+// pruning on and off. Each kernel also runs every shard on a reference of
+// its own in one of those four configurations, in turn: a recording per
+// shard in all sixty would take most of this binary's time budget under
+// the sanitizers.
+TEST(ShardFold, SharedReferenceFoldsOnEveryFig10Kernel) {
+  unsigned KernelIndex = 0;
+  for (const wile::Kernel &K : wile::benchmarkKernels()) {
+    TypeContext TC;
+    DiagnosticEngine Diags;
+    Expected<wile::CompiledProgram> CP = wile::compileWile(
+        TC, K.Source.c_str(), wile::CodegenMode::FaultTolerant, Diags);
+    ASSERT_TRUE(bool(CP)) << K.Name << ": " << CP.message();
+    const Program &P = CP->Prog;
+    vm::Engine Vm(P.code());
+    vm::JitEngine Jit(P.code());
+    MachineState S = *P.initialState();
+    TheoremConfig Config;
+    RunResult Ref = Vm.run(S, P.exitAddress(), Config.MaxSteps, Config.Policy);
+    ASSERT_EQ(Ref.Status, RunStatus::Halted) << K.Name;
+    Config.InjectionStride = std::max<uint64_t>(1, Ref.Steps / 2);
+    unsigned OwnConfig = KernelIndex++ % 4, ConfigIndex = 0;
+    for (const ExecEngine *E : {(const ExecEngine *)&Vm, (const ExecEngine *)&Jit})
+      for (bool Prune : {false, true}) {
+        CampaignOptions Base;
+        Base.Engine = E;
+        Base.Prune = Prune;
+        expectShardFolds(P, Config, Base, {1, 4, 7},
+                         K.Name + " engine=" + E->name() +
+                             " prune=" + (Prune ? "1" : "0"),
+                         /*OwnShards=*/ConfigIndex++ == OwnConfig);
+      }
+  }
+}
+
+// Recovery campaigns (no differential replay), --cfi-check campaigns
+// (the reference run's commits count in every shard) and queue fault
+// sites at stride 1.
+TEST(ShardFold, SharedReferenceFoldsUnderRecoveryCfiAndQueueSites) {
+  TypeContext TC;
+  Program Paired = parseOrDie(TC, allPrograms()[0]);
+  Program Countdown = parseOrDie(TC, allPrograms()[2]);
+  Program Queue = parseOrDie(TC, allPrograms()[3]);
+  vm::Engine Vm(Countdown.code());
+
+  TheoremConfig Recover;
+  Recover.Recovery.Enabled = true;
+  expectShardFolds(Paired, Recover, CampaignOptions(), {1, 4, 7},
+                   "PairedStore recover");
+
+  TheoremConfig Config;
+  Config.InjectionStride = 3;
+  CampaignOptions Cfi;
+  Cfi.CfiCheck = true;
+  Cfi.Engine = &Vm;
+  for (bool Prune : {false, true}) {
+    Cfi.Prune = Prune;
+    expectShardFolds(Countdown, Config, Cfi, {1, 4, 7},
+                     std::string("CountdownLoop cfi-check prune=") +
+                         (Prune ? "1" : "0"));
+  }
+
+  expectShardFolds(Queue, TheoremConfig(), CampaignOptions(), {1, 4, 7},
+                   "QueueForwarding stride 1");
 }
 
 // The typed-campaign entry point shards identically (it shares the
@@ -749,6 +938,214 @@ TEST(WorkerPoolE2E, CrashedShardsAreRetriedBitIdentically) {
       runSingleFaultCampaign(Prog, theoremConfig(Spec, Spec.Stride), Direct);
   expectSameCampaign(O.Campaign, Whole, "chaos-retried vs direct");
   S.stop();
+}
+
+/// A campaign as the wire carries it (campaignFromJson): the CFI object
+/// and the reference trace stay behind.
+CampaignResult overTheWire(const CampaignResult &R) {
+  std::string Err;
+  std::optional<JsonValue> V = JsonValue::parse(campaignJsonLine(R), &Err);
+  CampaignResult Out;
+  EXPECT_TRUE(V && campaignFromJson(*V, Out, Err)) << Err;
+  return Out;
+}
+
+SubmitSpec talSpec(const NamedProgram &NP, uint64_t Stride) {
+  SubmitSpec Spec;
+  Spec.Name = NP.Name;
+  Spec.Lang = "tal";
+  Spec.Source = NP.Source;
+  Spec.Stride = Stride;
+  return Spec;
+}
+
+/// The in-process server's table for \p Spec: the pool-off baseline every
+/// pool-served table must equal.
+CampaignResult servedInProcess(const SubmitSpec &Spec) {
+  ServerOptions SO;
+  SO.PoolWorkers = 0;
+  SO.CampaignThreads = 1;
+  Server S(SO);
+  std::string Err;
+  EXPECT_TRUE(S.start(&Err)) << Err;
+  SubmitOutcome O = submitProgram("127.0.0.1", S.port(), Spec);
+  EXPECT_TRUE(O.GotResult) << O.Error;
+  S.stop();
+  return O.Campaign;
+}
+
+// A one-worker pool runs every shard of a submission on the worker that
+// recorded the sweep reference for shard 0, so shards 1-3 reuse it. Two
+// submissions in flight at once (two programs, and two strides of one
+// program) share the worker shard by shard and replace its reference.
+// Every served table equals the in-process server's and the unsharded
+// campaign's.
+TEST(WorkerPoolE2E, OneWorkerSharesItsSweepReferenceAcrossShards) {
+  ServerOptions SO;
+  SO.PoolWorkers = 1;
+  SO.DefaultShards = 4;
+  SO.CampaignThreads = 1;
+  Server S(SO);
+  std::string Err;
+  ASSERT_TRUE(S.start(&Err)) << Err;
+
+  auto Check = [](const SubmitSpec &Spec, const SubmitOutcome &O) {
+    ASSERT_TRUE(O.GotResult) << Spec.Name << ": " << O.Error;
+    EXPECT_EQ(O.Cache, "miss") << Spec.Name;
+    EXPECT_EQ(O.ShardEvents, 4u) << Spec.Name;
+    std::string At = Spec.Name + " stride " + std::to_string(Spec.Stride);
+    expectSameShard(O.Campaign, servedInProcess(Spec), At + " vs in-process");
+    TypeContext TC;
+    DiagnosticEngine Diags;
+    Expected<Program> P = parseAndLayoutTalProgram(TC, Spec.Source, Diags);
+    ASSERT_TRUE(bool(P)) << Diags.str();
+    CampaignOptions Direct;
+    applySpecOptions(Spec, Direct);
+    expectSameCampaign(
+        O.Campaign,
+        runSingleFaultCampaign(*P, theoremConfig(Spec, Spec.Stride), Direct),
+        At + " vs direct");
+  };
+
+  SubmitSpec Countdown = talSpec(allPrograms()[2], 2);
+  Check(Countdown, submitProgram("127.0.0.1", S.port(), Countdown));
+
+  for (auto [A, B] : {std::pair{talSpec(allPrograms()[0], 1),
+                                talSpec(allPrograms()[3], 1)},
+                      std::pair{talSpec(allPrograms()[2], 3),
+                                talSpec(allPrograms()[2], 5)}}) {
+    std::future<SubmitOutcome> First = std::async(std::launch::async, [&] {
+      return submitProgram("127.0.0.1", S.port(), A);
+    });
+    SubmitOutcome Second = submitProgram("127.0.0.1", S.port(), B);
+    Check(A, First.get());
+    Check(B, Second);
+  }
+  WorkerPoolStats P = S.poolStats();
+  EXPECT_EQ(P.Spawned, 1u);
+  EXPECT_EQ(P.Crashes, 0u);
+  S.stop();
+}
+
+// The same worker driven shard by shard: the shards of four sweeps (two
+// programs, and a second stride and pruning on one of them, which change
+// the reference's key but not its entry) dispatched round-robin,
+// so the worker replaces its reference at every request, then each
+// sweep's shards back to back, so it reuses it. Every shard equals the
+// same shard run in-process by runSingleFaultCampaign, and each sweep's
+// shards fold to its unsharded campaign.
+TEST(WorkerPoolE2E, InterleavedShardsReplaceTheWorkersReference) {
+  WorkerPoolOptions PO;
+  PO.Workers = 1;
+  PO.CampaignThreads = 1;
+  WorkerPool Pool(PO);
+  std::string Err;
+  ASSERT_TRUE(Pool.start(&Err)) << Err;
+
+  struct Sweep {
+    SubmitSpec Spec;
+    TypeContext TC;
+    std::optional<Program> P;
+    std::unique_ptr<ExecEngine> Vm; // the spec's default engine
+  };
+  std::vector<std::unique_ptr<Sweep>> Sweeps;
+  for (auto [Prog, Stride, Prune] :
+       {std::tuple{0, 2, false}, std::tuple{2, 2, false},
+        std::tuple{2, 2, true}, std::tuple{2, 3, false}}) {
+    auto W = std::make_unique<Sweep>();
+    W->Spec = talSpec(allPrograms()[Prog], Stride);
+    W->Spec.Prune = Prune;
+    W->P.emplace(parseOrDie(W->TC, allPrograms()[Prog]));
+    W->Vm = vm::createEngine(W->P->code());
+    Sweeps.push_back(std::move(W));
+  }
+  constexpr unsigned Shards = 4;
+  auto RunShard = [&](const Sweep &W, unsigned I) {
+    std::string Req = submitRequestJson(W.Spec);
+    Req.insert(Req.rfind('}'),
+               formatv(", \"resolved_stride\": %llu, \"campaign_threads\": 1, "
+                       "\"shard_index\": %u, \"shard_count\": %u",
+                       (unsigned long long)W.Spec.Stride, I, Shards));
+    WorkerPool::ShardOutcome O = Pool.runShard(Req);
+    std::string At = W.Spec.Name + " stride " +
+                     std::to_string(W.Spec.Stride) +
+                     (W.Spec.Prune ? " pruned" : "") + " shard " +
+                     std::to_string(I);
+    EXPECT_TRUE(O.Ok) << At << ": " << O.Error;
+    EXPECT_EQ(O.Attempts, 1u) << At;
+    CampaignOptions Opts;
+    applySpecOptions(W.Spec, Opts);
+    Opts.Engine = W.Vm.get();
+    Opts.ShardCount = Shards;
+    Opts.ShardIndex = I;
+    expectSameShard(O.Result,
+                    overTheWire(runSingleFaultCampaign(
+                        *W.P, theoremConfig(W.Spec, W.Spec.Stride), Opts)),
+                    At);
+    return O.Result;
+  };
+
+  for (bool RoundRobin : {true, false}) {
+    std::vector<CampaignResult> Folds(Sweeps.size());
+    for (unsigned Step = 0; Step != Shards * Sweeps.size(); ++Step) {
+      size_t J = RoundRobin ? Step % Sweeps.size() : Step / Shards;
+      unsigned I = RoundRobin ? Step / Sweeps.size() : Step % Shards;
+      CampaignResult R = RunShard(*Sweeps[J], I);
+      if (I == 0)
+        Folds[J] = std::move(R);
+      else
+        foldShardResult(Folds[J], R);
+    }
+    for (size_t J = 0; J != Sweeps.size(); ++J) {
+      const Sweep &W = *Sweeps[J];
+      CampaignOptions Direct;
+      applySpecOptions(W.Spec, Direct);
+      expectSameCampaign(
+          Folds[J],
+          runSingleFaultCampaign(*W.P, theoremConfig(W.Spec, W.Spec.Stride),
+                                 Direct),
+          W.Spec.Name + " sweep " + std::to_string(J) +
+              (RoundRobin ? " round-robin" : " back to back"));
+    }
+  }
+  EXPECT_EQ(Pool.stats().Spawned, 1u);
+  Pool.stop();
+}
+
+// A one-worker pool whose worker crashes at every second shard boundary:
+// the crashed shard ran on the reference an earlier shard recorded, and
+// its retry runs on a respawned worker that starts with no reference and
+// records its own. The served table does not change by a bit.
+TEST(WorkerPoolE2E, RespawnedWorkerRecordsItsOwnReference) {
+  ServerOptions SO;
+  SO.PoolWorkers = 1;
+  SO.DefaultShards = 4;
+  SO.CampaignThreads = 1;
+  SO.ChaosCrashEveryN = 2;
+  Server S(SO);
+  std::string Err;
+  ASSERT_TRUE(S.start(&Err)) << Err;
+
+  SubmitSpec Spec = talSpec(allPrograms()[2], 2);
+  SubmitOutcome O = submitProgram("127.0.0.1", S.port(), Spec);
+  ASSERT_TRUE(O.GotResult) << O.Error;
+  EXPECT_EQ(O.ShardEvents, 4u);
+  EXPECT_EQ(O.MaxShardAttempts, 2u);
+  WorkerPoolStats P = S.poolStats();
+  EXPECT_EQ(P.Crashes, 3u); // shards 1, 2 and 3 crash once each
+  EXPECT_EQ(P.Retries, P.Crashes);
+  EXPECT_EQ(P.Alive, 1u);
+  S.stop();
+
+  expectSameShard(O.Campaign, servedInProcess(Spec), "chaos vs in-process");
+  TypeContext TC;
+  Program Prog = parseOrDie(TC, allPrograms()[2]);
+  CampaignOptions Direct;
+  applySpecOptions(Spec, Direct);
+  expectSameCampaign(
+      O.Campaign,
+      runSingleFaultCampaign(Prog, theoremConfig(Spec, Spec.Stride), Direct),
+      "chaos vs direct");
 }
 
 // A shard that crashes on *every* attempt is a deterministic crasher:
