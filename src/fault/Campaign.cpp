@@ -1436,8 +1436,7 @@ sliceTasks(const TaskCounts &TC, const TheoremConfig &Config,
   R.Stats.TotalTasks = TC.Total;
   if (Shard >= Shards) {
     // A shard out of range covers no slice and is never folded; its table
-    // carries the static tallies, as the unsharded sweep's does.
-    R.Table.merge(TC.Static);
+    // is empty, as its slice is (the static tallies are shard 0's).
     R.Ok = false;
     if (R.Violations.size() < Config.MaxViolations)
       R.Violations.push_back(
@@ -1868,6 +1867,10 @@ CampaignResult talft::runFaultToleranceCampaign(TypeContext &TC,
   TrackedRun::Snapshot RefFinal = Run.snapshot();
   R.ReferenceSteps = RefFinal.Steps;
   R.ReferenceTrace = RefFinal.Trace;
+  // Shard 0 alone carries the reference run's CFI tallies, as in
+  // SweepReference::runShard, so the shards fold to the whole sweep's.
+  if (F.Cfi && Opts.ShardIndex != 0)
+    F.Cfi->resetCounters();
 
   R.ProgramHash = programContentHash(CP.Prog->code(), CP.Prog->entryAddress(),
                                      CP.Prog->exitAddress(), Snaps[0].S);
@@ -2045,17 +2048,24 @@ SweepReference::~SweepReference() = default;
 CampaignResult SweepReference::runShard(const CampaignOptions &Opts) const {
   const Impl &Ref = *P;
   CampaignResult R = Ref.Head;
+  R.Stats.Engine = (Opts.Engine ? *Opts.Engine : referenceEngine()).name();
   std::unique_ptr<CfiTable> Cfi =
       Ref.Cfi ? Ref.Cfi->withFreshCounters() : nullptr;
-  // The CFI tallies are the reference run's, then the shard's own.
+  // The CFI tallies are the shard's own. Shard 0 alone adds the reference
+  // run's ahead of them, as it alone carries the static tallies, so the
+  // shards fold to the unsharded campaign's.
   auto Finish = [&] {
     if (Cfi) {
       R.Stats.CfiChecked = true;
-      R.Stats.CfiCommits = Ref.Cfi->commits() + Cfi->commits();
-      R.Stats.CfiViolations = Ref.Cfi->violations() + Cfi->violations();
-      R.CfiFirstViolation = Ref.Cfi->firstViolation();
-      if (R.CfiFirstViolation.empty())
-        R.CfiFirstViolation = Cfi->firstViolation();
+      R.Stats.CfiCommits = Cfi->commits();
+      R.Stats.CfiViolations = Cfi->violations();
+      R.CfiFirstViolation = Cfi->firstViolation();
+      if (Opts.ShardIndex == 0) {
+        R.Stats.CfiCommits += Ref.Cfi->commits();
+        R.Stats.CfiViolations += Ref.Cfi->violations();
+        if (Ref.Cfi->violations())
+          R.CfiFirstViolation = Ref.Cfi->firstViolation();
+      }
     }
     return std::move(R);
   };

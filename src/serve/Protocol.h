@@ -11,7 +11,7 @@
 /// Requests ({"cmd": ...}):
 ///
 ///   {"cmd":"submit", "lang":"wile"|"tal", "source":"...", "name":"...",
-///    "engine":"vm"|"reference", "stride":0, "max_steps":N,
+///    "engine":"vm"|"jit"|"reference", "stride":0, "max_steps":N,
 ///    "extra_steps":N, "only_mentioned_registers":b, "prune":b,
 ///    "converge":b, "lanes":b, "recover":b,
 ///    "checkpoint_interval":N, "retry_budget":N, "shards":N,
@@ -29,15 +29,19 @@
 /// and options. "drained" replaces "result" when the server stops at a
 /// shard boundary (SIGTERM drain); the folded prefix is persisted in the
 /// memo store and a resubmission resumes from the next shard. "error"
-/// reports malformed requests, parse/compile failures and backpressure
-/// ("queue_full", "draining").
+/// carries a machine-readable "code": "bad_request" for a malformed
+/// request, "compile_error" for a source that does not compile,
+/// "campaign_error", "shard_poisoned" or "deadline_exceeded" for a
+/// campaign that could not finish, and "overloaded" (with
+/// "retry_after_ms") or "draining" for backpressure.
 ///
 /// This header also owns the memoization key: a submission is addressed
-/// by (whole-program content hash × options digest). The digest covers
-/// every semantic campaign option — engine, stride, budgets, site filter,
-/// prune, converge, lanes, recovery knobs — so any option
-/// change is a cache miss; thread count and shard count are excluded
-/// because the verdict table is provably independent of both.
+/// by (whole-program content hash × options digest), and the server finds
+/// a known source's hash without compiling it (serve/FrontEnd.h). The
+/// digest covers every semantic campaign option — engine, stride,
+/// budgets, site filter, prune, converge, lanes, recovery knobs — so any
+/// option change is a cache miss; thread count and shard count are
+/// excluded because the verdict table is provably independent of both.
 ///
 //===----------------------------------------------------------------------===//
 

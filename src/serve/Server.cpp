@@ -6,15 +6,12 @@
 
 #include "serve/Server.h"
 
-#include "analysis/Certify.h"
 #include "isa/ProgramHash.h"
 #include "serve/Json.h"
 #include "support/AtomicFile.h"
 #include "support/StringUtils.h"
-#include "tal/Parser.h"
 #include "vm/Engine.h"
 #include "vm/JitEngine.h"
-#include "wile/Codegen.h"
 
 #include <algorithm>
 #include <arpa/inet.h>
@@ -86,8 +83,8 @@ WorkerPoolOptions poolOptions(const ServerOptions &O) {
 } // namespace
 
 Server::Server(ServerOptions O)
-    : Opts(std::move(O)), Memo(Opts.CacheEntries, Opts.CacheDir),
-      Pool(poolOptions(Opts)) {
+    : Opts(std::move(O)), Front(Opts.CacheEntries),
+      Memo(Opts.CacheEntries, Opts.CacheDir), Pool(poolOptions(Opts)) {
   if (Opts.Workers == 0)
     Opts.Workers = 1;
   if (Opts.DefaultShards == 0)
@@ -512,42 +509,26 @@ void Server::runSubmission(int Fd, const SubmitSpec &Spec,
     ++Counters.Submits;
   }
 
-  // Compile (Wile through the fault-tolerant backend, TAL verbatim).
-  TypeContext TC;
-  DiagnosticEngine Diags;
-  std::optional<wile::CompiledProgram> Compiled;
-  std::optional<Program> Parsed;
-  const Program *Prog = nullptr;
-  if (Spec.Lang == "wile") {
-    Expected<wile::CompiledProgram> CP = wile::compileWile(
-        TC, Spec.Source, wile::CodegenMode::FaultTolerant, Diags);
-    if (!CP)
-      return Fail("compile_error", CP.message());
-    Compiled.emplace(std::move(*CP));
-    Prog = &Compiled->Prog;
-  } else {
-    Expected<Program> P = parseAndLayoutTalProgram(TC, Spec.Source, Diags);
-    if (!P)
-      return Fail("compile_error", P.message());
-    Parsed.emplace(std::move(*P));
-    Prog = &*Parsed;
+  // Front end: the compile error, or the program hash and certification,
+  // of these exact source bytes — remembered, or compiled and certified
+  // here. The program compiled on a miss stays for the work below that
+  // needs one.
+  std::unique_ptr<CompiledSource> Src;
+  std::optional<FrontEnd> FE = Front.lookup(Spec.Lang, Spec.Source);
+  if (!FE) {
+    Src = std::make_unique<CompiledSource>(Spec.Lang, Spec.Source);
+    FE = runFrontEnd(*Src);
+    Front.store(Spec.Lang, Spec.Source, *FE);
   }
-
-  Expected<MachineState> S0 = Prog->initialState();
-  if (Error Err = S0.takeError())
-    return Fail("compile_error", Err.message());
+  if (!FE->CompileError.empty())
+    return Fail("compile_error", FE->CompileError);
 
   // Identity: the memo key. The campaign recomputes the same program hash
   // internally; the tests assert they agree.
-  uint64_t PH = programContentHash(Prog->code(), Prog->entryAddress(),
-                                   Prog->exitAddress(), *S0);
+  uint64_t PH = FE->ProgramHash;
   uint64_t OD = optionsDigest(Spec);
   MemoKey Key{PH, OD};
-
-  // Certification ladder (independent of the campaign; raw-semantics
-  // sweeps run even for programs the checker rejects, as in fig10).
-  analysis::Certification Cert = analysis::certifyProgram(TC, *Prog);
-  std::string CertKey = certificationStatusJsonKey(Cert.Status);
+  const std::string &CertKey = FE->Certification;
 
   // Cache probe: a complete entry answers outright; a partial entry (a
   // drained campaign's folded prefix) resumes with its own shard
@@ -620,13 +601,18 @@ void Server::runSubmission(int Fd, const SubmitSpec &Spec,
     return;
   }
 
-  // Engine choice is provenance, not policy: tables are engine-invariant
-  // by the engine contract, and the options digest keeps entries from
-  // answering across engines. Pool workers decode their own, so this one
-  // is built only for the stride probe and in-process shards.
+  // Pool workers compile and decode their own program, so this process
+  // needs one only for the stride probe and in-process shards. Engine
+  // choice is provenance, not policy: tables are engine-invariant by the
+  // engine contract, and the options digest keeps entries from answering
+  // across engines.
+  const Program *Prog = nullptr;
   std::unique_ptr<ExecEngine> Vm;
   const ExecEngine *E = &referenceEngine();
   if (Spec.Stride == 0 || !Pool.enabled()) {
+    if (!Src)
+      Src = std::make_unique<CompiledSource>(Spec.Lang, Spec.Source);
+    Prog = Src->Prog;
     if (Spec.Engine == "vm")
       Vm = vm::createEngine(Prog->code());
     else if (Spec.Engine == "jit")
@@ -642,7 +628,7 @@ void Server::runSubmission(int Fd, const SubmitSpec &Spec,
   if (Stride == 0) {
     TheoremConfig Probe;
     Probe.MaxSteps = Spec.MaxSteps;
-    MachineState S = *S0;
+    MachineState S = *Prog->initialState();
     RunResult RR = E->run(S, Prog->exitAddress(), Probe.MaxSteps, Probe.Policy);
     if (RR.Status != RunStatus::Halted)
       return Fail("campaign_error",
@@ -844,6 +830,11 @@ std::string Server::statsJson() const {
                (unsigned long long)C.SendFailures,
                (unsigned long long)C.OversizedLines,
                (unsigned long long)C.IdleClosed);
+  FrontEndStats F = Front.stats();
+  S += formatv(", \"front_end\": {\"hits\": %llu, \"misses\": %llu, "
+               "\"entries\": %llu, \"capacity\": %llu}",
+               (unsigned long long)F.Hits, (unsigned long long)F.Misses,
+               (unsigned long long)F.Entries, (unsigned long long)F.Capacity);
   S += formatv(", \"cache\": {\"hits\": %llu, \"partial_hits\": %llu, "
                "\"misses\": %llu, \"hit_rate\": %.4f, \"evictions\": %llu, "
                "\"disk_loads\": %llu, \"disk_stores\": %llu, "

@@ -15,6 +15,17 @@
 /// (program hash × options digest) in a MemoStore — a resubmission is a
 /// cache hit that re-runs nothing.
 ///
+/// Two memos answer a submission, one per half of its key. The front-end
+/// memo (serve/FrontEnd.h) maps the exact (lang, source) bytes to the
+/// compile error, or to the program hash and certification, so a known
+/// source is neither compiled nor certified again, whatever its campaign
+/// options; the MemoStore then maps (program hash × options digest) to
+/// the folded campaign. A warm resubmission therefore runs no compiler,
+/// no certifier and no shard. The server compiles a program only on a
+/// front-end miss, for the adaptive-stride probe (stride 0) and for
+/// in-process shards (PoolWorkers = 0); pool workers compile their own.
+/// Both memos hold CacheEntries entries.
+///
 /// Operational guarantees:
 ///   - every served verdict table folds bit-identically onto the batch
 ///     CLI's for the same program and options (same enumeration, same
@@ -43,16 +54,17 @@
 ///     process or a restarted one sharing the cache directory — resumes
 ///     from the first unclassified shard;
 ///   - introspection: a "stats" request (or HTTP "GET /stats") reports
-///     queue depth, cache hit rate, shard throughput, pool health
-///     (including live worker pids, which the chaos harness uses as its
-///     kill list), WAL counters and the summed convergence/lane counters
-///     of every served campaign.
+///     queue depth, front-end and cache hit rates, shard throughput, pool
+///     health (including live worker pids, which the chaos harness uses
+///     as its kill list), WAL counters and the summed convergence/lane
+///     counters of every served campaign.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef TALFT_SERVE_SERVER_H
 #define TALFT_SERVE_SERVER_H
 
+#include "serve/FrontEnd.h"
 #include "serve/MemoStore.h"
 #include "serve/Protocol.h"
 #include "serve/SubmitLog.h"
@@ -82,7 +94,8 @@ struct ServerOptions {
   /// Backpressure: pending connections beyond this are shed with an
   /// "overloaded" error carrying a retry_after_ms hint.
   size_t QueueCap = 16;
-  /// In-memory memo entries retained (LRU).
+  /// In-memory memo entries retained (LRU), in the MemoStore and in the
+  /// front-end memo each.
   size_t CacheEntries = 64;
   /// Optional persistent cache directory (must exist); empty = memory only.
   std::string CacheDir;
@@ -193,8 +206,9 @@ private:
   void handleConnection(int Fd);
   bool handleRequest(int Fd, const std::string &Line);
   void handleSubmit(int Fd, const JsonValue &Request);
-  /// The whole submission pipeline — compile, certify, memo probe, WAL
-  /// accept, shard loop (pool or in-process), fold, terminal event —
+  /// The whole submission pipeline — front end (compile and certify, or
+  /// the front-end memo), memo probe, WAL accept, shard loop (pool or
+  /// in-process), fold, terminal event —
   /// shared by connection handlers (Fd >= 0) and the WAL replayer
   /// (Fd < 0, ReplayId = the pending record being replayed).
   void runSubmission(int Fd, const SubmitSpec &Spec, uint64_t ReplayId);
@@ -205,6 +219,7 @@ private:
   uint64_t retryAfterMsEstimate() const;
 
   ServerOptions Opts;
+  FrontEndMemo Front;
   MemoStore Memo;
   WorkerPool Pool;
   SubmitLog Wal;

@@ -6,14 +6,13 @@
 
 #include "serve/WorkerProc.h"
 
+#include "serve/FrontEnd.h"
 #include "serve/Json.h"
 #include "serve/Protocol.h"
 #include "support/Crc32.h"
 #include "support/StringUtils.h"
-#include "tal/Parser.h"
 #include "vm/Engine.h"
 #include "vm/JitEngine.h"
-#include "wile/Codegen.h"
 
 #include <cerrno>
 #include <csignal>
@@ -65,9 +64,10 @@ bool readAll(int Fd, void *Data, size_t Len) {
 /// serves many shards of the same submission back to back; recompiling
 /// (and, under the jit engine, re-emitting native code) per frame threw
 /// that work away N-shards times per submission. The entry owns the
-/// TypeContext its Program interns types into, and builds each engine at
-/// most once — engines are immutable after construction, so reuse across
-/// frames is safe by the same argument as reuse across campaign threads.
+/// compiled source, a failed compile included (a source that failed once
+/// fails fast), and builds each engine at most once — engines are
+/// immutable after construction, so reuse across frames is safe by the
+/// same argument as reuse across campaign threads.
 ///
 /// The entry also keeps the sweep reference (fault/Campaign.h) its last
 /// shard ran on, so the next shard of the same submission skips the
@@ -78,52 +78,55 @@ bool readAll(int Fd, void *Data, size_t Len) {
 /// and every other knob the reference depends on; a worker holds one
 /// reference at a time (CompileCache::dropReferences).
 struct CompiledEntry {
-  TypeContext TC;
-  std::optional<wile::CompiledProgram> Compiled;
-  std::optional<Program> Parsed;
-  const Program *Prog = nullptr;
-  std::string CompileError; // sticky: a source that failed once fails fast
+  CompiledSource Src;
   std::unique_ptr<ExecEngine> Vm;
   std::unique_ptr<ExecEngine> Jit;
   std::unique_ptr<SweepReference> Ref;
   uint64_t RefStride = 0;
   uint64_t RefDigest = 0;
 
+  CompiledEntry(const std::string &Lang, const std::string &Source)
+      : Src(Lang, Source) {}
+
   const ExecEngine *engineFor(const std::string &Name) {
     if (Name == "vm") {
       if (!Vm)
-        Vm = vm::createEngine(Prog->code());
+        Vm = vm::createEngine(Src.Prog->code());
       return Vm.get();
     }
     if (Name == "jit") {
       if (!Jit)
-        Jit = vm::createJitEngine(Prog->code());
+        Jit = vm::createJitEngine(Src.Prog->code());
       return Jit.get();
     }
     return nullptr; // reference interpreter: CampaignOptions' default
   }
 };
 
-/// Decode-once cache, keyed by the exact (lang, source) pair — the same
-/// identity ProgramHash certifies, without needing a successful compile
-/// to name a failure. The worker loop is single-threaded, so no locking;
-/// FIFO eviction keeps a crashed-and-respawned worker's memory bounded
-/// when a server mixes many programs onto one worker.
+/// Decode-once cache, keyed by the exact (lang, source) pair (sourceKey),
+/// the identity the server's front-end memo uses too, which names a
+/// failed compile as well as a program. The worker loop is
+/// single-threaded, so no locking; FIFO eviction keeps a
+/// crashed-and-respawned worker's memory bounded when a server mixes many
+/// programs onto one worker.
 struct CompileCache {
   static constexpr size_t Capacity = 8;
   std::unordered_map<std::string, std::unique_ptr<CompiledEntry>> Entries;
   std::deque<std::string> Order;
 
-  CompiledEntry *lookup(const std::string &Lang, const std::string &Source) {
-    std::string Key = Lang + '\n' + Source;
+  CompiledEntry *find(const std::string &Key) {
     auto It = Entries.find(Key);
-    if (It != Entries.end())
-      return It->second.get();
+    return It == Entries.end() ? nullptr : It->second.get();
+  }
+
+  /// Compiles (Lang, Source) into a new entry under \p Key.
+  CompiledEntry *insert(std::string Key, const std::string &Lang,
+                        const std::string &Source) {
     while (Entries.size() >= Capacity) {
       Entries.erase(Order.front());
       Order.pop_front();
     }
-    auto Entry = std::make_unique<CompiledEntry>();
+    auto Entry = std::make_unique<CompiledEntry>(Lang, Source);
     CompiledEntry *E = Entry.get();
     Entries.emplace(Key, std::move(Entry));
     Order.push_back(std::move(Key));
@@ -167,41 +170,22 @@ std::string serveShardRequest(const std::string &Request) {
   // happens once per program per worker; every later shard of the same
   // submission reuses the cached entry.
   static CompileCache Cache;
-  CompiledEntry *Entry = Cache.lookup(Spec.Lang, Spec.Source);
+  std::string Key = sourceKey(Spec.Lang, Spec.Source);
+  CompiledEntry *Entry = Cache.find(Key);
   // The shards of one submission reach this worker back to back (the
   // pool hands a handler its own worker again), so they share one sweep
   // reference: the first records it, the rest reuse it. Any other request
   // frees the held reference first, before it compiles or records.
   uint64_t Digest = optionsDigest(Spec);
-  bool Record = !Entry->Ref || Entry->RefStride != Stride ||
+  bool Record = !Entry || !Entry->Ref || Entry->RefStride != Stride ||
                 Entry->RefDigest != Digest;
   if (Record)
     Cache.dropReferences();
-  if (!Entry->CompileError.empty())
-    return Fail("compile_error", Entry->CompileError);
-  if (!Entry->Prog) {
-    DiagnosticEngine Diags;
-    if (Spec.Lang == "wile") {
-      Expected<wile::CompiledProgram> CP = wile::compileWile(
-          Entry->TC, Spec.Source, wile::CodegenMode::FaultTolerant, Diags);
-      if (!CP) {
-        Entry->CompileError = CP.message();
-        return Fail("compile_error", Entry->CompileError);
-      }
-      Entry->Compiled.emplace(std::move(*CP));
-      Entry->Prog = &Entry->Compiled->Prog;
-    } else {
-      Expected<Program> P =
-          parseAndLayoutTalProgram(Entry->TC, Spec.Source, Diags);
-      if (!P) {
-        Entry->CompileError = P.message();
-        return Fail("compile_error", Entry->CompileError);
-      }
-      Entry->Parsed.emplace(std::move(*P));
-      Entry->Prog = &*Entry->Parsed;
-    }
-  }
-  const Program *Prog = Entry->Prog;
+  if (!Entry)
+    Entry = Cache.insert(std::move(Key), Spec.Lang, Spec.Source);
+  if (!Entry->Src.Prog)
+    return Fail("compile_error", Entry->Src.CompileError);
+  const Program *Prog = Entry->Src.Prog;
 
   CampaignOptions CO;
   CO.Threads = Threads;

@@ -12,12 +12,12 @@
 /// with the resolved stride, the shard coordinates and the campaign
 /// thread count — and reads back one response frame carrying either the
 /// shard's campaign JSON or a structured error. The child is a loop:
-/// read frame, compile the program from source in a fresh TypeContext
-/// (or reuse the compile of an earlier frame), run exactly that shard of
-/// the deterministic task partition (fault/Campaign.h) from the sweep
-/// reference the previous shard of the same submission recorded, or from
-/// a new one, reply, repeat; EOF on the request pipe is the shutdown
-/// signal.
+/// read frame, compile the program from source as the server's front end
+/// does (serve/FrontEnd.h), or reuse the compile of an earlier frame, run
+/// exactly that shard of the deterministic task partition
+/// (fault/Campaign.h) from the sweep reference the previous shard of the
+/// same submission recorded, or from a new one, reply, repeat; EOF on the
+/// request pipe is the shutdown signal.
 ///
 /// Crash isolation is the point: the worker shares no mutable state with
 /// the server — a segfault, an OOM kill or a runaway shard takes down

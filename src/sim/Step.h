@@ -127,6 +127,14 @@ public:
     return true;
   }
 
+  /// Zeroes the counters, so that they count only the runs that follow.
+  void resetCounters() {
+    Commits.store(0, std::memory_order_relaxed);
+    Violations.store(0, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> Lock(FirstMutex);
+    First.clear();
+  }
+
   uint64_t commits() const { return Commits.load(std::memory_order_relaxed); }
   uint64_t violations() const {
     return Violations.load(std::memory_order_relaxed);

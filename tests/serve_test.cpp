@@ -28,7 +28,10 @@
 //      resubmission is a cache hit that streams zero shard events; a
 //      drained server leaves a resumable partial entry that a restarted
 //      server (same cache directory) finishes from where it stopped; and
-//      stop() returns promptly however it races idle handler threads;
+//      stop() returns promptly however it races idle handler threads; the
+//      front-end memo answers a known source (same lang and bytes) without
+//      compiling or certifying it, at any campaign option, and two TAL
+//      sources sharing a program hash keep their own certifications;
 //   6. crash isolation: shards run on forked worker processes; a worker
 //      crashing at the shard boundary (the chaos hook) is retried on a
 //      fresh worker and the served table stays bit-identical; a worker
@@ -46,6 +49,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/Certify.h"
 #include "check/ProgramChecker.h"
 #include "fault/Campaign.h"
 #include "isa/ProgramHash.h"
@@ -190,21 +194,25 @@ void expectShardFolds(const Program &P, const TheoremConfig &Config,
   CampaignResult Whole = runSingleFaultCampaign(P, Config, Base);
   EXPECT_NE(Whole.ProgramHash, 0u) << At;
   SweepReference Ref(P, Config, Base);
-  // An out-of-range shard classifies nothing, so its CFI commits are the
-  // reference run's alone: every committed transfer of a fault-free run,
-  // which a table declaring no commit site counts without judging any.
-  CampaignOptions Outside = Base;
-  Outside.ShardIndex = 1;
-  uint64_t RefCommits = Ref.runShard(Outside).Stats.CfiCommits;
+  // The reference run's CFI commits: every committed transfer of a
+  // fault-free run, which a table declaring no commit site counts without
+  // judging any. Shard 0 alone carries them, so an out-of-range shard,
+  // which classifies nothing, reports none.
   if (Base.CfiCheck) {
     CfiTable Counter(P.entryAddress(), 0);
     StepPolicy Counting = Config.Policy;
     Counting.Cfi = &Counter;
     MachineState S = *P.initialState();
     referenceEngine().run(S, P.exitAddress(), Config.MaxSteps, Counting);
-    EXPECT_EQ(RefCommits, Counter.commits()) << At;
+    uint64_t RefCommits = Counter.commits();
     EXPECT_GT(RefCommits, 0u) << At;
+    EXPECT_GE(Whole.Stats.CfiCommits, RefCommits) << At;
   }
+  CampaignOptions Outside = Base;
+  Outside.ShardIndex = 1;
+  CampaignResult Out = Ref.runShard(Outside);
+  EXPECT_EQ(Out.Stats.CfiCommits, 0u) << At;
+  EXPECT_EQ(Out.Stats.CfiChecked, Base.CfiCheck) << At;
   for (unsigned N : Ns) {
     if (N == 0)
       N = (unsigned)Whole.Stats.TotalTasks + 3;
@@ -259,12 +267,13 @@ void expectShardFolds(const Program &P, const TheoremConfig &Config,
     EXPECT_EQ(Shared.Recovery.Rollbacks, Whole.Recovery.Rollbacks) << AtN;
     EXPECT_EQ(Shared.Recovery.ReplayedOutputs, Whole.Recovery.ReplayedOutputs)
         << AtN;
-    // Every shard counts the reference run's commits, as when each records
-    // its own reference, so the fold counts them N times. (A block a shard
-    // boundary splits rebuilds its base state on both sides, which could
-    // count a commit twice more; on these programs none does.)
-    EXPECT_EQ(F.CfiCommits, W.CfiCommits + (N - 1) * RefCommits) << AtN;
+    // Shard 0 alone counts the reference run's commits, so the fold counts
+    // them once. (A block a shard boundary splits rebuilds its base state
+    // on both sides, which could count a commit twice more; on these
+    // programs none does.)
+    EXPECT_EQ(F.CfiCommits, W.CfiCommits) << AtN;
     EXPECT_EQ(F.CfiViolations, W.CfiViolations) << AtN;
+    EXPECT_EQ(Shared.CfiFirstViolation, Whole.CfiFirstViolation) << AtN;
   }
 }
 
@@ -361,7 +370,9 @@ TEST(ShardFold, SharedReferenceFoldsUnderRecoveryCfiAndQueueSites) {
 }
 
 // The typed-campaign entry point shards identically (it shares the
-// enumeration and the slice).
+// enumeration and the slice), with and without re-typing faulty states
+// (its own serial sweep), CFI tallies included: shard 0 alone counts the
+// reference run's commits there too.
 TEST(ShardFold, FaultToleranceCampaignShardsFoldBitIdentically) {
   TypeContext TC;
   DiagnosticEngine Diags;
@@ -374,37 +385,66 @@ TEST(ShardFold, FaultToleranceCampaignShardsFoldBitIdentically) {
   Config.InjectionStride = 2;
 
   CampaignOptions Base;
-  CampaignResult Whole = runFaultToleranceCampaign(TC, *CP, Config, Base);
-  for (unsigned N : {4u, 16u}) {
-    CampaignResult Acc;
-    for (unsigned I = 0; I != N; ++I) {
-      CampaignOptions Opts;
-      Opts.ShardCount = N;
-      Opts.ShardIndex = I;
-      CampaignResult Shard = runFaultToleranceCampaign(TC, *CP, Config, Opts);
-      if (I == 0)
-        Acc = std::move(Shard);
-      else
-        foldShardResult(Acc, Shard);
+  Base.CfiCheck = true;
+  for (bool Retype : {false, true}) {
+    Config.TypeCheckFaultyStates = Retype;
+    CampaignResult Whole = runFaultToleranceCampaign(TC, *CP, Config, Base);
+    EXPECT_GT(Whole.Stats.CfiCommits, 0u);
+    EXPECT_EQ(Whole.StatesTypechecked > 0, Retype);
+    for (unsigned N : {4u, 16u}) {
+      std::string At = std::string("PairedStore typed retype=") +
+                       (Retype ? "1" : "0") + " shards=" + std::to_string(N);
+      CampaignResult Acc;
+      for (unsigned I = 0; I != N; ++I) {
+        CampaignOptions Opts = Base;
+        Opts.ShardCount = N;
+        Opts.ShardIndex = I;
+        CampaignResult Shard =
+            runFaultToleranceCampaign(TC, *CP, Config, Opts);
+        if (I == 0)
+          Acc = std::move(Shard);
+        else
+          foldShardResult(Acc, Shard);
+      }
+      expectSameCampaign(Acc, Whole, At);
+      EXPECT_EQ(Acc.Stats.CfiCommits, Whole.Stats.CfiCommits) << At;
+      EXPECT_EQ(Acc.Stats.CfiViolations, Whole.Stats.CfiViolations) << At;
     }
-    expectSameCampaign(Acc, Whole, "PairedStore typed shards=" +
-                                       std::to_string(N));
   }
 }
 
+// An out-of-range shard is rejected, and every field it reports agrees
+// with its empty slice: no verdict (the static tallies are shard 0's, so
+// under pruning too), no pruned task, and the engine it was asked to run.
 TEST(ShardFold, OutOfRangeShardIndexIsAViolation) {
   TypeContext TC;
   Program P = parseOrDie(TC, allPrograms()[0]);
+  vm::Engine Vm(P.code());
   TheoremConfig Config;
   Config.InjectionStride = 2;
-  CampaignOptions Opts;
-  Opts.ShardCount = 4;
-  Opts.ShardIndex = 4; // one past the end
-  CampaignResult R = runSingleFaultCampaign(P, Config, Opts);
-  EXPECT_FALSE(R.Ok);
-  ASSERT_EQ(R.Violations.size(), 1u);
-  EXPECT_NE(R.Violations[0].find("out of range"), std::string::npos);
-  EXPECT_EQ(R.Stats.Tasks, 0u);
+  for (bool Prune : {false, true}) {
+    std::string At = std::string("prune=") + (Prune ? "1" : "0");
+    CampaignOptions Opts;
+    Opts.Engine = &Vm;
+    Opts.Prune = Prune;
+    // Pruning discharges part of the whole sweep statically, so a shard
+    // that kept the static tallies would show them.
+    if (Prune) {
+      EXPECT_GT(runSingleFaultCampaign(P, Config, Opts).Stats.PrunedTasks,
+                0u)
+          << At;
+    }
+    Opts.ShardCount = 4;
+    Opts.ShardIndex = 4; // one past the end
+    CampaignResult R = runSingleFaultCampaign(P, Config, Opts);
+    EXPECT_FALSE(R.Ok) << At;
+    ASSERT_EQ(R.Violations.size(), 1u) << At;
+    EXPECT_NE(R.Violations[0].find("out of range"), std::string::npos) << At;
+    EXPECT_EQ(R.Table, VerdictTable()) << At;
+    EXPECT_EQ(R.Stats.Tasks, 0u) << At;
+    EXPECT_EQ(R.Stats.PrunedTasks, 0u) << At;
+    EXPECT_STREQ(R.Stats.Engine, "vm") << At;
+  }
 }
 
 // Contract 2: the content hash is deterministic over recompiles and
@@ -895,6 +935,181 @@ TEST(ServeEndToEnd, DrainLeavesAResumablePartialEntry) {
   expectSameCampaign(Second.Campaign, Whole, "resumed vs direct");
 }
 
+SubmitSpec talSpec(const NamedProgram &NP, uint64_t Stride) {
+  SubmitSpec Spec;
+  Spec.Name = NP.Name;
+  Spec.Lang = "tal";
+  Spec.Source = NP.Source;
+  Spec.Stride = Stride;
+  return Spec;
+}
+
+/// The "front_end" object of \p S's stats document.
+JsonValue frontEndStats(const Server &S) {
+  std::optional<JsonValue> Stats = JsonValue::parse(S.statsJson());
+  EXPECT_TRUE(Stats && Stats->get("front_end"));
+  return Stats && Stats->get("front_end") ? *Stats->get("front_end")
+                                          : JsonValue();
+}
+
+/// \p Spec's certification, computed directly.
+std::string certificationOf(const SubmitSpec &Spec) {
+  TypeContext TC;
+  DiagnosticEngine Diags;
+  Expected<Program> P = parseAndLayoutTalProgram(TC, Spec.Source, Diags);
+  EXPECT_TRUE(bool(P)) << Diags.str();
+  return P ? analysis::certificationStatusJsonKey(
+                 analysis::certifyProgram(TC, *P).Status)
+           : "";
+}
+
+// PairedStore and a twin whose done block demands a register the jump to
+// it never sets. Code, entry, exit and initial state agree, so do the
+// program hash and the memo key, and the twin is a memo hit served the
+// first one's campaign; but the checker reads block preconditions, so the
+// two certify differently, and each must report its own certification.
+// The front-end memo keys on the source bytes for exactly this reason.
+TEST(FrontEndMemo, TalTwinsShareAProgramHashNotACertification) {
+  SubmitSpec Paired = talSpec(allPrograms()[0], 2);
+  SubmitSpec Twin = Paired;
+  Twin.Name = "PairedStoreTwin";
+  const std::string DonePre = "block done {\n"
+                              "  pre { forall m: mem; queue []; mem m }";
+  size_t At = Twin.Source.find(DonePre);
+  ASSERT_NE(At, std::string::npos);
+  Twin.Source.replace(At, DonePre.size(),
+                      "block done {\n"
+                      "  pre { forall m: mem; r7: (G, int, 9); queue []; "
+                      "mem m }");
+  std::string PairedCert = certificationOf(Paired);
+  std::string TwinCert = certificationOf(Twin);
+  ASSERT_EQ(PairedCert, "typed");
+  ASSERT_NE(TwinCert, PairedCert);
+
+  ServerOptions SO;
+  SO.CampaignThreads = 1;
+  Server S(SO);
+  std::string Err;
+  ASSERT_TRUE(S.start(&Err)) << Err;
+  SubmitOutcome First = submitProgram("127.0.0.1", S.port(), Paired);
+  SubmitOutcome Second = submitProgram("127.0.0.1", S.port(), Twin);
+  SubmitOutcome Again = submitProgram("127.0.0.1", S.port(), Paired);
+  JsonValue FE = frontEndStats(S);
+  S.stop();
+
+  ASSERT_TRUE(First.GotResult) << First.Error;
+  ASSERT_TRUE(Second.GotResult) << Second.Error;
+  ASSERT_TRUE(Again.GotResult) << Again.Error;
+  EXPECT_EQ(First.Cache, "miss");
+  EXPECT_EQ(Second.ProgramHash, First.ProgramHash);
+  EXPECT_EQ(Second.Cache, "hit");
+  EXPECT_EQ(Second.ShardEvents, 0u);
+  expectSameCampaign(Second.Campaign, First.Campaign, "twin vs first");
+  EXPECT_EQ(First.Certification, PairedCert);
+  EXPECT_EQ(Second.Certification, TwinCert);
+  EXPECT_EQ(Again.Cache, "hit");
+  EXPECT_EQ(Again.Certification, PairedCert);
+  // Two sources, two front-end misses; the resubmission is the one hit.
+  EXPECT_EQ(FE.u64At("misses", 0), 2u);
+  EXPECT_EQ(FE.u64At("hits", 0), 1u);
+  EXPECT_EQ(FE.u64At("entries", 0), 2u);
+}
+
+// A known source skips the front end whatever its campaign options: a
+// warm resubmission, a new stride (which still runs every shard) and the
+// adaptive stride (whose probe compiles the program again) each count a
+// front-end hit, with the pool and with in-process shards. A bad source
+// is remembered too and keeps failing with compile_error. The front-end
+// memo never holds more than CacheEntries sources.
+TEST(FrontEndMemo, KnownSourcesSkipTheFrontEndAtAnyOptions) {
+  for (unsigned PoolWorkers : {2u, 0u}) {
+    std::string At = "pool workers " + std::to_string(PoolWorkers);
+    ServerOptions SO;
+    SO.PoolWorkers = PoolWorkers;
+    SO.CampaignThreads = 1;
+    SO.CacheEntries = 2;
+    Server S(SO);
+    std::string Err;
+    ASSERT_TRUE(S.start(&Err)) << Err;
+    auto ExpectCounts = [&](uint64_t Hits, uint64_t Misses,
+                            const std::string &After) {
+      JsonValue FE = frontEndStats(S);
+      EXPECT_EQ(FE.u64At("hits", 0), Hits) << At << " after " << After;
+      EXPECT_EQ(FE.u64At("misses", 0), Misses) << At << " after " << After;
+      EXPECT_LE(FE.u64At("entries", 0), SO.CacheEntries) << At;
+      EXPECT_EQ(FE.u64At("capacity", 0), SO.CacheEntries) << At;
+    };
+    auto Direct = [](const SubmitSpec &Spec, uint64_t Stride) {
+      TypeContext TC;
+      DiagnosticEngine Diags;
+      Expected<Program> P = parseAndLayoutTalProgram(TC, Spec.Source, Diags);
+      EXPECT_TRUE(bool(P)) << Diags.str();
+      CampaignOptions Opts;
+      applySpecOptions(Spec, Opts);
+      return runSingleFaultCampaign(*P, theoremConfig(Spec, Stride), Opts);
+    };
+
+    SubmitSpec Countdown = talSpec(allPrograms()[2], 2);
+    Countdown.Engine = "reference";
+    SubmitOutcome Cold = submitProgram("127.0.0.1", S.port(), Countdown);
+    ASSERT_TRUE(Cold.GotResult) << At << ": " << Cold.Error;
+    EXPECT_EQ(Cold.Cache, "miss") << At;
+    ExpectCounts(0, 1, "the cold submit");
+
+    SubmitOutcome Warm = submitProgram("127.0.0.1", S.port(), Countdown);
+    ASSERT_TRUE(Warm.GotResult) << At << ": " << Warm.Error;
+    EXPECT_EQ(Warm.Cache, "hit") << At;
+    EXPECT_EQ(Warm.ShardEvents, 0u) << At;
+    EXPECT_EQ(Warm.Certification, Cold.Certification) << At;
+    ExpectCounts(1, 1, "the warm submit");
+
+    SubmitSpec Stride3 = Countdown;
+    Stride3.Stride = 3;
+    SubmitOutcome New = submitProgram("127.0.0.1", S.port(), Stride3);
+    ASSERT_TRUE(New.GotResult) << At << ": " << New.Error;
+    EXPECT_EQ(New.Cache, "miss") << At;
+    EXPECT_EQ(New.ShardEvents, 4u) << At;
+    EXPECT_EQ(New.ProgramHash, Cold.ProgramHash) << At;
+    EXPECT_EQ(New.Certification, Cold.Certification) << At;
+    expectSameCampaign(New.Campaign, Direct(Stride3, 3), At + " stride 3");
+    ExpectCounts(2, 1, "stride 3");
+
+    SubmitSpec Adaptive = Countdown;
+    Adaptive.Stride = 0;
+    SubmitOutcome Probed = submitProgram("127.0.0.1", S.port(), Adaptive);
+    ASSERT_TRUE(Probed.GotResult) << At << ": " << Probed.Error;
+    EXPECT_EQ(Probed.Cache, "miss") << At;
+    uint64_t Steps = Probed.Campaign.ReferenceSteps;
+    expectSameCampaign(Probed.Campaign,
+                       Direct(Adaptive, std::max<uint64_t>(1, Steps / 12)),
+                       At + " adaptive stride");
+    ExpectCounts(3, 1, "the adaptive stride");
+
+    SubmitSpec Bad;
+    Bad.Lang = "tal";
+    Bad.Source = "block main { this does not parse }";
+    for (uint64_t Round = 0; Round != 2; ++Round) {
+      SubmitOutcome O = submitProgram("127.0.0.1", S.port(), Bad);
+      EXPECT_EQ(O.ErrorCode, "compile_error") << At;
+      EXPECT_FALSE(O.Error.empty()) << At;
+      EXPECT_FALSE(O.GotResult) << At;
+      ExpectCounts(3 + Round, 2, "a bad source");
+    }
+
+    // A third source evicts the least recently used one, the countdown
+    // loop, which misses again on its return.
+    SubmitOutcome Paired =
+        submitProgram("127.0.0.1", S.port(), talSpec(allPrograms()[0], 2));
+    ASSERT_TRUE(Paired.GotResult) << At << ": " << Paired.Error;
+    ExpectCounts(4, 3, "a third source");
+    SubmitOutcome Back = submitProgram("127.0.0.1", S.port(), Countdown);
+    ASSERT_TRUE(Back.GotResult) << At << ": " << Back.Error;
+    EXPECT_EQ(Back.Certification, Cold.Certification) << At;
+    ExpectCounts(4, 4, "the evicted source");
+    S.stop();
+  }
+}
+
 // --- Contract 6: crash-isolated worker pool ------------------------------
 
 // The chaos hook kills every second dispatched worker at the shard
@@ -948,15 +1163,6 @@ CampaignResult overTheWire(const CampaignResult &R) {
   CampaignResult Out;
   EXPECT_TRUE(V && campaignFromJson(*V, Out, Err)) << Err;
   return Out;
-}
-
-SubmitSpec talSpec(const NamedProgram &NP, uint64_t Stride) {
-  SubmitSpec Spec;
-  Spec.Name = NP.Name;
-  Spec.Lang = "tal";
-  Spec.Source = NP.Source;
-  Spec.Stride = Stride;
-  return Spec;
 }
 
 /// The in-process server's table for \p Spec: the pool-off baseline every
