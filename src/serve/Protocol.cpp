@@ -197,6 +197,12 @@ bool talft::serve::campaignFromJson(const JsonValue &V, CampaignResult &R,
     R.Stats.JitSideExits = Jit->u64At("side_exits", 0);
     R.Stats.SimdLaneWidth = (unsigned)Jit->u64At("simd_lane_width", 0);
   }
+  if (const JsonValue *Cfi = V.get("cfi")) {
+    R.Stats.CfiChecked = Cfi->boolAt("checked", false);
+    R.Stats.CfiCommits = Cfi->u64At("commits", 0);
+    R.Stats.CfiViolations = Cfi->u64At("violations", 0);
+    R.CfiFirstViolation = Cfi->stringAt("first_violation");
+  }
   if (const JsonValue *Shard = V.get("shard")) {
     R.Stats.ShardCount = (unsigned)Shard->u64At("count", 1);
     R.Stats.ShardIndex = (unsigned)Shard->u64At("index", 0);

@@ -116,12 +116,11 @@ bool specFromJson(const JsonValue &V, SubmitSpec &Out, std::string &Err);
 std::string submitRequestJson(const SubmitSpec &S);
 
 /// Rebuilds a CampaignResult from campaignToJson's output (as parsed by
-/// JsonValue). Exact for every integer field outside the "cfi" object —
-/// verdict tables, violation lists, shard provenance, the pruned,
-/// convergence, lane, jit and recovery counters — and approximate only
-/// for the float timing stats. The "cfi" object and ReferenceTrace are
-/// not read back (no served campaign sets CfiCheck). Returns false with
-/// \p Err set when the object is not a campaign.
+/// JsonValue). Exact for every integer field — verdict tables, violation
+/// lists, shard provenance, the pruned, convergence, lane, jit, recovery
+/// and CFI counters and the first CFI violation — and approximate only
+/// for the float timing stats. ReferenceTrace is not read back. Returns
+/// false with \p Err set when the object is not a campaign.
 bool campaignFromJson(const JsonValue &V, CampaignResult &R,
                       std::string &Err);
 

@@ -643,92 +643,21 @@ void Server::runSubmission(int Fd, const SubmitSpec &Spec,
       Spec.DeadlineMs ? Spec.DeadlineMs : Opts.DefaultDeadlineMs;
   Clock::time_point T0 = Clock::now();
 
-  // The worker request: the submission spliced with the already-resolved
-  // stride and the thread budget. The shard slice is appended per shard.
-  std::string BaseRequest = submitRequestJson(Spec);
-  BaseRequest.insert(BaseRequest.rfind('}'),
-                     formatv(", \"resolved_stride\": %llu, "
-                             "\"campaign_threads\": %u",
-                             (unsigned long long)Stride,
-                             Opts.CampaignThreads));
-
-  TheoremConfig Config = theoremConfig(Spec, Stride);
   unsigned Shards = Entry.ShardsTotal;
-  bool Drained = false;
-  // In-process shards share one sweep reference, recorded by the first
-  // shard this submission runs (pool workers keep their own).
-  std::optional<SweepReference> Ref;
-  for (unsigned I = StartShard; I != Shards; ++I) {
-    if (Draining.load()) {
-      Drained = true;
-      break;
-    }
-    if (DeadlineMs && msSince(T0) >= DeadlineMs) {
-      {
-        std::lock_guard<std::mutex> Lock(CountersMu);
-        ++Counters.DeadlineExceeded;
-      }
-      return Fail("deadline_exceeded",
-                  formatv("submission deadline of %llu ms expired after "
-                          "%u of %u shards",
-                          (unsigned long long)DeadlineMs, I, Shards));
-    }
-
-    CampaignResult R;
-    unsigned Attempts = 1;
-    if (Pool.enabled()) {
-      std::string Req = BaseRequest;
-      Req.insert(Req.rfind('}'),
-                 formatv(", \"shard_index\": %u, \"shard_count\": %u", I,
-                         Shards));
-      uint64_t Left = 0;
-      if (DeadlineMs) {
-        uint64_t Spent = msSince(T0);
-        Left = Spent >= DeadlineMs ? 1 : DeadlineMs - Spent;
-      }
-      WorkerPool::ShardOutcome O = Pool.runShard(Req, Left);
-      if (!O.Ok) {
-        if (O.Code == "draining") {
-          Drained = true;
-          break;
-        }
-        {
-          std::lock_guard<std::mutex> Lock(CountersMu);
-          if (O.Code == "deadline_exceeded")
-            ++Counters.DeadlineExceeded;
-          else if (O.Code == "shard_poisoned")
-            ++Counters.PoisonedSubmits;
-        }
-        // The submission fails contained: the pool already replaced the
-        // dead workers and every other submission keeps flowing.
-        {
-          std::lock_guard<std::mutex> Lock(CountersMu);
-          ++Counters.Errors;
-        }
-        emitLine(Fd,
-                 formatv("{\"event\": \"error\", \"schema\": \"%s\", "
-                         "\"code\": \"%s\", \"shard\": %u, "
-                         "\"attempts\": %u, \"error\": %s}",
-                         ProtocolSchema, O.Code.c_str(), I, O.Attempts,
-                         jsonQuote(O.Error).c_str()));
-        Retire("failed:" + O.Code);
-        return;
-      }
-      R = std::move(O.Result);
-      Attempts = O.Attempts;
-    } else {
-      CampaignOptions CO;
-      CO.Threads = Opts.CampaignThreads;
-      CO.Engine = Vm.get(); // null for the reference interpreter
-      applySpecOptions(Spec, CO);
-      CO.ShardCount = Shards;
-      CO.ShardIndex = I;
-      if (!Ref)
-        Ref.emplace(*Prog, Config, CO);
-      R = Ref->runShard(CO);
-    }
+  bool Drained = false, Expired = false;
+  // A drain or an expired deadline ends the submission between shards.
+  auto Stop = [&] {
+    Drained = Draining.load();
+    Expired = !Drained && DeadlineMs && msSince(T0) >= DeadlineMs;
+    return Drained || Expired;
+  };
+  // Retires the next shard: counts it, streams its event, folds it and
+  // persists the fold, so a drain (or a crash) loses at most the shard in
+  // flight and the resume path needs no extra bookkeeping. Returns false
+  // when the submission stops here with shards left.
+  auto Deliver = [&](CampaignResult &R, unsigned Attempts) {
+    unsigned I = Entry.ShardsDone;
     noteShardRetired(R);
-
     emitLine(Fd, formatv("{\"event\": \"shard\", \"schema\": \"%s\", "
                          "\"index\": %u, \"count\": %u, "
                          "\"first_task\": %llu, \"tasks\": %llu, "
@@ -740,21 +669,82 @@ void Server::runSubmission(int Fd, const SubmitSpec &Spec,
                          R.Ok ? "true" : "false", Attempts,
                          R.Stats.WallSeconds,
                          verdictTableJson(R.Table).c_str()));
-
     if (I == 0)
       Entry.Folded = std::move(R);
     else
       foldShardResult(Entry.Folded, R);
     Entry.ShardsDone = I + 1;
-    // Persist after every shard: a drain (or a crash) loses at most the
-    // shard in flight, and the resume path needs no extra bookkeeping.
     Memo.store(Entry);
-
     uint64_t Retired = ++ShardsRetiredTotal;
     if (Opts.DrainAfterShards && Retired >= Opts.DrainAfterShards)
       requestDrain();
+    return Entry.ShardsDone == Shards || !Stop();
+  };
+
+  if (!Pool.enabled()) {
+    // In-process shards share one sweep reference, recorded by the first
+    // shard this submission runs.
+    std::optional<SweepReference> Ref;
+    CampaignOptions CO;
+    CO.Threads = Opts.CampaignThreads;
+    CO.Engine = Vm.get(); // null for the reference interpreter
+    applySpecOptions(Spec, CO);
+    CO.ShardCount = Shards;
+    for (bool More = !Stop(); More && Entry.ShardsDone != Shards;) {
+      CO.ShardIndex = Entry.ShardsDone;
+      if (!Ref)
+        Ref.emplace(*Prog, theoremConfig(Spec, Stride), CO);
+      CampaignResult R = Ref->runShard(CO);
+      More = Deliver(R, 1);
+    }
+  } else if (!Stop()) {
+    // One stream for the undelivered shards: a single worker request
+    // carrying the submission, the resolved stride and the thread budget
+    // (the pool adds the shard range), answered one frame per shard, each
+    // folded here while the worker runs the next.
+    std::string Request = submitRequestJson(Spec);
+    Request.insert(Request.rfind('}'),
+                   formatv(", \"resolved_stride\": %llu, "
+                           "\"campaign_threads\": %u",
+                           (unsigned long long)Stride, Opts.CampaignThreads));
+    // The pool's deadline clock starts now, with T0's.
+    WorkerPool::StreamOutcome O = Pool.runStream(
+        Request, Entry.ShardsDone, Shards, DeadlineMs, Deliver);
+    if (O.Code == "draining") {
+      Drained = true;
+    } else if (!O.Ok && !O.Stopped) {
+      {
+        std::lock_guard<std::mutex> Lock(CountersMu);
+        if (O.Code == "deadline_exceeded")
+          ++Counters.DeadlineExceeded;
+        else if (O.Code == "shard_poisoned")
+          ++Counters.PoisonedSubmits;
+        // The submission fails contained: the pool already replaced the
+        // dead workers and every other submission keeps flowing.
+        ++Counters.Errors;
+      }
+      emitLine(Fd,
+               formatv("{\"event\": \"error\", \"schema\": \"%s\", "
+                       "\"code\": \"%s\", \"shard\": %u, "
+                       "\"attempts\": %u, \"error\": %s}",
+                       ProtocolSchema, O.Code.c_str(), O.Next, O.Attempts,
+                       jsonQuote(O.Error).c_str()));
+      Retire("failed:" + O.Code);
+      return;
+    }
   }
 
+  if (Expired) {
+    {
+      std::lock_guard<std::mutex> Lock(CountersMu);
+      ++Counters.DeadlineExceeded;
+    }
+    return Fail("deadline_exceeded",
+                formatv("submission deadline of %llu ms expired after "
+                        "%u of %u shards",
+                        (unsigned long long)DeadlineMs, Entry.ShardsDone,
+                        Shards));
+  }
   if (Drained) {
     {
       std::lock_guard<std::mutex> Lock(CountersMu);

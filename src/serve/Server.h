@@ -15,6 +15,16 @@
 /// (program hash × options digest) in a MemoStore — a resubmission is a
 /// cache hit that re-runs nothing.
 ///
+/// With the worker pool, a submission's shards are one stream: the
+/// handler sends a single request for the undelivered shard range to one
+/// worker, which records the sweep reference once and answers one frame
+/// per shard, and the handler folds each frame, streams its "shard" event
+/// and persists the fold while the worker runs the next shard. A handler
+/// holds one worker for its whole submission, so with more handlers
+/// (Workers, --workers) than pool workers (PoolWorkers, --pool), later
+/// submissions wait for a worker instead of interleaving with the running
+/// ones shard by shard.
+///
 /// Two memos answer a submission, one per half of its key. The front-end
 /// memo (serve/FrontEnd.h) maps the exact (lang, source) bytes to the
 /// compile error, or to the program hash and certification, so a known
@@ -33,10 +43,10 @@
 ///     crash-isolated worker processes and some of them are retried;
 ///   - crash isolation: with PoolWorkers > 0 every shard runs in a
 ///     forked worker (serve/WorkerPool.h); a segfault, OOM kill or wedged
-///     shard costs one worker process, the shard is retried on a fresh
-///     one, and after MaxShardAttempts failures the submission gets a
-///     structured "shard_poisoned" error while other submissions keep
-///     flowing;
+///     shard costs one worker process, the undelivered shards are retried
+///     on a fresh one, and after MaxShardAttempts failures of one shard
+///     the submission gets a structured "shard_poisoned" error while
+///     other submissions keep flowing;
 ///   - durability: with a WalPath every accepted submission is fsync'd
 ///     into a write-ahead log (serve/SubmitLog.h) before work starts and
 ///     retired after the terminal event; a SIGKILLed server replays the
@@ -48,11 +58,12 @@
 ///     with a structured "overloaded" error carrying a retry_after_ms
 ///     hint instead of queueing unboundedly;
 ///   - graceful drain: requestDrain (wired to SIGTERM by the tool) stops
-///     accepting, cuts in-flight campaigns at the next shard boundary,
-///     persists the folded prefix through the memo store, and answers
-///     the client with a "drained" event; a resubmission — to this
-///     process or a restarted one sharing the cache directory — resumes
-///     from the first unclassified shard;
+///     accepting, cuts in-flight campaigns at the next shard boundary
+///     (a stream's shard in flight is discarded and its worker replaced,
+///     which counts no crash), persists the folded prefix through the
+///     memo store, and answers the client with a "drained" event; a
+///     resubmission — to this process or a restarted one sharing the
+///     cache directory — resumes from the first unclassified shard;
 ///   - introspection: a "stats" request (or HTTP "GET /stats") reports
 ///     queue depth, front-end and cache hit rates, shard throughput, pool
 ///     health (including live worker pids, which the chaos harness uses
@@ -85,7 +96,8 @@ struct ServerOptions {
   std::string Host = "127.0.0.1";
   /// TCP port; 0 binds an ephemeral port (read it back with port()).
   unsigned Port = 0;
-  /// Connection-handler threads (each serves one campaign at a time).
+  /// Connection-handler threads (each serves one campaign at a time, and
+  /// holds one pool worker while it streams that campaign's shards).
   unsigned Workers = 2;
   /// Worker threads per campaign shard (0 = hardware concurrency).
   unsigned CampaignThreads = 0;
@@ -111,8 +123,9 @@ struct ServerOptions {
   /// pool and runs shards in-process — the pre-pool behavior, kept for
   /// environments where fork is unwelcome.
   unsigned PoolWorkers = 2;
-  /// Per-shard wall-clock deadline in the pool; a worker exceeding it is
-  /// SIGKILLed and the shard retried. 0 = none.
+  /// Per-shard wall-clock deadline in the pool, the longest wait for a
+  /// stream's next shard; a worker exceeding it is SIGKILLed and the
+  /// undelivered shards retried. 0 = none.
   uint64_t ShardTimeoutMs = 0;
   /// Attempts per shard before it is declared poisoned.
   unsigned MaxShardAttempts = 3;
@@ -127,8 +140,8 @@ struct ServerOptions {
   size_t MaxLineBytes = 32u << 20;
   /// Write-ahead submission log path; empty disables durability.
   std::string WalPath;
-  /// Chaos hooks (tests/CI only): every Nth pool dispatch instructs the
-  /// worker to raise ChaosSignal at the shard boundary.
+  /// Chaos hooks (tests/CI only): every Nth shard attempt in the pool
+  /// raises ChaosSignal in its worker at the shard boundary.
   uint64_t ChaosCrashEveryN = 0;
   int ChaosSignal = 11; // SIGSEGV
 };
@@ -207,8 +220,8 @@ private:
   bool handleRequest(int Fd, const std::string &Line);
   void handleSubmit(int Fd, const JsonValue &Request);
   /// The whole submission pipeline — front end (compile and certify, or
-  /// the front-end memo), memo probe, WAL accept, shard loop (pool or
-  /// in-process), fold, terminal event —
+  /// the front-end memo), memo probe, WAL accept, shards (one pool stream
+  /// or an in-process loop), fold, terminal event —
   /// shared by connection handlers (Fd >= 0) and the WAL replayer
   /// (Fd < 0, ReplayId = the pending record being replayed).
   void runSubmission(int Fd, const SubmitSpec &Spec, uint64_t ReplayId);

@@ -6,14 +6,10 @@
 
 #include "serve/WorkerPool.h"
 
-#include "serve/Json.h"
-#include "serve/Protocol.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <poll.h>
 #include <thread>
 
 using namespace talft;
@@ -27,31 +23,6 @@ uint64_t msSince(Clock::time_point T0) {
   return (uint64_t)std::chrono::duration_cast<std::chrono::milliseconds>(
              Clock::now() - T0)
       .count();
-}
-
-/// Waits for a response frame on \p Fd for at most \p TimeoutMs
-/// (0 = forever). Returns 1 when readable, 0 on timeout, -1 on error.
-int pollResponse(int Fd, uint64_t TimeoutMs) {
-  Clock::time_point T0 = Clock::now();
-  while (true) {
-    uint64_t Left =
-        TimeoutMs ? (TimeoutMs > msSince(T0) ? TimeoutMs - msSince(T0) : 0)
-                  : 0;
-    if (TimeoutMs && Left == 0)
-      return 0;
-    pollfd P{Fd, POLLIN, 0};
-    int R = ::poll(&P, 1, TimeoutMs ? (int)std::min<uint64_t>(Left, 60000)
-                                    : 60000);
-    if (R < 0) {
-      if (errno == EINTR)
-        continue;
-      return -1;
-    }
-    if (R > 0)
-      return (P.revents & (POLLIN | POLLHUP | POLLERR)) ? 1 : -1;
-    if (!TimeoutMs)
-      continue; // untimed: keep waiting in 60s slices
-  }
 }
 
 } // namespace
@@ -101,7 +72,8 @@ void WorkerPool::stop() {
   // observe Stopping; nothing to do for them here.
 }
 
-bool WorkerPool::checkout(WorkerProc &W, uint64_t DeadlineMs, bool &Chaos) {
+bool WorkerPool::checkout(WorkerProc &W, uint64_t DeadlineMs,
+                          unsigned Shards, unsigned &ChaosAt) {
   std::unique_lock<std::mutex> Lock(Mu);
   Clock::time_point T0 = Clock::now();
   while (true) {
@@ -111,12 +83,17 @@ bool WorkerPool::checkout(WorkerProc &W, uint64_t DeadlineMs, bool &Chaos) {
       W = Free.back();
       Free.pop_back();
       ++BusyCount;
-      ++Counters.Dispatched;
       BusyPids.push_back(W.Pid);
-      Chaos = Opts.ChaosCrashEveryN &&
-              Counters.Dispatched % Opts.ChaosCrashEveryN == 0;
-      if (Chaos)
-        ++Counters.ChaosInjected;
+      // The stream's shards take the next attempt numbers in order; the
+      // first multiple of ChaosCrashEveryN among them is the chaos shard.
+      ChaosAt = Shards;
+      if (uint64_t N = Opts.ChaosCrashEveryN) {
+        uint64_t Offset = (N - (Counters.Dispatched + 1) % N) % N;
+        if (Offset < Shards) {
+          ChaosAt = (unsigned)Offset;
+          ++Counters.ChaosInjected;
+        }
+      }
       return true;
     }
     if (DeadlineMs) {
@@ -145,7 +122,7 @@ void WorkerPool::checkin(WorkerProc W) {
   destroyWorker(W);
 }
 
-void WorkerPool::retire(WorkerProc W, bool Timeout) {
+void WorkerPool::retire(WorkerProc W, Loss Why) {
   pid_t Pid = W.Pid;
   destroyWorker(W); // SIGKILL + waitpid: confirm the death we detected
   bool WantRespawn;
@@ -161,9 +138,9 @@ void WorkerPool::retire(WorkerProc W, bool Timeout) {
                  BusyPids.end());
   --BusyCount;
   --Alive;
-  if (Timeout)
+  if (Why == Loss::Timeout)
     ++Counters.Timeouts;
-  else
+  else if (Why == Loss::Crash)
     ++Counters.Crashes;
   if (Respawned) {
     ++Counters.Spawned;
@@ -173,15 +150,32 @@ void WorkerPool::retire(WorkerProc W, bool Timeout) {
   }
 }
 
-WorkerPool::ShardOutcome WorkerPool::runShard(const std::string &RequestJson,
-                                              uint64_t DeadlineMs) {
-  ShardOutcome Out;
+WorkerPool::StreamOutcome WorkerPool::runStream(const std::string &RequestJson,
+                                                unsigned First, unsigned Count,
+                                                uint64_t DeadlineMs,
+                                                const ShardSink &Sink) {
+  StreamOutcome Out;
+  Out.Next = First;
   Clock::time_point T0 = Clock::now();
   uint64_t Backoff = std::max<uint64_t>(1, Opts.BackoffMs);
+  // Consecutive failed attempts of shard Out.Next.
+  unsigned Failures = 0;
+  auto Fail = [&](const char *Code, std::string Msg) {
+    Out.Code = Code;
+    Out.Error = std::move(Msg);
+    return Out;
+  };
 
-  for (unsigned Attempt = 0; Attempt != Opts.MaxAttempts; ++Attempt) {
-    Out.Attempts = Attempt + 1;
-    if (Attempt) {
+  while (Out.Next < Count) {
+    if (Failures == Opts.MaxAttempts) {
+      std::lock_guard<std::mutex> Lock(Mu);
+      ++Counters.Poisoned;
+      return Fail("shard_poisoned",
+                  formatv("shard failed %u consecutive attempts on fresh "
+                          "workers; refusing to retry further",
+                          Opts.MaxAttempts));
+    }
+    if (Failures) {
       {
         std::lock_guard<std::mutex> Lock(Mu);
         ++Counters.Retries;
@@ -192,101 +186,103 @@ WorkerPool::ShardOutcome WorkerPool::runShard(const std::string &RequestJson,
     uint64_t Left = 0;
     if (DeadlineMs) {
       uint64_t Spent = msSince(T0);
-      if (Spent >= DeadlineMs) {
-        Out.Code = "deadline_exceeded";
-        Out.Error = "submission deadline expired while retrying the shard";
-        return Out;
-      }
+      if (Spent >= DeadlineMs)
+        return Fail("deadline_exceeded",
+                    "submission deadline expired while retrying the shard");
       Left = DeadlineMs - Spent;
     }
+    Out.Attempts = Failures + 1;
 
     WorkerProc W;
-    bool Chaos = false;
-    if (!checkout(W, Left, Chaos)) {
+    unsigned ChaosAt = 0;
+    if (!checkout(W, Left, Count - Out.Next, ChaosAt)) {
       std::lock_guard<std::mutex> Lock(Mu);
-      if (Stopping) {
-        Out.Code = "draining";
-        Out.Error = "worker pool is shutting down";
-      } else {
-        Out.Code = "deadline_exceeded";
-        Out.Error = "submission deadline expired waiting for a free worker";
-      }
-      return Out;
+      if (Stopping)
+        return Fail("draining", "worker pool is shutting down");
+      return Fail("deadline_exceeded",
+                  "submission deadline expired waiting for a free worker");
     }
 
+    // The undelivered suffix: the caller's request plus its shard range.
     std::string Request = RequestJson;
-    if (Chaos) {
-      // Splice the chaos field into the request object's tail.
-      Request.insert(Request.rfind('}'),
-                     formatv(", \"chaos_signal\": %d", Opts.ChaosSignal));
-    }
-
+    std::string Range = formatv(", \"first_shard\": %u, \"shard_count\": %u",
+                                Out.Next, Count);
+    if (Out.Next + ChaosAt < Count)
+      Range += formatv(", \"chaos_shard\": %u, \"chaos_signal\": %d",
+                       Out.Next + ChaosAt, Opts.ChaosSignal);
+    Request.insert(Request.rfind('}'), Range);
     if (!writeFrame(W.RequestFd, Request)) {
-      retire(std::move(W), /*Timeout=*/false);
-      continue; // the worker died between shards; retry costs nothing
+      retire(std::move(W), Loss::Crash);
+      ++Failures;
+      continue; // the worker died between streams; retry costs nothing
     }
 
-    // Shard deadline: the tighter of the per-shard timeout and what is
-    // left of the submission deadline.
-    uint64_t Wait = Opts.ShardTimeoutMs;
-    if (DeadlineMs) {
-      uint64_t Spent = msSince(T0);
-      uint64_t Remain = Spent >= DeadlineMs ? 1 : DeadlineMs - Spent;
-      Wait = Wait ? std::min(Wait, Remain) : Remain;
-    }
-    int Ready = pollResponse(W.ResponseFd, Wait);
-    if (Ready == 0) {
-      retire(std::move(W), /*Timeout=*/true);
-      if (DeadlineMs && msSince(T0) >= DeadlineMs) {
-        Out.Code = "deadline_exceeded";
-        Out.Error = "shard exceeded the submission deadline";
+    // Consume the stream, one frame per shard in index order.
+    while (true) {
+      {
+        std::lock_guard<std::mutex> Lock(Mu);
+        ++Counters.Dispatched;
+      }
+      Out.Attempts = Failures + 1;
+      // Frame deadline: the tighter of the per-shard timeout and what is
+      // left of the submission deadline.
+      uint64_t Wait = Opts.ShardTimeoutMs;
+      if (DeadlineMs) {
+        uint64_t Spent = msSince(T0);
+        uint64_t Remain = Spent >= DeadlineMs ? 1 : DeadlineMs - Spent;
+        Wait = Wait ? std::min(Wait, Remain) : Remain;
+      }
+      StreamFrame F = readStreamFrame(W.ResponseFd, Wait, Out.Next, Count);
+      if (F.K == StreamFrame::Kind::Timeout) {
+        retire(std::move(W), Loss::Timeout);
+        ++Failures;
+        if (DeadlineMs && msSince(T0) >= DeadlineMs)
+          return Fail("deadline_exceeded",
+                      "shard exceeded the submission deadline");
+        break;
+      }
+      if (F.K == StreamFrame::Kind::Dead) {
+        // EOF, torn frame, CRC mismatch or an unexpected shard: the
+        // worker is dead or lying.
+        retire(std::move(W), Loss::Crash);
+        ++Failures;
+        break;
+      }
+      if (F.K == StreamFrame::Kind::Error) {
+        // A structured worker-side failure (compile error, bad request)
+        // is deterministic — retrying cannot help, and the worker is
+        // healthy: the error frame ended its stream.
+        checkin(std::move(W));
+        return Fail(F.Code.c_str(), std::move(F.Error));
+      }
+      ++W.ShardsServed;
+      unsigned Attempts = Failures + 1;
+      Failures = 0;
+      Backoff = std::max<uint64_t>(1, Opts.BackoffMs);
+      // After the last frame the worker is idle: free it before the sink
+      // folds, so a waiting handler can start its own stream.
+      if (Out.Next + 1 == Count)
+        checkin(std::move(W));
+      bool More = Sink(F.Result, Attempts);
+      if (++Out.Next == Count) {
+        Out.Ok = true;
         return Out;
       }
-      continue;
+      if (!More) {
+        // The worker is mid-shard, and its later frames must never reach
+        // another stream: replace it rather than drain its pipe. The
+        // discarded shard was dispatched all the same.
+        {
+          std::lock_guard<std::mutex> Lock(Mu);
+          ++Counters.Dispatched;
+        }
+        retire(std::move(W), Loss::Cancel);
+        Out.Stopped = true;
+        return Out;
+      }
     }
-    std::string Response;
-    if (Ready < 0 || !readFrame(W.ResponseFd, Response)) {
-      // EOF, torn frame or CRC mismatch: the worker is dead or lying.
-      retire(std::move(W), /*Timeout=*/false);
-      continue;
-    }
-
-    std::optional<JsonValue> Doc = JsonValue::parse(Response);
-    if (!Doc || !Doc->isObject()) {
-      retire(std::move(W), /*Timeout=*/false);
-      continue;
-    }
-    if (!Doc->boolAt("ok", false)) {
-      // A structured worker-side failure (compile error, bad request) is
-      // deterministic — retrying cannot help, and the worker is healthy.
-      Out.Code = Doc->stringAt("code", "worker_error");
-      Out.Error = Doc->stringAt("error", "worker reported an error");
-      ++W.ShardsServed;
-      checkin(std::move(W));
-      return Out;
-    }
-    const JsonValue *Campaign = Doc->get("campaign");
-    std::string ParseErr;
-    if (!Campaign || !campaignFromJson(*Campaign, Out.Result, ParseErr)) {
-      retire(std::move(W), /*Timeout=*/false);
-      continue;
-    }
-    Out.Ok = true;
-    Out.Code.clear();
-    Out.Error.clear();
-    ++W.ShardsServed;
-    checkin(std::move(W));
-    return Out;
   }
-
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    ++Counters.Poisoned;
-  }
-  Out.Code = "shard_poisoned";
-  Out.Error = formatv("shard failed %u consecutive attempts on fresh "
-                      "workers; refusing to retry further",
-                      Opts.MaxAttempts);
+  Out.Ok = true;
   return Out;
 }
 

@@ -14,12 +14,16 @@
 #include "vm/Engine.h"
 #include "vm/JitEngine.h"
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <deque>
 #include <memory>
+#include <poll.h>
 #include <unordered_map>
+#include <sys/uio.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -28,62 +32,57 @@ using namespace talft::serve;
 
 namespace {
 
-bool writeAll(int Fd, const void *Data, size_t Len) {
-  const char *P = static_cast<const char *>(Data);
-  while (Len) {
-    ssize_t N = ::write(Fd, P, Len);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    P += N;
-    Len -= (size_t)N;
-  }
-  return true;
-}
+using Clock = std::chrono::steady_clock;
 
-bool readAll(int Fd, void *Data, size_t Len) {
+enum class ReadStatus { Done, Timeout, Dead };
+
+/// Reads exactly \p Len bytes from \p Fd before \p Deadline (null =
+/// unbounded): a peer that stops writing mid-frame times the read out
+/// instead of wedging the parent.
+ReadStatus readAll(int Fd, void *Data, size_t Len,
+                   const Clock::time_point *Deadline = nullptr) {
   char *P = static_cast<char *>(Data);
   while (Len) {
+    if (Deadline) {
+      int64_t LeftMs = std::chrono::ceil<std::chrono::milliseconds>(
+                           *Deadline - Clock::now())
+                           .count();
+      pollfd Pfd{Fd, POLLIN, 0};
+      int R = ::poll(&Pfd, 1, (int)std::clamp<int64_t>(LeftMs, 0, 60000));
+      if (R < 0 && errno != EINTR)
+        return ReadStatus::Dead;
+      if (R <= 0) {
+        if (Clock::now() >= *Deadline)
+          return ReadStatus::Timeout;
+        continue;
+      }
+    }
     ssize_t N = ::read(Fd, P, Len);
     if (N < 0) {
       if (errno == EINTR)
         continue;
-      return false;
+      return ReadStatus::Dead;
     }
     if (N == 0)
-      return false; // EOF mid-frame: the peer died
+      return ReadStatus::Dead; // EOF: the peer died
     P += N;
     Len -= (size_t)N;
   }
-  return true;
+  return ReadStatus::Done;
 }
 
-/// One compiled program, kept alive across request frames. A worker
-/// serves many shards of the same submission back to back; recompiling
-/// (and, under the jit engine, re-emitting native code) per frame threw
-/// that work away N-shards times per submission. The entry owns the
+/// One compiled program, kept alive across requests. The entry owns the
 /// compiled source, a failed compile included (a source that failed once
 /// fails fast), and builds each engine at most once — engines are
-/// immutable after construction, so reuse across frames is safe by the
-/// same argument as reuse across campaign threads.
-///
-/// The entry also keeps the sweep reference (fault/Campaign.h) its last
-/// shard ran on, so the next shard of the same submission skips the
-/// reference phase: the fault-free run, the replay recording and links,
-/// and the task counts. The recorded states point into this entry's
-/// program, so the reference lives and dies with the entry. It is keyed
-/// by the resolved stride and the options digest, which covers the engine
-/// and every other knob the reference depends on; a worker holds one
-/// reference at a time (CompileCache::dropReferences).
+/// immutable after construction, so reuse across requests is safe by the
+/// same argument as reuse across campaign threads. A later request for
+/// the same program (another stride or option set, or the rest of a
+/// drained submission) skips the compile, the decode and, under the jit
+/// engine, native code emission.
 struct CompiledEntry {
   CompiledSource Src;
   std::unique_ptr<ExecEngine> Vm;
   std::unique_ptr<ExecEngine> Jit;
-  std::unique_ptr<SweepReference> Ref;
-  uint64_t RefStride = 0;
-  uint64_t RefDigest = 0;
 
   CompiledEntry(const std::string &Lang, const std::string &Source)
       : Src(Lang, Source) {}
@@ -114,39 +113,33 @@ struct CompileCache {
   std::unordered_map<std::string, std::unique_ptr<CompiledEntry>> Entries;
   std::deque<std::string> Order;
 
-  CompiledEntry *find(const std::string &Key) {
+  /// The entry for (Lang, Source), compiled on a miss.
+  CompiledEntry &get(const std::string &Lang, const std::string &Source) {
+    std::string Key = sourceKey(Lang, Source);
     auto It = Entries.find(Key);
-    return It == Entries.end() ? nullptr : It->second.get();
-  }
-
-  /// Compiles (Lang, Source) into a new entry under \p Key.
-  CompiledEntry *insert(std::string Key, const std::string &Lang,
-                        const std::string &Source) {
+    if (It != Entries.end())
+      return *It->second;
     while (Entries.size() >= Capacity) {
       Entries.erase(Order.front());
       Order.pop_front();
     }
     auto Entry = std::make_unique<CompiledEntry>(Lang, Source);
-    CompiledEntry *E = Entry.get();
+    CompiledEntry &E = *Entry;
     Entries.emplace(Key, std::move(Entry));
     Order.push_back(std::move(Key));
     return E;
   }
-
-  /// Frees the sweep reference, whichever entry holds it. Called before
-  /// recording another, so a worker's peak memory holds one reference.
-  void dropReferences() {
-    for (auto &[Key, E] : Entries)
-      E->Ref.reset();
-  }
 };
 
-/// The child's whole job for one request frame. Returns the response
-/// payload (ok+campaign or a structured error object).
-std::string serveShardRequest(const std::string &Request) {
-  auto Fail = [](const char *Code, const std::string &Msg) {
-    return formatv("{\"ok\": false, \"code\": \"%s\", \"error\": %s}", Code,
-                   jsonQuote(Msg).c_str());
+/// The child's whole job for one request frame: one frame per shard of
+/// the requested range, in index order, or one structured error frame.
+/// Returns false when the parent is gone.
+bool serveStream(const std::string &Request, int ResponseFd) {
+  auto Fail = [ResponseFd](const char *Code, const std::string &Msg) {
+    return writeFrame(ResponseFd,
+                      formatv("{\"ok\": false, \"code\": \"%s\", "
+                              "\"error\": %s}",
+                              Code, jsonQuote(Msg).c_str()));
   };
 
   std::string ParseErr;
@@ -160,56 +153,47 @@ std::string serveShardRequest(const std::string &Request) {
     return Fail("bad_request", SpecErr);
   uint64_t Stride = Doc->u64At("resolved_stride", 1);
   unsigned Threads = (unsigned)Doc->u64At("campaign_threads", 1);
-  unsigned ShardIndex = (unsigned)Doc->u64At("shard_index", 0);
-  unsigned ShardCount = (unsigned)Doc->u64At("shard_count", 1);
+  uint64_t First = Doc->u64At("first_shard", 0);
+  uint64_t Count = Doc->u64At("shard_count", 0);
+  if (First >= Count || Count > UINT32_MAX)
+    return Fail("bad_request",
+                formatv("shard range [%llu, %llu) is empty or too large",
+                        (unsigned long long)First, (unsigned long long)Count));
   int ChaosSignal = (int)Doc->u64At("chaos_signal", 0);
+  uint64_t ChaosShard = Doc->u64At("chaos_shard", 0);
 
   // Compile from source in this process: workers share nothing with the
-  // server, so a parser or codegen crash is contained too. The compile —
-  // and, for the vm/jit engines, the decode (and native code emission) —
-  // happens once per program per worker; every later shard of the same
-  // submission reuses the cached entry.
+  // server, so a parser or codegen crash is contained too.
   static CompileCache Cache;
-  std::string Key = sourceKey(Spec.Lang, Spec.Source);
-  CompiledEntry *Entry = Cache.find(Key);
-  // The shards of one submission reach this worker back to back (the
-  // pool hands a handler its own worker again), so they share one sweep
-  // reference: the first records it, the rest reuse it. Any other request
-  // frees the held reference first, before it compiles or records.
-  uint64_t Digest = optionsDigest(Spec);
-  bool Record = !Entry || !Entry->Ref || Entry->RefStride != Stride ||
-                Entry->RefDigest != Digest;
-  if (Record)
-    Cache.dropReferences();
-  if (!Entry)
-    Entry = Cache.insert(std::move(Key), Spec.Lang, Spec.Source);
-  if (!Entry->Src.Prog)
-    return Fail("compile_error", Entry->Src.CompileError);
-  const Program *Prog = Entry->Src.Prog;
+  CompiledEntry &Entry = Cache.get(Spec.Lang, Spec.Source);
+  if (!Entry.Src.Prog)
+    return Fail("compile_error", Entry.Src.CompileError);
 
   CampaignOptions CO;
   CO.Threads = Threads;
-  CO.Engine = Entry->engineFor(Spec.Engine);
+  CO.Engine = Entry.engineFor(Spec.Engine);
   applySpecOptions(Spec, CO);
-  CO.ShardCount = ShardCount;
-  CO.ShardIndex = ShardIndex;
-  if (ChaosSignal > 0)
-    CO.ShardRetiredHook = [ChaosSignal](unsigned, unsigned) {
-      // Chaos: die at the shard boundary — the work is complete but no
-      // byte of the result has left the process. SIGSEGV goes through
-      // the default handler (the signal must look like a real crash).
-      ::signal(ChaosSignal, SIG_DFL);
-      ::raise(ChaosSignal);
-    };
-
-  if (Record) {
-    Entry->Ref = std::make_unique<SweepReference>(
-        *Prog, theoremConfig(Spec, Stride), CO);
-    Entry->RefStride = Stride;
-    Entry->RefDigest = Digest;
+  CO.ShardCount = (unsigned)Count;
+  // One reference for the whole range: the range's shards share it.
+  SweepReference Ref(*Entry.Src.Prog, theoremConfig(Spec, Stride), CO);
+  for (uint64_t I = First; I != Count; ++I) {
+    CO.ShardIndex = (unsigned)I;
+    CO.ShardRetiredHook = nullptr;
+    if (ChaosSignal > 0 && I == ChaosShard)
+      CO.ShardRetiredHook = [ChaosSignal](unsigned, unsigned) {
+        // Chaos: die at the shard boundary — the work is complete but no
+        // byte of its frame has left the process. SIGSEGV goes through
+        // the default handler (the signal must look like a real crash).
+        ::signal(ChaosSignal, SIG_DFL);
+        ::raise(ChaosSignal);
+      };
+    CampaignResult R = Ref.runShard(CO);
+    if (!writeFrame(ResponseFd,
+                    "{\"ok\": true, \"campaign\": " + campaignJsonLine(R) +
+                        "}"))
+      return false;
   }
-  CampaignResult R = Entry->Ref->runShard(CO);
-  return "{\"ok\": true, \"campaign\": " + campaignJsonLine(R) + "}";
+  return true;
 }
 
 } // namespace
@@ -219,29 +203,86 @@ bool talft::serve::writeFrame(int Fd, const std::string &Payload) {
     return false;
   uint32_t Header[2] = {(uint32_t)Payload.size(),
                         support::crc32(Payload)};
-  return writeAll(Fd, Header, sizeof(Header)) &&
-         writeAll(Fd, Payload.data(), Payload.size());
+  // One writev, so a reader woken by the header finds the payload behind
+  // it rather than blocking again.
+  iovec Iov[2] = {{Header, sizeof(Header)},
+                  {const_cast<char *>(Payload.data()), Payload.size()}};
+  iovec *Next = Iov;
+  int Left = 2;
+  while (Left) {
+    ssize_t N = ::writev(Fd, Next, Left);
+    if (N < 0) {
+      if (errno == EINTR)
+        continue;
+      return false;
+    }
+    for (; Left && (size_t)N >= Next->iov_len; ++Next, --Left)
+      N -= (ssize_t)Next->iov_len;
+    if (Left) {
+      Next->iov_base = static_cast<char *>(Next->iov_base) + N;
+      Next->iov_len -= (size_t)N;
+    }
+  }
+  return true;
 }
 
 bool talft::serve::readFrame(int Fd, std::string &Payload) {
   uint32_t Header[2];
-  if (!readAll(Fd, Header, sizeof(Header)))
+  if (readAll(Fd, Header, sizeof(Header)) != ReadStatus::Done)
     return false;
   if (Header[0] > MaxFrameBytes)
     return false;
   Payload.resize(Header[0]);
-  if (!readAll(Fd, Payload.data(), Payload.size()))
+  if (readAll(Fd, Payload.data(), Payload.size()) != ReadStatus::Done)
     return false;
   return support::crc32(Payload) == Header[1];
 }
 
+StreamFrame talft::serve::readStreamFrame(int Fd, uint64_t TimeoutMs,
+                                          unsigned Index, unsigned Count) {
+  StreamFrame F;
+  Clock::time_point Deadline =
+      Clock::now() + std::chrono::milliseconds(TimeoutMs);
+  const Clock::time_point *Bound = TimeoutMs ? &Deadline : nullptr;
+  uint32_t Header[2];
+  std::string Payload;
+  ReadStatus S = readAll(Fd, Header, sizeof(Header), Bound);
+  if (S == ReadStatus::Done && Header[0] > MaxFrameBytes)
+    return F;
+  if (S == ReadStatus::Done) {
+    Payload.resize(Header[0]);
+    S = readAll(Fd, Payload.data(), Payload.size(), Bound);
+  }
+  if (S == ReadStatus::Timeout)
+    F.K = StreamFrame::Kind::Timeout;
+  if (S != ReadStatus::Done || support::crc32(Payload) != Header[1])
+    return F;
+
+  std::optional<JsonValue> Doc = JsonValue::parse(Payload);
+  if (!Doc || !Doc->isObject() || !Doc->get("ok"))
+    return F;
+  if (!Doc->boolAt("ok", false)) {
+    // A structured worker-side failure (compile error, bad request).
+    F.K = StreamFrame::Kind::Error;
+    F.Code = Doc->stringAt("code", "worker_error");
+    F.Error = Doc->stringAt("error", "worker reported an error");
+    return F;
+  }
+  const JsonValue *Campaign = Doc->get("campaign");
+  std::string Err;
+  if (!Campaign || !campaignFromJson(*Campaign, F.Result, Err) ||
+      F.Result.Stats.ShardIndex != Index ||
+      F.Result.Stats.ShardCount != Count)
+    return F;
+  F.K = StreamFrame::Kind::Shard;
+  return F;
+}
+
 void talft::serve::runWorkerLoop(int RequestFd, int ResponseFd) {
   std::string Request;
-  while (readFrame(RequestFd, Request)) {
-    std::string Response = serveShardRequest(Request);
-    if (!writeFrame(ResponseFd, Response))
+  while (readFrame(RequestFd, Request))
+    if (!serveStream(Request, ResponseFd))
       break; // parent gone
-  }
   // EOF (or a torn frame): the parent shut the pool down or died. _exit,
   // not exit — the child must never run the parent's atexit handlers or
   // flush its inherited stdio buffers.

@@ -22,7 +22,8 @@
 //      partial folds, bounds its memory footprint by LRU eviction, and
 //      round-trips entries through the on-disk cache losslessly;
 //   4. the wire protocol round-trips campaign results (campaignToJson →
-//      campaignFromJson) with every integer field exact;
+//      campaignFromJson) with every integer field exact, the CFI object
+//      included;
 //   5. end to end over loopback: a cold submission streams one event per
 //      shard and serves a campaign bit-identical to a directly-run one; a
 //      resubmission is a cache hit that streams zero shard events; a
@@ -32,13 +33,17 @@
 //      front-end memo answers a known source (same lang and bytes) without
 //      compiling or certifying it, at any campaign option, and two TAL
 //      sources sharing a program hash keep their own certifications;
-//   6. crash isolation: shards run on forked worker processes; a worker
-//      crashing at the shard boundary (the chaos hook) is retried on a
-//      fresh worker and the served table stays bit-identical; a worker
-//      reuses its sweep reference for the next shard of the same
-//      submission and replaces it for any other, bit-identically; a
+//   6. crash isolation: a submission's shards stream from one forked
+//      worker process, one frame per shard; a worker crashing at a shard
+//      boundary (the chaos hook) takes only the undelivered suffix with
+//      it, which re-runs on a fresh worker, and the served table stays
+//      bit-identical; interleaved ranges of several sweeps on one worker
+//      equal the in-process shards; a stream stopped between frames
+//      leaves no stale frame; a wedged shard times out mid-stream; a
 //      deterministic crasher poisons its one submission, not the server;
-//      deadlines fail structured, not silent;
+//      deadlines fail structured, not silent; mutated pipe frames, in
+//      either direction, end as a structured error or a dead worker,
+//      never as a folded shard or a hang;
 //   7. durability: the write-ahead submission log survives retires,
 //      replays, torn tails and compaction; a server started on a log
 //      with unretired accepts replays them to completion;
@@ -74,15 +79,20 @@
 
 #include <arpa/inet.h>
 #include <chrono>
+#include <csignal>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <future>
 #include <map>
 #include <netinet/in.h>
 #include <optional>
+#include <poll.h>
+#include <random>
 #include <sstream>
 #include <string>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <thread>
 #include <tuple>
 #include <unistd.h>
@@ -582,6 +592,16 @@ TEST(ServeJson, ParserHandlesTheProtocolSubset) {
   EXPECT_FALSE(JsonValue::parse("", &Err).has_value());
 }
 
+/// A campaign as the wire carries it (campaignFromJson): the reference
+/// trace stays behind.
+CampaignResult overTheWire(const CampaignResult &R) {
+  std::string Err;
+  std::optional<JsonValue> V = JsonValue::parse(campaignJsonLine(R), &Err);
+  CampaignResult Out;
+  EXPECT_TRUE(V && campaignFromJson(*V, Out, Err)) << Err;
+  return Out;
+}
+
 TEST(ServeJson, CampaignRoundTripsThroughTheWireForm) {
   // CseBroken (index 1) has violations; CountdownLoop (index 2), pruned,
   // tallies statically detected control-register sites.
@@ -607,7 +627,7 @@ TEST(ServeJson, CampaignRoundTripsThroughTheWireForm) {
     ASSERT_TRUE(campaignFromJson(*V, Back, Err)) << Err;
     expectSameCampaign(Back, R, At);
     EXPECT_STREQ(Back.Stats.Engine, R.Stats.Engine) << At;
-    // Every integer stat outside the "cfi" object, which is not read back.
+    // Every integer stat.
     auto Ints = [](const CampaignResult &C) {
       const CampaignStats &S = C.Stats;
       return std::vector<uint64_t>{
@@ -621,10 +641,33 @@ TEST(ServeJson, CampaignRoundTripsThroughTheWireForm) {
           S.SimdLaneWidth,     S.ShardCount,      S.ShardIndex,
           S.ShardFirstTask,    S.TotalTasks,      S.ShardsFolded,
           C.Recovery.Checkpoints, C.Recovery.Rollbacks,
-          C.Recovery.ReplayedOutputs};
+          C.Recovery.ReplayedOutputs, S.CfiChecked, S.CfiCommits,
+          S.CfiViolations};
     };
     EXPECT_EQ(Ints(Back), Ints(R)) << At;
   }
+}
+
+// The "cfi" object travels too: a CfiCheck campaign's tallies, and a
+// first violation whose text needs escaping.
+TEST(ServeJson, CfiObjectRoundTripsThroughTheWireForm) {
+  TypeContext TC;
+  Program P = parseOrDie(TC, allPrograms()[2]);
+  TheoremConfig Config;
+  Config.InjectionStride = 3;
+  CampaignOptions Opts;
+  Opts.CfiCheck = true;
+  CampaignResult R = runSingleFaultCampaign(P, Config, Opts);
+  ASSERT_TRUE(R.Stats.CfiChecked);
+  ASSERT_GT(R.Stats.CfiCommits, 0u);
+  R.Stats.CfiViolations = 2;
+  R.CfiFirstViolation = "jmp at 0x12 to \"done\"\n\tnot in {0x4}";
+  CampaignResult Back = overTheWire(R);
+  EXPECT_TRUE(Back.Stats.CfiChecked);
+  EXPECT_EQ(Back.Stats.CfiCommits, R.Stats.CfiCommits);
+  EXPECT_EQ(Back.Stats.CfiViolations, 2u);
+  EXPECT_EQ(Back.CfiFirstViolation, R.CfiFirstViolation);
+  expectSameShard(Back, overTheWire(Back), "cfi twice over the wire");
 }
 
 // Contract 3 (key half): every campaign knob lands in the digest, so an
@@ -902,6 +945,12 @@ TEST(ServeEndToEnd, DrainLeavesAResumablePartialEntry) {
     ASSERT_TRUE(S.start(&Err)) << Err;
     First = submitProgram("127.0.0.1", S.port(), Spec);
     S.wait(); // the drain hook already stopped it
+    // The drain discarded the shard in flight: no crash, and exactly the
+    // two drained shards retired.
+    EXPECT_EQ(S.poolStats().Crashes, 0u);
+    std::optional<JsonValue> Stats = JsonValue::parse(S.statsJson());
+    ASSERT_TRUE(Stats && Stats->get("shards"));
+    EXPECT_EQ(Stats->get("shards")->u64At("retired", 0), 2u);
   }
   ASSERT_TRUE(First.Error.empty()) << First.Error;
   EXPECT_TRUE(First.Drained);
@@ -920,6 +969,7 @@ TEST(ServeEndToEnd, DrainLeavesAResumablePartialEntry) {
   ASSERT_TRUE(Second.GotResult);
   EXPECT_EQ(Second.Cache, "partial");
   EXPECT_EQ(Second.ShardEvents, 2u); // only the remaining shards ran
+  EXPECT_EQ(S2.poolStats().Dispatched, 2u);
   S2.stop();
 
   // The resumed fold equals an uninterrupted direct run.
@@ -1155,16 +1205,6 @@ TEST(WorkerPoolE2E, CrashedShardsAreRetriedBitIdentically) {
   S.stop();
 }
 
-/// A campaign as the wire carries it (campaignFromJson): the CFI object
-/// and the reference trace stay behind.
-CampaignResult overTheWire(const CampaignResult &R) {
-  std::string Err;
-  std::optional<JsonValue> V = JsonValue::parse(campaignJsonLine(R), &Err);
-  CampaignResult Out;
-  EXPECT_TRUE(V && campaignFromJson(*V, Out, Err)) << Err;
-  return Out;
-}
-
 /// The in-process server's table for \p Spec: the pool-off baseline every
 /// pool-served table must equal.
 CampaignResult servedInProcess(const SubmitSpec &Spec) {
@@ -1180,12 +1220,11 @@ CampaignResult servedInProcess(const SubmitSpec &Spec) {
   return O.Campaign;
 }
 
-// A one-worker pool runs every shard of a submission on the worker that
-// recorded the sweep reference for shard 0, so shards 1-3 reuse it. Two
-// submissions in flight at once (two programs, and two strides of one
-// program) share the worker shard by shard and replace its reference.
-// Every served table equals the in-process server's and the unsharded
-// campaign's.
+// A one-worker pool streams every shard of a submission from one sweep
+// reference, recorded once per stream. Two submissions in flight at once
+// (two programs, and two strides of one program) take turns at the
+// worker, one whole stream each. Every served table equals the in-process
+// server's and the unsharded campaign's.
 TEST(WorkerPoolE2E, OneWorkerSharesItsSweepReferenceAcrossShards) {
   ServerOptions SO;
   SO.PoolWorkers = 1;
@@ -1233,14 +1272,97 @@ TEST(WorkerPoolE2E, OneWorkerSharesItsSweepReferenceAcrossShards) {
   S.stop();
 }
 
-// The same worker driven shard by shard: the shards of four sweeps (two
-// programs, and a second stride and pruning on one of them, which change
-// the reference's key but not its entry) dispatched round-robin,
-// so the worker replaces its reference at every request, then each
-// sweep's shards back to back, so it reuses it. Every shard equals the
-// same shard run in-process by runSingleFaultCampaign, and each sweep's
-// shards fold to its unsharded campaign.
-TEST(WorkerPoolE2E, InterleavedShardsReplaceTheWorkersReference) {
+/// One sweep a pool test streams: a TAL program at a stride, compiled here
+/// for the in-process shards every streamed shard must equal.
+struct Sweep {
+  SubmitSpec Spec;
+  TypeContext TC;
+  std::optional<Program> P;
+  std::unique_ptr<ExecEngine> Vm; // the spec's default engine
+
+  Sweep(unsigned Prog, uint64_t Stride, bool Prune = false) {
+    Spec = talSpec(allPrograms()[Prog], Stride);
+    Spec.Prune = Prune;
+    P.emplace(parseOrDie(TC, allPrograms()[Prog]));
+    Vm = vm::createEngine(P->code());
+  }
+
+  std::string name() const {
+    return Spec.Name + " stride " + std::to_string(Spec.Stride) +
+           (Spec.Prune ? " pruned" : "");
+  }
+
+  /// The worker request for this sweep, minus the shard range.
+  std::string request() const {
+    std::string Req = submitRequestJson(Spec);
+    Req.insert(Req.rfind('}'),
+               formatv(", \"resolved_stride\": %llu, \"campaign_threads\": 1",
+                       (unsigned long long)Spec.Stride));
+    return Req;
+  }
+
+  /// Shard \p I of \p N run in-process, as the wire carries it.
+  CampaignResult shard(unsigned I, unsigned N) const {
+    CampaignOptions Opts;
+    applySpecOptions(Spec, Opts);
+    Opts.Engine = Vm.get();
+    Opts.ShardCount = N;
+    Opts.ShardIndex = I;
+    return overTheWire(
+        runSingleFaultCampaign(*P, theoremConfig(Spec, Spec.Stride), Opts));
+  }
+
+  /// The unsharded campaign every fold of this sweep must equal.
+  CampaignResult whole() const {
+    CampaignOptions Direct;
+    applySpecOptions(Spec, Direct);
+    return runSingleFaultCampaign(*P, theoremConfig(Spec, Spec.Stride),
+                                  Direct);
+  }
+};
+
+/// A shard as a stream sink saw it.
+struct Delivered {
+  unsigned Index = 0;
+  unsigned Attempts = 0;
+  CampaignResult R;
+};
+
+/// Streams [\p First, \p Count) of \p W through \p Pool, collecting every
+/// delivered shard; the sink stops after \p StopAfter shards (0 = never).
+WorkerPool::StreamOutcome streamSweep(WorkerPool &Pool, const Sweep &W,
+                                      unsigned First, unsigned Count,
+                                      std::vector<Delivered> &Got,
+                                      unsigned StopAfter = 0,
+                                      uint64_t DeadlineMs = 0) {
+  unsigned Next = First;
+  return Pool.runStream(W.request(), First, Count, DeadlineMs,
+                        [&](CampaignResult &R, unsigned Attempts) {
+                          Got.push_back({Next++, Attempts, std::move(R)});
+                          return !StopAfter || Got.size() < StopAfter;
+                        });
+}
+
+/// Every delivered shard equals the same shard run in-process and names
+/// the index the stream was at.
+void expectDeliveredShards(const Sweep &W, unsigned Count,
+                           const std::vector<Delivered> &Got,
+                           const std::string &At) {
+  for (const Delivered &D : Got) {
+    std::string AtI = At + " shard " + std::to_string(D.Index);
+    EXPECT_EQ(D.R.Stats.ShardIndex, D.Index) << AtI;
+    expectSameShard(D.R, W.shard(D.Index, Count), AtI);
+  }
+}
+
+// One worker serves ranges of four sweeps (two programs, and a second
+// stride and pruning on one of them) interleaved: round r streams the
+// range [(r + j) mod 4, 4) of sweep j, round-robin over the sweeps, so no
+// request continues the one before it and each records its own sweep
+// reference. Every streamed shard equals the same shard run in-process by
+// runSingleFaultCampaign, and each sweep's full-range shards fold to its
+// unsharded campaign.
+TEST(WorkerPoolE2E, InterleavedRangesStreamFromOneWorker) {
   WorkerPoolOptions PO;
   PO.Workers = 1;
   PO.CampaignThreads = 1;
@@ -1248,80 +1370,129 @@ TEST(WorkerPoolE2E, InterleavedShardsReplaceTheWorkersReference) {
   std::string Err;
   ASSERT_TRUE(Pool.start(&Err)) << Err;
 
-  struct Sweep {
-    SubmitSpec Spec;
-    TypeContext TC;
-    std::optional<Program> P;
-    std::unique_ptr<ExecEngine> Vm; // the spec's default engine
-  };
   std::vector<std::unique_ptr<Sweep>> Sweeps;
   for (auto [Prog, Stride, Prune] :
        {std::tuple{0, 2, false}, std::tuple{2, 2, false},
-        std::tuple{2, 2, true}, std::tuple{2, 3, false}}) {
-    auto W = std::make_unique<Sweep>();
-    W->Spec = talSpec(allPrograms()[Prog], Stride);
-    W->Spec.Prune = Prune;
-    W->P.emplace(parseOrDie(W->TC, allPrograms()[Prog]));
-    W->Vm = vm::createEngine(W->P->code());
-    Sweeps.push_back(std::move(W));
-  }
+        std::tuple{2, 2, true}, std::tuple{2, 3, false}})
+    Sweeps.push_back(std::make_unique<Sweep>(Prog, Stride, Prune));
   constexpr unsigned Shards = 4;
-  auto RunShard = [&](const Sweep &W, unsigned I) {
-    std::string Req = submitRequestJson(W.Spec);
-    Req.insert(Req.rfind('}'),
-               formatv(", \"resolved_stride\": %llu, \"campaign_threads\": 1, "
-                       "\"shard_index\": %u, \"shard_count\": %u",
-                       (unsigned long long)W.Spec.Stride, I, Shards));
-    WorkerPool::ShardOutcome O = Pool.runShard(Req);
-    std::string At = W.Spec.Name + " stride " +
-                     std::to_string(W.Spec.Stride) +
-                     (W.Spec.Prune ? " pruned" : "") + " shard " +
-                     std::to_string(I);
-    EXPECT_TRUE(O.Ok) << At << ": " << O.Error;
-    EXPECT_EQ(O.Attempts, 1u) << At;
-    CampaignOptions Opts;
-    applySpecOptions(W.Spec, Opts);
-    Opts.Engine = W.Vm.get();
-    Opts.ShardCount = Shards;
-    Opts.ShardIndex = I;
-    expectSameShard(O.Result,
-                    overTheWire(runSingleFaultCampaign(
-                        *W.P, theoremConfig(W.Spec, W.Spec.Stride), Opts)),
-                    At);
-    return O.Result;
-  };
 
-  for (bool RoundRobin : {true, false}) {
-    std::vector<CampaignResult> Folds(Sweeps.size());
-    for (unsigned Step = 0; Step != Shards * Sweeps.size(); ++Step) {
-      size_t J = RoundRobin ? Step % Sweeps.size() : Step / Shards;
-      unsigned I = RoundRobin ? Step / Sweeps.size() : Step % Shards;
-      CampaignResult R = RunShard(*Sweeps[J], I);
-      if (I == 0)
-        Folds[J] = std::move(R);
-      else
-        foldShardResult(Folds[J], R);
-    }
+  uint64_t Streamed = 0;
+  std::vector<CampaignResult> Folds(Sweeps.size());
+  for (unsigned Round = 0; Round != Shards; ++Round) {
     for (size_t J = 0; J != Sweeps.size(); ++J) {
       const Sweep &W = *Sweeps[J];
-      CampaignOptions Direct;
-      applySpecOptions(W.Spec, Direct);
-      expectSameCampaign(
-          Folds[J],
-          runSingleFaultCampaign(*W.P, theoremConfig(W.Spec, W.Spec.Stride),
-                                 Direct),
-          W.Spec.Name + " sweep " + std::to_string(J) +
-              (RoundRobin ? " round-robin" : " back to back"));
+      unsigned First = (Round + (unsigned)J) % Shards;
+      std::string At = W.name() + " range [" + std::to_string(First) + ", 4)";
+      std::vector<Delivered> Got;
+      WorkerPool::StreamOutcome O = streamSweep(Pool, W, First, Shards, Got);
+      ASSERT_TRUE(O.Ok) << At << ": " << O.Error;
+      ASSERT_EQ(Got.size(), Shards - First) << At;
+      Streamed += Got.size();
+      expectDeliveredShards(W, Shards, Got, At);
+      for (Delivered &D : Got) {
+        EXPECT_EQ(D.Attempts, 1u) << At;
+        if (First != 0)
+          continue;
+        if (D.Index == 0)
+          Folds[J] = std::move(D.R);
+        else
+          foldShardResult(Folds[J], D.R);
+      }
     }
   }
-  EXPECT_EQ(Pool.stats().Spawned, 1u);
+  for (size_t J = 0; J != Sweeps.size(); ++J)
+    expectSameCampaign(Folds[J], Sweeps[J]->whole(),
+                       Sweeps[J]->name() + " folded");
+  WorkerPoolStats S = Pool.stats();
+  EXPECT_EQ(S.Spawned, 1u);
+  EXPECT_EQ(S.Crashes, 0u);
+  EXPECT_EQ(S.Timeouts, 0u);
+  EXPECT_EQ(S.Dispatched, Streamed);
   Pool.stop();
 }
 
-// A one-worker pool whose worker crashes at every second shard boundary:
-// the crashed shard ran on the reference an earlier shard recorded, and
-// its retry runs on a respawned worker that starts with no reference and
-// records its own. The served table does not change by a bit.
+// A worker that crashes at shard k of a stream takes only the undelivered
+// suffix [k, N) with it: the retry on a fresh worker re-runs exactly
+// those shards, the sink sees every index once and in order, and each
+// shard equals the in-process one.
+TEST(WorkerPoolE2E, ChaosCrashReRunsOnlyTheUndeliveredSuffix) {
+  WorkerPoolOptions PO;
+  PO.Workers = 1;
+  PO.CampaignThreads = 1;
+  PO.ChaosCrashEveryN = 3; // the stream's third shard attempt: shard 2
+  WorkerPool Pool(PO);
+  std::string Err;
+  ASSERT_TRUE(Pool.start(&Err)) << Err;
+
+  Sweep W(2, 2);
+  std::vector<Delivered> Got;
+  WorkerPool::StreamOutcome O = streamSweep(Pool, W, 0, 4, Got);
+  ASSERT_TRUE(O.Ok) << O.Error;
+  ASSERT_EQ(Got.size(), 4u);
+  std::vector<unsigned> Indexes, Attempts;
+  for (const Delivered &D : Got) {
+    Indexes.push_back(D.Index);
+    Attempts.push_back(D.Attempts);
+  }
+  EXPECT_EQ(Indexes, (std::vector<unsigned>{0, 1, 2, 3}));
+  EXPECT_EQ(Attempts, (std::vector<unsigned>{1, 1, 2, 1}));
+  expectDeliveredShards(W, 4, Got, "chaos at shard 2");
+  WorkerPoolStats S = Pool.stats();
+  EXPECT_EQ(S.Crashes, 1u);
+  EXPECT_EQ(S.Retries, 1u);
+  EXPECT_EQ(S.ChaosInjected, 1u);
+  // Shards 0, 1 and 2 on the first worker, then only 2 and 3 again.
+  EXPECT_EQ(S.Dispatched, 5u);
+  EXPECT_EQ(S.Spawned, 2u);
+  EXPECT_EQ(S.Alive, 1u);
+  Pool.stop();
+}
+
+// A sink that stops after k shards (what a drain or an expired deadline
+// does between frames) folds exactly k, discards the shard in flight
+// without counting a crash, and leaves the pool whole: the next stream
+// reads its own shards only, never a frame the stopped worker had queued.
+TEST(WorkerPoolE2E, StoppedStreamLeavesNoStaleFrame) {
+  WorkerPoolOptions PO;
+  PO.Workers = 1;
+  PO.CampaignThreads = 1;
+  WorkerPool Pool(PO);
+  std::string Err;
+  ASSERT_TRUE(Pool.start(&Err)) << Err;
+
+  Sweep Countdown(2, 2), Paired(0, 2);
+  for (unsigned K : {1u, 2u, 3u}) {
+    std::string At = "stop after " + std::to_string(K);
+    std::vector<Delivered> Got;
+    WorkerPool::StreamOutcome O = streamSweep(Pool, Countdown, 0, 4, Got, K);
+    EXPECT_FALSE(O.Ok) << At;
+    EXPECT_TRUE(O.Stopped) << At;
+    EXPECT_EQ(O.Next, K) << At;
+    ASSERT_EQ(Got.size(), K) << At;
+    expectDeliveredShards(Countdown, 4, Got, At);
+
+    // A different sweep next: any frame left from the stopped stream
+    // would decode as the wrong shard.
+    std::vector<Delivered> Next;
+    O = streamSweep(Pool, Paired, 0, 4, Next);
+    ASSERT_TRUE(O.Ok) << At << ": " << O.Error;
+    ASSERT_EQ(Next.size(), 4u) << At;
+    expectDeliveredShards(Paired, 4, Next, At + ", next stream");
+  }
+  WorkerPoolStats S = Pool.stats();
+  EXPECT_EQ(S.Crashes, 0u);
+  EXPECT_EQ(S.Timeouts, 0u);
+  EXPECT_EQ(S.Retries, 0u);
+  EXPECT_EQ(S.Alive, 1u);
+  EXPECT_EQ(S.Spawned, 4u); // each stopped stream's worker was replaced
+  Pool.stop();
+}
+
+// A one-worker pool whose worker crashes at every second shard attempt:
+// each crash ends a stream at a shard that ran on the reference the
+// stream recorded, and the undelivered suffix re-runs on a respawned
+// worker that records its own. The served table does not change by a bit.
 TEST(WorkerPoolE2E, RespawnedWorkerRecordsItsOwnReference) {
   ServerOptions SO;
   SO.PoolWorkers = 1;
@@ -1416,6 +1587,359 @@ TEST(WorkerPoolE2E, DeadlineExceededIsStructuredNotSilent) {
   ASSERT_TRUE(Stats.has_value());
   EXPECT_GE(Stats->u64At("deadline_exceeded", 0), 1u);
   S.stop();
+}
+
+// A shard that wedges mid-stream (the chaos hook stops the worker at
+// shard 2's boundary) blows the per-shard timeout: the worker is killed
+// and counted as a timeout, not a crash, shards 2 and 3 re-run on a fresh
+// worker, and the table equals the in-process server's. Under a
+// submission deadline instead, the same wedge ends the submission with a
+// structured deadline_exceeded after the two shards that did stream.
+TEST(WorkerPoolE2E, TimeoutAndDeadlineExpireMidStream) {
+  SubmitSpec Spec = talSpec(allPrograms()[2], 2);
+  ServerOptions SO;
+  SO.PoolWorkers = 1;
+  SO.DefaultShards = 4;
+  SO.CampaignThreads = 1;
+  SO.ChaosCrashEveryN = 3; // the first stream's third shard: shard 2
+  SO.ChaosSignal = SIGSTOP;
+  {
+    ServerOptions Timed = SO;
+    Timed.ShardTimeoutMs = 2000;
+    Server S(Timed);
+    std::string Err;
+    ASSERT_TRUE(S.start(&Err)) << Err;
+    SubmitOutcome O = submitProgram("127.0.0.1", S.port(), Spec);
+    ASSERT_TRUE(O.GotResult) << O.Error;
+    EXPECT_EQ(O.ShardEvents, 4u);
+    EXPECT_EQ(O.MaxShardAttempts, 2u);
+    WorkerPoolStats P = S.poolStats();
+    EXPECT_EQ(P.Timeouts, 1u);
+    EXPECT_EQ(P.Crashes, 0u);
+    EXPECT_EQ(P.Retries, 1u);
+    EXPECT_EQ(P.Dispatched, 5u); // shards 0-2, then only 2 and 3 again
+    EXPECT_EQ(P.Alive, 1u);
+    S.stop();
+    expectSameShard(O.Campaign, servedInProcess(Spec),
+                    "timed out mid-stream vs in-process");
+  }
+  {
+    Server S(SO);
+    std::string Err;
+    ASSERT_TRUE(S.start(&Err)) << Err;
+    SubmitSpec Bounded = Spec;
+    Bounded.DeadlineMs = 3000;
+    SubmitOutcome O = submitProgram("127.0.0.1", S.port(), Bounded);
+    EXPECT_FALSE(O.GotResult);
+    EXPECT_EQ(O.ErrorCode, "deadline_exceeded");
+    EXPECT_EQ(O.ShardEvents, 2u);
+    WorkerPoolStats P = S.poolStats();
+    EXPECT_EQ(P.Timeouts, 1u); // the wedged worker, killed at the deadline
+    EXPECT_EQ(P.Crashes, 0u);
+    EXPECT_EQ(P.Alive, 1u);
+    S.stop();
+  }
+}
+
+// --- Worker-pipe frames under seeded mutation ----------------------------
+
+/// Writes all of \p Bytes to \p Fd, whatever they frame.
+void writeBytes(int Fd, const std::string &Bytes) {
+  for (size_t Done = 0; Done != Bytes.size();) {
+    ssize_t N = ::write(Fd, Bytes.data() + Done, Bytes.size() - Done);
+    ASSERT_GT(N, 0);
+    Done += (size_t)N;
+  }
+}
+
+/// The exact bytes writeFrame sends for \p Payload (which must fit a pipe
+/// buffer).
+std::string frameBytes(const std::string &Payload) {
+  int Fds[2];
+  EXPECT_EQ(::pipe(Fds), 0);
+  EXPECT_TRUE(writeFrame(Fds[1], Payload));
+  ::close(Fds[1]);
+  std::string Bytes;
+  char Buf[4096];
+  for (ssize_t N; (N = ::read(Fds[0], Buf, sizeof(Buf))) > 0;)
+    Bytes.append(Buf, (size_t)N);
+  ::close(Fds[0]);
+  return Bytes;
+}
+
+/// \p Request with the shard range [First, Count) spliced in.
+std::string withRange(std::string Request, unsigned First, unsigned Count) {
+  Request.insert(Request.rfind('}'),
+                 formatv(", \"first_shard\": %u, \"shard_count\": %u", First,
+                         Count));
+  return Request;
+}
+
+// Seeded mutations of a real worker's four-frame stream, fed to the
+// parent's frame reader through a pipe: truncations (with the writer
+// closed, and left open), bit flips anywhere, CRC flips, length prefixes
+// above MaxFrameBytes, and an earlier frame replayed in a later one's
+// place. Every frame before the mutated one decodes to its shard; the
+// mutated one never does. It reads as a dead worker, or as a timeout
+// when the bytes stop short and the pipe stays open.
+TEST(WorkerPipeFuzz, MutatedShardFramesNeverDecode) {
+  Sweep W(0, 2);
+  constexpr unsigned Shards = 4;
+  WorkerProc Proc;
+  std::string Err;
+  ASSERT_TRUE(spawnWorker(Proc, &Err)) << Err;
+  ASSERT_TRUE(writeFrame(Proc.RequestFd, withRange(W.request(), 0, Shards)));
+  std::string Stream;
+  std::vector<size_t> Starts;
+  for (unsigned I = 0; I != Shards; ++I) {
+    std::string Payload;
+    ASSERT_TRUE(readFrame(Proc.ResponseFd, Payload));
+    Starts.push_back(Stream.size());
+    Stream += frameBytes(Payload);
+  }
+  destroyWorker(Proc);
+  Starts.push_back(Stream.size());
+  ASSERT_LT(Stream.size(), 60000u); // the whole stream fits a pipe buffer
+  std::vector<CampaignResult> Expected;
+  for (unsigned I = 0; I != Shards; ++I)
+    Expected.push_back(W.shard(I, Shards));
+
+  using Kind = StreamFrame::Kind;
+  // Decodes \p Bytes frame by frame; returns how many frames decoded as
+  // their shard and, in \p Last, what ended the read.
+  auto Feed = [&](const std::string &Bytes, bool Close, Kind &Last,
+                  const std::string &At) {
+    int Fds[2];
+    EXPECT_EQ(::pipe(Fds), 0);
+    writeBytes(Fds[1], Bytes);
+    if (Close)
+      ::close(Fds[1]);
+    unsigned I = 0;
+    for (; I != Shards + 1; ++I) {
+      StreamFrame F = readStreamFrame(Fds[0], 20, I, Shards);
+      Last = F.K;
+      if (F.K != Kind::Shard)
+        break;
+      EXPECT_LT(I, Shards) << At;
+      if (I < Shards)
+        expectSameShard(F.Result, Expected[I], At + " frame " +
+                                                   std::to_string(I));
+    }
+    ::close(Fds[0]);
+    if (!Close)
+      ::close(Fds[1]);
+    return I;
+  };
+  auto FrameOf = [&](size_t Offset) {
+    unsigned J = 0;
+    while (J + 1 < Shards && Starts[J + 1] <= Offset)
+      ++J;
+    return J;
+  };
+
+  Kind Last;
+  ASSERT_EQ(Feed(Stream, true, Last, "unmutated"), Shards);
+  EXPECT_EQ(Last, Kind::Dead); // EOF after the last frame
+
+  std::mt19937_64 Rng(0x5eedf4a3e5ull);
+  for (unsigned Case = 0; Case != 240; ++Case) {
+    std::string Bytes = Stream;
+    bool Close = true;
+    Kind Want = Kind::Dead;
+    unsigned Victim = 0;
+    std::string What;
+    unsigned J = (unsigned)(Rng() % Shards);
+    switch (Case % 6) {
+    case 0:
+    case 1: {
+      size_t Cut = Rng() % Bytes.size();
+      Bytes.resize(Cut);
+      Victim = FrameOf(Cut);
+      Close = Case % 6 == 0;
+      Want = Close ? Kind::Dead : Kind::Timeout;
+      What = "truncated at " + std::to_string(Cut) +
+             (Close ? ", writer closed" : ", writer open");
+      break;
+    }
+    case 2: {
+      size_t At = Rng() % Bytes.size();
+      Bytes[At] = (char)(Bytes[At] ^ (1u << (Rng() % 8)));
+      Victim = FrameOf(At);
+      What = "bit flip at " + std::to_string(At);
+      break;
+    }
+    case 3: {
+      size_t At = Starts[J] + 4 + Rng() % 4;
+      Bytes[At] = (char)(Bytes[At] ^ (1u << (Rng() % 8)));
+      Victim = J;
+      What = "crc flip in frame " + std::to_string(J);
+      break;
+    }
+    case 4: {
+      uint32_t Len = MaxFrameBytes + 1 + (uint32_t)(Rng() % 4096);
+      std::memcpy(&Bytes[Starts[J]], &Len, sizeof(Len));
+      Victim = J;
+      What = "length prefix " + std::to_string(Len) + " in frame " +
+             std::to_string(J);
+      break;
+    }
+    case 5: {
+      J = 1 + (unsigned)(Rng() % (Shards - 1));
+      unsigned K = (unsigned)(Rng() % J);
+      Bytes = Stream.substr(0, Starts[J]) +
+              Stream.substr(Starts[K], Starts[K + 1] - Starts[K]) +
+              Stream.substr(Starts[J + 1]);
+      Victim = J;
+      What = "frame " + std::to_string(K) + " replayed as frame " +
+             std::to_string(J);
+      break;
+    }
+    }
+    std::string At = "case " + std::to_string(Case) + ": " + What;
+    EXPECT_EQ(Feed(Bytes, Close, Last, At), Victim) << At;
+    EXPECT_EQ(Last, Want) << At;
+  }
+}
+
+// Seeded mutations of valid request frames, written to a real worker. A
+// frame the worker cannot read (truncated and the pipe closed, a flipped
+// CRC or payload bit, a length prefix above MaxFrameBytes) makes it exit
+// cleanly, which the parent reads as a dead worker to retire; truncated
+// with the pipe left open, it reads as a timeout and the worker is
+// killed. A frame the worker reads but cannot serve (an empty shard
+// range, no source, not JSON) gets one structured error frame, and the
+// same worker then streams a valid request exactly, with nothing left
+// over in its pipe. Through the pool, a refused request is a structured
+// error that costs no worker.
+TEST(WorkerPipeFuzz, MutatedRequestsEndStructuredOrDead) {
+  Sweep W(2, 2);
+  constexpr unsigned Shards = 4;
+  using Kind = StreamFrame::Kind;
+  std::string Base = W.request();
+
+  auto ExpectValidStream = [&](WorkerProc &Proc, unsigned First,
+                               const std::string &At) {
+    ASSERT_TRUE(writeFrame(Proc.RequestFd, withRange(Base, First, Shards)));
+    for (unsigned I = First; I != Shards; ++I) {
+      StreamFrame F = readStreamFrame(Proc.ResponseFd, 60000, I, Shards);
+      ASSERT_EQ(F.K, Kind::Shard) << At << " shard " << I << ": " << F.Error;
+      expectSameShard(F.Result, W.shard(I, Shards),
+                      At + " shard " + std::to_string(I));
+    }
+    pollfd P{Proc.ResponseFd, POLLIN, 0};
+    EXPECT_EQ(::poll(&P, 1, 20), 0) << At << ": a frame nobody asked for";
+  };
+
+  SubmitSpec Empty = W.Spec;
+  Empty.Source.clear();
+  std::string NoSource = "{\"cmd\": \"submit\", \"lang\": \"tal\", "
+                         "\"resolved_stride\": 2}";
+  const std::vector<std::pair<std::string, std::string>> Refused = {
+      {"first == count", withRange(Base, Shards, Shards)},
+      {"first > count", withRange(Base, 7, Shards)},
+      {"count == 0", withRange(Base, 0, 0)},
+      {"no range", Base},
+      {"no source", withRange(NoSource, 0, Shards)},
+      {"empty source", withRange(submitRequestJson(Empty), 0, Shards)},
+      {"not JSON", Base.substr(0, Base.size() / 2)},
+      {"not an object", "[1, 2]"},
+  };
+  WorkerProc Proc;
+  std::string Err;
+  ASSERT_TRUE(spawnWorker(Proc, &Err)) << Err;
+  for (const auto &[What, Request] : Refused) {
+    ASSERT_TRUE(writeFrame(Proc.RequestFd, Request));
+    StreamFrame F = readStreamFrame(Proc.ResponseFd, 60000, 0, Shards);
+    EXPECT_EQ(F.K, Kind::Error) << What;
+    EXPECT_EQ(F.Code, "bad_request") << What;
+    ExpectValidStream(Proc, 1, "after " + What);
+  }
+  destroyWorker(Proc);
+
+  std::string Frame = frameBytes(withRange(Base, 0, Shards));
+  std::mt19937_64 Rng(0x5eedbadf7a3eull);
+  for (unsigned Case = 0; Case != 25; ++Case) {
+    std::string Bytes = Frame;
+    bool Close = false;
+    std::string What;
+    switch (Case % 5) {
+    case 0:
+    case 1: {
+      size_t Cut = Rng() % Bytes.size();
+      Bytes.resize(Cut);
+      Close = Case % 5 == 0;
+      What = "truncated at " + std::to_string(Cut) +
+             (Close ? ", pipe closed" : ", pipe open");
+      break;
+    }
+    case 2: {
+      size_t At = 4 + Rng() % 4;
+      Bytes[At] = (char)(Bytes[At] ^ (1u << (Rng() % 8)));
+      What = "crc flip";
+      break;
+    }
+    case 3: {
+      size_t At = 8 + Rng() % (Bytes.size() - 8);
+      Bytes[At] = (char)(Bytes[At] ^ (1u << (Rng() % 8)));
+      What = "payload flip at " + std::to_string(At);
+      break;
+    }
+    case 4: {
+      uint32_t Len = MaxFrameBytes + 1 + (uint32_t)(Rng() % 4096);
+      std::memcpy(&Bytes[0], &Len, sizeof(Len));
+      What = "length prefix " + std::to_string(Len);
+      break;
+    }
+    }
+    std::string At = "case " + std::to_string(Case) + ": " + What;
+    WorkerProc P;
+    ASSERT_TRUE(spawnWorker(P, &Err)) << Err;
+    writeBytes(P.RequestFd, Bytes);
+    if (Close) {
+      ::close(P.RequestFd);
+      P.RequestFd = -1;
+    }
+    bool Open = Case % 5 == 1;
+    StreamFrame F = readStreamFrame(P.ResponseFd, Open ? 50 : 60000, 0,
+                                    Shards);
+    if (Open) {
+      // The worker waits for the rest of the frame: the parent times out
+      // and kills it.
+      EXPECT_EQ(F.K, Kind::Timeout) << At;
+      destroyWorker(P);
+      continue;
+    }
+    EXPECT_EQ(F.K, Kind::Dead) << At;
+    int Status = 0;
+    ASSERT_EQ(::waitpid(P.Pid, &Status, 0), P.Pid) << At;
+    EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 0)
+        << At << ": the worker crashed (status " << Status << ")";
+    P.Pid = -1;
+    destroyWorker(P);
+  }
+
+  WorkerPoolOptions PO;
+  PO.Workers = 1;
+  PO.CampaignThreads = 1;
+  WorkerPool Pool(PO);
+  ASSERT_TRUE(Pool.start(&Err)) << Err;
+  unsigned Sunk = 0;
+  WorkerPool::StreamOutcome O =
+      Pool.runStream(NoSource, 0, Shards, 0, [&](CampaignResult &, unsigned) {
+        ++Sunk;
+        return true;
+      });
+  EXPECT_FALSE(O.Ok);
+  EXPECT_EQ(O.Code, "bad_request");
+  EXPECT_EQ(Sunk, 0u);
+  std::vector<Delivered> Got;
+  O = streamSweep(Pool, W, 0, Shards, Got);
+  ASSERT_TRUE(O.Ok) << O.Error;
+  expectDeliveredShards(W, Shards, Got, "after a refused stream");
+  WorkerPoolStats S = Pool.stats();
+  EXPECT_EQ(S.Spawned, 1u);
+  EXPECT_EQ(S.Crashes, 0u);
+  Pool.stop();
 }
 
 // --- Contract 7: the write-ahead submission log --------------------------

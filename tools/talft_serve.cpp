@@ -19,10 +19,12 @@
 //               [--chaos-crash-every N] [--chaos-signal N]
 //
 // --pool N forks N crash-isolated shard worker processes (0 runs shards
-// in-process); --wal FILE makes every accepted submission durable in a
-// write-ahead log that a restarted server replays. --chaos-crash-every
-// is for the chaos harness only: every Nth dispatched shard crashes its
-// worker at the shard boundary.
+// in-process); each submission streams its shards through one of them,
+// so with --workers above --pool later submissions wait for a worker.
+// --wal FILE makes every accepted submission durable in a write-ahead
+// log that a restarted server replays. --chaos-crash-every is for the
+// chaos harness only: every Nth shard attempt crashes its worker at the
+// shard boundary.
 //
 // binds 127.0.0.1 (ephemeral port by default; --port-file publishes the
 // bound port atomically for scripts), serves the line protocol documented
