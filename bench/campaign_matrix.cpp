@@ -37,16 +37,17 @@
 //                 ratios) to FILE, atomically.
 //
 // Exit status is 1 unless every run of every cell equals the
-// vm-no-converge-no-lanes cell on verdicts, violations, reference steps,
-// Ok and program hash; the replay cells' convergence counters agree on
-// the vm and the JIT; every replay cell exits early; each vm lane-group
-// cell classifies lane tasks; and every timed reference run halts after
-// the probed step count. 2 on bad flags or an unwritable report.
+// vm-no-converge-no-lanes cell on every outcome field of the campaign
+// result (fault/CampaignFields.h); the replay cells' convergence counters
+// agree on the vm and the JIT; every replay cell exits early; each vm
+// lane-group cell classifies lane tasks; and every timed reference run
+// halts after the probed step count. 2 on bad flags or an unwritable
+// report.
 //
 //===----------------------------------------------------------------------===//
 
 #include "CliUtils.h"
-#include "fault/Campaign.h"
+#include "fault/CampaignFields.h"
 #include "vm/Engine.h"
 #include "vm/JitEngine.h"
 #include "vm/LaneSimd.h"
@@ -62,7 +63,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <tuple>
 #include <vector>
 
 using namespace talft;
@@ -168,19 +168,6 @@ std::pair<double, double> ratioSides(const Subject &S, unsigned F) {
   }
 }
 
-/// The observables every cell must reproduce.
-bool sameOutcome(const CampaignResult &A, const CampaignResult &B) {
-  return A.Table == B.Table && A.Violations == B.Violations &&
-         A.ReferenceSteps == B.ReferenceSteps && A.Ok == B.Ok &&
-         A.ProgramHash == B.ProgramHash;
-}
-
-/// The differential replay's six counters (convergence_test pins them).
-auto replayCounters(const CampaignStats &S) {
-  return std::tuple(S.EarlyExits, S.WindowSum, S.MaxWindow, S.StepsSaved,
-                    S.LockstepSkips, S.LockstepSteps);
-}
-
 void runCell(Subject &S, CellId C, unsigned Threads, bool Prune) {
   TheoremConfig Config;
   Config.InjectionStride = S.FK.Stride;
@@ -223,13 +210,14 @@ void timeRuns(Subject &S, RunEngine E) {
 /// the replay cells' counters against the vm cell's. Prints each failure.
 void crossCheck(Subject &S) {
   const CampaignResult &Base = S.Runs[VmPlain].front();
-  const CampaignStats &Replay = S.Runs[Vm].front().Stats;
+  const CampaignResult &Replay = S.Runs[Vm].front();
   for (unsigned C = 0; C != NumCells; ++C) {
     unsigned Diverged = 0, Counters = 0, NoExits = 0;
     for (const CampaignResult &R : S.Runs[C]) {
-      Diverged += !sameOutcome(R, Base);
-      Counters += Cells[C].Converge &&
-                  replayCounters(R.Stats) != replayCounters(Replay);
+      Diverged += !campaignDiff(R, Base, FieldClass::Outcome).empty();
+      Counters +=
+          Cells[C].Converge &&
+          !campaignDiff(R, Replay, FieldClass::Strategy, "convergence").empty();
       NoExits += Cells[C].Converge && R.Stats.EarlyExits == 0;
     }
     auto Fail = [&](unsigned N, const char *What) {

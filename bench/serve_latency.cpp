@@ -46,6 +46,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "CliUtils.h"
+#include "fault/CampaignFields.h"
 #include "support/StringUtils.h"
 #include "serve/Client.h"
 #include "serve/Server.h"
@@ -118,12 +119,6 @@ struct KernelRow {
   serve::SubmitOutcome Warm;
   bool Identical = true;
 };
-
-bool sameCampaign(const CampaignResult &A, const CampaignResult &B) {
-  return A.Ok == B.Ok && A.Table == B.Table && A.Violations == B.Violations &&
-         A.ReferenceSteps == B.ReferenceSteps &&
-         A.ProgramHash == B.ProgramHash;
-}
 
 double secondsSince(std::chrono::steady_clock::time_point T0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
@@ -263,8 +258,11 @@ int main(int Argc, char **Argv) {
       // is the baseline for every later submit.
       if (Row.Pairs.empty())
         Row.Cold = Cold;
-      bool Identical = sameCampaign(Cold.Campaign, Warm.Campaign) &&
-                       sameCampaign(Row.Cold.Campaign, Cold.Campaign);
+      bool Identical =
+          campaignDiff(Cold.Campaign, Warm.Campaign, FieldClass::Outcome)
+              .empty() &&
+          campaignDiff(Row.Cold.Campaign, Cold.Campaign, FieldClass::Outcome)
+              .empty();
       Row.Identical &= Identical;
       Ok &= Identical;
       Row.Warm = std::move(Warm);

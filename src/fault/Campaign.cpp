@@ -2224,189 +2224,3 @@ CampaignResult talft::runInjectionPlans(const PlanCampaign &Spec,
   Provenance.finish(R.Stats);
   return R;
 }
-
-void talft::foldShardResult(CampaignResult &Acc, const CampaignResult &Shard,
-                            size_t MaxViolations) {
-  Acc.Ok = Acc.Ok && Shard.Ok;
-  Acc.Table.merge(Shard.Table);
-  Acc.StatesTypechecked += Shard.StatesTypechecked;
-  // Each shard keeps a prefix of its slice's violations (the cap applies
-  // per shard), so appending in shard-index order up to the same cap
-  // reproduces the unsharded list exactly.
-  for (const std::string &V : Shard.Violations)
-    if (Acc.Violations.size() < MaxViolations)
-      Acc.Violations.push_back(V);
-  Acc.Recovery.merge(Shard.Recovery);
-  if (!Acc.ProgramHash)
-    Acc.ProgramHash = Shard.ProgramHash;
-  if (!Acc.ReferenceSteps) {
-    Acc.ReferenceSteps = Shard.ReferenceSteps;
-    Acc.ReferenceTrace = Shard.ReferenceTrace;
-  }
-
-  CampaignStats &A = Acc.Stats;
-  const CampaignStats &B = Shard.Stats;
-  A.WallSeconds += B.WallSeconds;
-  A.ReferenceSeconds += B.ReferenceSeconds;
-  A.Tasks += B.Tasks;
-  A.ThreadsUsed = std::max(A.ThreadsUsed, B.ThreadsUsed);
-  A.Pruned = A.Pruned || B.Pruned;
-  A.PrunedTasks += B.PrunedTasks;
-  A.PrunedDetected += B.PrunedDetected;
-  A.CfiChecked = A.CfiChecked || B.CfiChecked;
-  A.CfiCommits += B.CfiCommits;
-  A.CfiViolations += B.CfiViolations;
-  if (Acc.CfiFirstViolation.empty())
-    Acc.CfiFirstViolation = Shard.CfiFirstViolation;
-  A.Converge = A.Converge || B.Converge;
-  A.EarlyExits += B.EarlyExits;
-  A.WindowSum += B.WindowSum;
-  A.MaxWindow = std::max(A.MaxWindow, B.MaxWindow);
-  A.StepsSaved += B.StepsSaved;
-  A.LockstepSkips += B.LockstepSkips;
-  A.LockstepSteps += B.LockstepSteps;
-  A.Lanes = A.Lanes || B.Lanes;
-  A.LaneGroups += B.LaneGroups;
-  A.LaneTasks += B.LaneTasks;
-  A.LaneDeviations += B.LaneDeviations;
-  A.LaneLockstepSteps += B.LaneLockstepSteps;
-  // Compilation stats are per-program constants (identical in every
-  // shard); side exits are an activity sum.
-  A.JitNative = A.JitNative || B.JitNative;
-  A.JitBlocksCompiled = std::max(A.JitBlocksCompiled, B.JitBlocksCompiled);
-  A.JitCodeBytes = std::max(A.JitCodeBytes, B.JitCodeBytes);
-  A.JitSideExits += B.JitSideExits;
-  A.SimdLaneWidth = std::max(A.SimdLaneWidth, B.SimdLaneWidth);
-  A.ShardCount = std::max(A.ShardCount, B.ShardCount);
-  A.ShardIndex = std::min(A.ShardIndex, B.ShardIndex);
-  A.ShardFirstTask = std::min(A.ShardFirstTask, B.ShardFirstTask);
-  A.TotalTasks = std::max(A.TotalTasks, B.TotalTasks);
-  A.ShardsFolded = (A.ShardsFolded ? A.ShardsFolded : 1) +
-                   (B.ShardsFolded ? B.ShardsFolded : 1);
-  A.TriplesPerSecond = A.WallSeconds > 0 ? (double)A.Tasks / A.WallSeconds : 0;
-}
-
-namespace {
-
-void appendJsonEscaped(std::string &Out, const std::string &In) {
-  Out += '"';
-  for (char C : In) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if ((unsigned char)C < 0x20)
-        Out += formatv("\\u%04x", (unsigned)(unsigned char)C);
-      else
-        Out += C;
-    }
-  }
-  Out += '"';
-}
-
-} // namespace
-
-std::string talft::campaignToJson(const CampaignResult &R, unsigned Indent) {
-  std::string P(Indent, ' ');
-  std::string S;
-  S += P + "{\n";
-  S += P + formatv("  \"ok\": %s,\n", R.Ok ? "true" : "false");
-  S += P + formatv("  \"reference_steps\": %llu,\n",
-                   (unsigned long long)R.ReferenceSteps);
-  S += P + formatv("  \"program_hash\": \"%s\",\n",
-                   programHashString(R.ProgramHash).c_str());
-  S += P + formatv("  \"injections\": %llu,\n",
-                   (unsigned long long)R.Table.total());
-  S += P + "  \"verdicts\": {";
-  for (size_t I = 0; I != NumVerdicts; ++I) {
-    if (I)
-      S += ", ";
-    S += formatv("\"%s\": %llu", verdictJsonKey((Verdict)I),
-                 (unsigned long long)R.Table.Counts[I]);
-  }
-  S += "},\n";
-  S += P + formatv("  \"states_typechecked\": %llu,\n",
-                   (unsigned long long)R.StatesTypechecked);
-  S += P + formatv("  \"recovery\": {\"rollbacks\": %llu, "
-                   "\"checkpoints\": %llu, \"replayed_outputs\": %llu},\n",
-                   (unsigned long long)R.Recovery.Rollbacks,
-                   (unsigned long long)R.Recovery.Checkpoints,
-                   (unsigned long long)R.Recovery.ReplayedOutputs);
-  S += P + formatv("  \"convergence\": {\"enabled\": %s, \"early_exits\": %llu, "
-                   "\"mean_window\": %.2f, \"window_sum\": %llu, "
-                   "\"max_window\": %llu, "
-                   "\"steps_saved\": %llu, \"lockstep_skips\": %llu, "
-                   "\"lockstep_steps\": %llu},\n",
-                   R.Stats.Converge ? "true" : "false",
-                   (unsigned long long)R.Stats.EarlyExits,
-                   R.Stats.EarlyExits
-                       ? (double)R.Stats.WindowSum / (double)R.Stats.EarlyExits
-                       : 0.0,
-                   (unsigned long long)R.Stats.WindowSum,
-                   (unsigned long long)R.Stats.MaxWindow,
-                   (unsigned long long)R.Stats.StepsSaved,
-                   (unsigned long long)R.Stats.LockstepSkips,
-                   (unsigned long long)R.Stats.LockstepSteps);
-  S += P + formatv("  \"lanes\": {\"enabled\": %s, \"width\": %u, "
-                   "\"groups\": %llu, \"lane_tasks\": %llu, "
-                   "\"deviations\": %llu, \"lockstep_steps\": %llu},\n",
-                   R.Stats.Lanes ? "true" : "false",
-                   R.Stats.Lanes ? LaneGroupWidth : 0u,
-                   (unsigned long long)R.Stats.LaneGroups,
-                   (unsigned long long)R.Stats.LaneTasks,
-                   (unsigned long long)R.Stats.LaneDeviations,
-                   (unsigned long long)R.Stats.LaneLockstepSteps);
-  S += P + formatv("  \"jit\": {\"native\": %s, \"blocks_compiled\": %llu, "
-                   "\"code_bytes\": %llu, \"side_exits\": %llu, "
-                   "\"simd_lane_width\": %u},\n",
-                   R.Stats.JitNative ? "true" : "false",
-                   (unsigned long long)R.Stats.JitBlocksCompiled,
-                   (unsigned long long)R.Stats.JitCodeBytes,
-                   (unsigned long long)R.Stats.JitSideExits,
-                   R.Stats.SimdLaneWidth);
-  S += P + formatv("  \"shard\": {\"count\": %u, \"index\": %u, "
-                   "\"first_task\": %llu, \"tasks\": %llu, "
-                   "\"total_tasks\": %llu, \"folded\": %u},\n",
-                   R.Stats.ShardCount, R.Stats.ShardIndex,
-                   (unsigned long long)R.Stats.ShardFirstTask,
-                   (unsigned long long)R.Stats.Tasks,
-                   (unsigned long long)R.Stats.TotalTasks,
-                   R.Stats.ShardsFolded);
-  S += P + "  \"violations\": [";
-  for (size_t I = 0; I != R.Violations.size(); ++I) {
-    S += I ? ", " : "";
-    appendJsonEscaped(S, R.Violations[I]);
-  }
-  S += "],\n";
-  S += P + formatv("  \"cfi\": {\"checked\": %s, \"commits\": %llu, "
-                   "\"violations\": %llu, \"first_violation\": ",
-                   R.Stats.CfiChecked ? "true" : "false",
-                   (unsigned long long)R.Stats.CfiCommits,
-                   (unsigned long long)R.Stats.CfiViolations);
-  appendJsonEscaped(S, R.CfiFirstViolation);
-  S += "},\n";
-  S += P + formatv("  \"stats\": {\"engine\": \"%s\", \"threads\": %u, "
-                   "\"tasks\": %llu, "
-                   "\"reference_seconds\": %.6f, \"wall_seconds\": %.6f, "
-                   "\"triples_per_second\": %.1f, "
-                   "\"pruned\": %s, \"pruned_tasks\": %llu, "
-                   "\"pruned_detected\": %llu}\n",
-                   R.Stats.Engine, R.Stats.ThreadsUsed,
-                   (unsigned long long)R.Stats.Tasks,
-                   R.Stats.ReferenceSeconds, R.Stats.WallSeconds,
-                   R.Stats.TriplesPerSecond, R.Stats.Pruned ? "true" : "false",
-                   (unsigned long long)R.Stats.PrunedTasks,
-                   (unsigned long long)R.Stats.PrunedDetected);
-  S += P + "}";
-  return S;
-}

@@ -318,8 +318,8 @@ struct CampaignStats {
   /// vm fallback — Engine still reports "jit" so the fallback is visible
   /// as JitNative == false).
   bool JitNative = false;
-  /// Micro-ops lowered to native templates and the emitted code size.
-  /// Per-program constants, so foldShardResult takes the max, not the sum.
+  /// Micro-ops lowered to native templates and the emitted code size:
+  /// per-program constants.
   uint64_t JitBlocksCompiled = 0;
   uint64_t JitCodeBytes = 0;
   /// Native-to-driver transitions during this campaign. Like the lane
@@ -477,21 +477,18 @@ CampaignResult runInjectionPlans(const PlanCampaign &Spec,
 
 /// Folds shard result \p Shard into the accumulator \p Acc, which must be
 /// initialized from the preceding shard's result (fold shard 0's result
-/// into shard 1's accumulator copy, and so on, in shard-index order).
-/// Tables, counters and the recovery stats are order-independent sums;
-/// violations concatenate in shard order — each shard keeps a prefix of
-/// its slice's violations, so the in-order concatenation capped at
-/// \p MaxViolations equals the unsharded list. After folding all N shards
-/// the result is bit-identical to the unsharded campaign: same table,
-/// same violations, same Ok, same ReferenceSteps. Wall-clock stats sum
-/// (total compute, not elapsed time); lane/convergence strategy counters
-/// sum exactly because each task's classification path is deterministic.
+/// into shard 1's accumulator copy, and so on, in shard-index order). Each
+/// field folds by its rule in the field table (fault/CampaignFields.h);
+/// violations are capped at \p MaxViolations. After folding all N shards
+/// the result equals the unsharded campaign on every outcome and strategy
+/// field of the table.
 void foldShardResult(CampaignResult &Acc, const CampaignResult &Shard,
                      size_t MaxViolations = 16);
 
-/// Renders a campaign result as a JSON object (no trailing newline).
-/// \p Indent is the number of spaces prefixed to every line, letting
-/// callers nest the object in a larger report.
+/// Renders a campaign result as a JSON object (no trailing newline), one
+/// member per row of the field table (fault/CampaignFields.h). \p Indent
+/// is the number of spaces prefixed to every line, letting callers nest
+/// the object in a larger report.
 std::string campaignToJson(const CampaignResult &R, unsigned Indent = 0);
 
 } // namespace talft

@@ -307,35 +307,3 @@ std::optional<JsonValue> JsonValue::parse(std::string_view Text,
                                           std::string *Err) {
   return JsonParser(Text, Err).run();
 }
-
-std::string talft::serve::jsonQuote(std::string_view In) {
-  std::string Out;
-  Out.reserve(In.size() + 2);
-  Out += '"';
-  for (char C : In) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if ((unsigned char)C < 0x20)
-        Out += formatv("\\u%04x", (unsigned)(unsigned char)C);
-      else
-        Out += C;
-    }
-  }
-  Out += '"';
-  return Out;
-}

@@ -7,9 +7,11 @@
 /// \file
 /// A small dependency-free JSON reader for the certification server: the
 /// line-delimited protocol (serve/Protocol.h) and the on-disk memo-store
-/// entries are both JSON, and the repo's writers (campaignToJson, the
-/// bench report builders) only ever *emit* strings. This is the matching
-/// reader — a strict recursive-descent parser into a fat value type.
+/// entries are both JSON, and the repo's writers (campaignToJson, driven
+/// by the field table in fault/CampaignFields.h, and the bench report
+/// builders) only ever *emit* strings, escaped by support/StringUtils.h's
+/// jsonQuote. This is the matching reader — a strict recursive-descent
+/// parser into a fat value type.
 /// Numbers keep an exact unsigned image when the token is integral, so
 /// 64-bit verdict counters round-trip bit-exactly (doubles alone would
 /// truncate above 2^53).
@@ -109,10 +111,6 @@ private:
   std::vector<JsonValue> Arr;
   std::vector<std::pair<std::string, JsonValue>> Obj;
 };
-
-/// Renders \p In as a quoted JSON string literal (the inverse of the
-/// parser's string reader; same escape set as campaignToJson's writer).
-std::string jsonQuote(std::string_view In);
 
 } // namespace talft::serve
 

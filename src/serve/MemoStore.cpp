@@ -118,12 +118,22 @@ std::optional<MemoEntry> MemoStore::loadFromDisk(const MemoKey &K) {
     return std::nullopt;
   E.Name = Doc->stringAt("name", "");
   E.Certification = Doc->stringAt("certification", "");
-  E.ShardsTotal = (unsigned)Doc->u64At("shards_total", 0);
-  E.ShardsDone = (unsigned)Doc->u64At("shards_done", 0);
+  uint64_t Total = Doc->u64At("shards_total", 0);
+  uint64_t Done = Doc->u64At("shards_done", 0);
   const JsonValue *Campaign = Doc->get("campaign");
   std::string Err;
   if (!Campaign || !campaignFromJson(*Campaign, E.Folded, Err))
     return std::nullopt;
+  // The fold covers shards [0, Done) of the partition it was cut under
+  // (an unfolded result is one shard). Counts that say otherwise would
+  // serve a prefix as a finished table, resume past the last shard or fold
+  // a shard twice.
+  const CampaignStats &S = E.Folded.Stats;
+  if (Total != S.ShardCount || Done > Total ||
+      Done != (S.ShardsFolded ? S.ShardsFolded : 1))
+    return std::nullopt;
+  E.ShardsTotal = S.ShardCount;
+  E.ShardsDone = (unsigned)Done;
   return E;
 }
 

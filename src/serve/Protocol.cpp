@@ -6,11 +6,13 @@
 
 #include "serve/Protocol.h"
 
+#include "fault/CampaignFields.h"
 #include "isa/Fingerprint.h"
 #include "isa/ProgramHash.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <cstring>
 
 using namespace talft;
 using namespace talft::serve;
@@ -136,90 +138,76 @@ namespace {
 /// Stats.Engine is a const char* owned by the engine implementations;
 /// deserialized results intern onto matching literals.
 const char *internEngineName(const std::string &Name) {
-  if (Name == "vm")
-    return "vm";
-  if (Name == "jit")
-    return "jit";
-  if (Name == "reference")
-    return "reference";
+  for (const char *Engine : {"vm", "jit", "reference"})
+    if (Name == Engine)
+      return Engine;
   return "unknown";
+}
+
+/// Reads \p X into a stored field; false when \p X has another JSON type.
+template <class T> bool readValue(const JsonValue &X, FieldFormat F, T &Out) {
+  using Kind = JsonValue::Kind;
+  if constexpr (std::is_same_v<T, bool>) {
+    Out = X.asBool();
+    return X.kind() == Kind::Bool;
+  } else if constexpr (std::is_integral_v<T>) {
+    uint64_t V = X.asU64();
+    bool Ok = F == FieldFormat::Hash ? parseProgramHash(X.asString(), V)
+                                     : X.kind() == Kind::Number;
+    Out = (T)V;
+    return Ok && V == (uint64_t)Out;
+  } else if constexpr (std::is_same_v<T, double>) {
+    Out = X.asDouble();
+    return X.kind() == Kind::Number;
+  } else if constexpr (std::is_same_v<T, std::vector<std::string>>) {
+    for (const JsonValue &Item : X.items())
+      Out.push_back(Item.asString());
+    return X.isArray();
+  } else if constexpr (std::is_same_v<T, VerdictTable>) {
+    bool Ok = X.isObject();
+    for (size_t I = 0; I != NumVerdicts; ++I) {
+      const JsonValue *N = X.get(verdictJsonKey((Verdict)I));
+      Ok = Ok && N && readValue(*N, F, Out.Counts[I]);
+    }
+    return Ok;
+  } else if constexpr (std::is_same_v<T, const char *>) {
+    Out = internEngineName(X.asString());
+    return X.isString();
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    Out = X.asString();
+    return X.isString();
+  } else {
+    return false; // the reference trace is never written
+  }
 }
 
 } // namespace
 
 bool talft::serve::campaignFromJson(const JsonValue &V, CampaignResult &R,
                                     std::string &Err) {
-  if (!V.isObject() || !V.get("verdicts") || !V.get("stats")) {
-    Err = "not a campaign object";
-    return false;
-  }
   R = CampaignResult();
-  R.Ok = V.boolAt("ok", false);
-  R.ReferenceSteps = V.u64At("reference_steps", 0);
-  R.StatesTypechecked = V.u64At("states_typechecked", 0);
-  uint64_t Hash = 0;
-  if (parseProgramHash(V.stringAt("program_hash", "0x0"), Hash))
-    R.ProgramHash = Hash;
-
-  const JsonValue &Verdicts = *V.get("verdicts");
-  for (size_t I = 0; I != NumVerdicts; ++I)
-    R.Table.Counts[I] = Verdicts.u64At(verdictJsonKey((Verdict)I), 0);
-
-  if (const JsonValue *Viol = V.get("violations"))
-    for (const JsonValue &Item : Viol->items())
-      R.Violations.push_back(Item.asString());
-
-  if (const JsonValue *Rec = V.get("recovery")) {
-    R.Recovery.Rollbacks = Rec->u64At("rollbacks", 0);
-    R.Recovery.Checkpoints = Rec->u64At("checkpoints", 0);
-    R.Recovery.ReplayedOutputs = Rec->u64At("replayed_outputs", 0);
+  const char *Object = "";
+  const JsonValue *In = &V;
+  for (const CampaignField &F : campaignFields()) {
+    if (F.Format == FieldFormat::Unwritten || (F.Class & FieldClass::Derived))
+      continue;
+    if (std::strcmp(F.Object, Object)) {
+      Object = F.Object;
+      In = *Object ? V.get(Object) : &V;
+    }
+    const JsonValue *X = In ? In->get(F.Key) : nullptr;
+    bool Read = X && std::visit(
+                         [&](auto P) {
+                           if constexpr (std::is_pointer_v<decltype(P)>)
+                             return readValue(*X, F.Format, *P);
+                           return false;
+                         },
+                         F.At(R));
+    if (!Read) {
+      Err = "campaign field \"" + F.name() + "\" is missing or mistyped";
+      return false;
+    }
   }
-  if (const JsonValue *Conv = V.get("convergence")) {
-    R.Stats.Converge = Conv->boolAt("enabled", false);
-    R.Stats.EarlyExits = Conv->u64At("early_exits", 0);
-    R.Stats.WindowSum = Conv->u64At("window_sum", 0);
-    R.Stats.MaxWindow = Conv->u64At("max_window", 0);
-    R.Stats.StepsSaved = Conv->u64At("steps_saved", 0);
-    R.Stats.LockstepSkips = Conv->u64At("lockstep_skips", 0);
-    R.Stats.LockstepSteps = Conv->u64At("lockstep_steps", 0);
-  }
-  if (const JsonValue *Lanes = V.get("lanes")) {
-    R.Stats.Lanes = Lanes->boolAt("enabled", false);
-    R.Stats.LaneGroups = Lanes->u64At("groups", 0);
-    R.Stats.LaneTasks = Lanes->u64At("lane_tasks", 0);
-    R.Stats.LaneDeviations = Lanes->u64At("deviations", 0);
-    R.Stats.LaneLockstepSteps = Lanes->u64At("lockstep_steps", 0);
-  }
-  if (const JsonValue *Jit = V.get("jit")) {
-    R.Stats.JitNative = Jit->boolAt("native", false);
-    R.Stats.JitBlocksCompiled = Jit->u64At("blocks_compiled", 0);
-    R.Stats.JitCodeBytes = Jit->u64At("code_bytes", 0);
-    R.Stats.JitSideExits = Jit->u64At("side_exits", 0);
-    R.Stats.SimdLaneWidth = (unsigned)Jit->u64At("simd_lane_width", 0);
-  }
-  if (const JsonValue *Cfi = V.get("cfi")) {
-    R.Stats.CfiChecked = Cfi->boolAt("checked", false);
-    R.Stats.CfiCommits = Cfi->u64At("commits", 0);
-    R.Stats.CfiViolations = Cfi->u64At("violations", 0);
-    R.CfiFirstViolation = Cfi->stringAt("first_violation");
-  }
-  if (const JsonValue *Shard = V.get("shard")) {
-    R.Stats.ShardCount = (unsigned)Shard->u64At("count", 1);
-    R.Stats.ShardIndex = (unsigned)Shard->u64At("index", 0);
-    R.Stats.ShardFirstTask = Shard->u64At("first_task", 0);
-    R.Stats.TotalTasks = Shard->u64At("total_tasks", 0);
-    R.Stats.ShardsFolded = (unsigned)Shard->u64At("folded", 0);
-  }
-  const JsonValue &Stats = *V.get("stats");
-  R.Stats.Engine = internEngineName(Stats.stringAt("engine", "reference"));
-  R.Stats.ThreadsUsed = (unsigned)Stats.u64At("threads", 1);
-  R.Stats.Tasks = Stats.u64At("tasks", 0);
-  R.Stats.ReferenceSeconds = Stats.doubleAt("reference_seconds", 0);
-  R.Stats.WallSeconds = Stats.doubleAt("wall_seconds", 0);
-  R.Stats.TriplesPerSecond = Stats.doubleAt("triples_per_second", 0);
-  R.Stats.Pruned = Stats.boolAt("pruned", false);
-  R.Stats.PrunedTasks = Stats.u64At("pruned_tasks", 0);
-  R.Stats.PrunedDetected = Stats.u64At("pruned_detected", 0);
   return true;
 }
 

@@ -116,11 +116,10 @@ bool specFromJson(const JsonValue &V, SubmitSpec &Out, std::string &Err);
 std::string submitRequestJson(const SubmitSpec &S);
 
 /// Rebuilds a CampaignResult from campaignToJson's output (as parsed by
-/// JsonValue). Exact for every integer field — verdict tables, violation
-/// lists, shard provenance, the pruned, convergence, lane, jit, recovery
-/// and CFI counters and the first CFI violation — and approximate only
-/// for the float timing stats. ReferenceTrace is not read back. Returns
-/// false with \p Err set when the object is not a campaign.
+/// JsonValue): every stored field the table in fault/CampaignFields.h
+/// writes, exact but for the float timings. The reference trace is never
+/// written, so it stays empty. Returns false with \p Err set when a field
+/// is missing or has the wrong JSON type.
 bool campaignFromJson(const JsonValue &V, CampaignResult &R,
                       std::string &Err);
 

@@ -6,6 +6,7 @@
 
 #include "serve/Server.h"
 
+#include "fault/CampaignFields.h"
 #include "isa/ProgramHash.h"
 #include "serve/Json.h"
 #include "support/AtomicFile.h"
@@ -55,18 +56,6 @@ bool sendLine(int Fd, const std::string &S) {
   std::string Out = S;
   Out.push_back('\n');
   return sendAll(Fd, Out.data(), Out.size());
-}
-
-std::string verdictTableJson(const VerdictTable &T) {
-  std::string S = "{";
-  for (size_t I = 0; I != NumVerdicts; ++I) {
-    if (I)
-      S += ", ";
-    S += formatv("\"%s\": %llu", verdictJsonKey((Verdict)I),
-                 (unsigned long long)T.Counts[I]);
-  }
-  S += "}";
-  return S;
 }
 
 WorkerPoolOptions poolOptions(const ServerOptions &O) {
@@ -177,6 +166,9 @@ void Server::requestDrain() {
     if (Draining.exchange(true))
       return;
   }
+  // A draining server starts no more work, so its pool stops now: a stream
+  // the drain cancels retires its worker without forking a replacement.
+  Pool.stop();
   // Wake the accept loop; pending connections are refused by the workers.
   if (ListenFd >= 0)
     ::shutdown(ListenFd, SHUT_RDWR);
@@ -658,17 +650,16 @@ void Server::runSubmission(int Fd, const SubmitSpec &Spec,
   auto Deliver = [&](CampaignResult &R, unsigned Attempts) {
     unsigned I = Entry.ShardsDone;
     noteShardRetired(R);
-    emitLine(Fd, formatv("{\"event\": \"shard\", \"schema\": \"%s\", "
-                         "\"index\": %u, \"count\": %u, "
-                         "\"first_task\": %llu, \"tasks\": %llu, "
-                         "\"ok\": %s, \"attempts\": %u, "
-                         "\"wall_seconds\": %.6f, \"verdicts\": %s}",
-                         ProtocolSchema, I, Shards,
-                         (unsigned long long)R.Stats.ShardFirstTask,
-                         (unsigned long long)R.Stats.Tasks,
-                         R.Ok ? "true" : "false", Attempts,
-                         R.Stats.WallSeconds,
-                         verdictTableJson(R.Table).c_str()));
+    std::string Event = formatv(
+        "{\"event\": \"shard\", \"schema\": \"%s\", \"index\": %u, "
+        "\"count\": %u, \"first_task\": %llu, \"tasks\": %llu, "
+        "\"ok\": %s, \"attempts\": %u, \"wall_seconds\": %.6f, "
+        "\"verdicts\": ",
+        ProtocolSchema, I, Shards, (unsigned long long)R.Stats.ShardFirstTask,
+        (unsigned long long)R.Stats.Tasks, R.Ok ? "true" : "false", Attempts,
+        R.Stats.WallSeconds);
+    appendFieldJson(Event, campaignField("verdicts"), R);
+    emitLine(Fd, Event + "}");
     if (I == 0)
       Entry.Folded = std::move(R);
     else

@@ -67,3 +67,23 @@ std::string talft::formatv(const char *Fmt, ...) {
   va_end(ArgsCopy);
   return Out;
 }
+
+std::string talft::jsonQuote(std::string_view In) {
+  std::string Out = "\"";
+  for (char C : In) {
+    if (C == '"' || C == '\\')
+      Out += {'\\', C};
+    else if (C == '\n')
+      Out += "\\n";
+    else if (C == '\t')
+      Out += "\\t";
+    else if (C == '\r')
+      Out += "\\r";
+    else if ((unsigned char)C < 0x20)
+      Out += formatv("\\u%04x", (unsigned)(unsigned char)C);
+    else
+      Out += C;
+  }
+  Out += '"';
+  return Out;
+}

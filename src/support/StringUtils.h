@@ -31,6 +31,11 @@ std::optional<int64_t> parseInt64(std::string_view Text);
 /// printf-style formatting into a std::string.
 std::string formatv(const char *Fmt, ...) __attribute__((format(printf, 1, 2)));
 
+/// Renders \p In as a quoted JSON string literal: the one escaper behind
+/// every JSON writer here, and the inverse of serve::JsonValue's string
+/// reader.
+std::string jsonQuote(std::string_view In);
+
 } // namespace talft
 
 #endif // TALFT_SUPPORT_STRINGUTILS_H

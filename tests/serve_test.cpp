@@ -20,10 +20,13 @@
 //   3. the memo store answers resubmissions (hit), refuses to answer for
 //      any changed campaign option (distinct digests → miss), resumes
 //      partial folds, bounds its memory footprint by LRU eviction, and
-//      round-trips entries through the on-disk cache losslessly;
-//   4. the wire protocol round-trips campaign results (campaignToJson →
-//      campaignFromJson) with every integer field exact, the CFI object
-//      included;
+//      round-trips entries through the on-disk cache losslessly; a cache
+//      file whose shard counts disagree with its fold, or any mutant of
+//      one, is a miss or a consistent entry;
+//   4. every row of the campaign field table (fault/CampaignFields.h) is
+//      written by campaignToJson, read back exactly by campaignFromJson
+//      (the timings to their printed digits), folded by its rule and
+//      flagged alone by campaignDiff;
 //   5. end to end over loopback: a cold submission streams one event per
 //      shard and serves a campaign bit-identical to a directly-run one; a
 //      resubmission is a cache hit that streams zero shard events; a
@@ -56,7 +59,7 @@
 
 #include "analysis/Certify.h"
 #include "check/ProgramChecker.h"
-#include "fault/Campaign.h"
+#include "fault/CampaignFields.h"
 #include "isa/ProgramHash.h"
 #include "serve/Client.h"
 #include "serve/Json.h"
@@ -65,6 +68,7 @@
 #include "serve/Server.h"
 #include "serve/SubmitLog.h"
 #include "serve/WorkerPool.h"
+#include "support/AtomicFile.h"
 #include "support/Crc32.h"
 #include "support/StringUtils.h"
 #include "tal/Parser.h"
@@ -133,63 +137,98 @@ std::string tempDir() {
   return D ? D : "";
 }
 
+/// A served or folded result against the direct campaign: every outcome
+/// and strategy field (campaignDiff names the ones that differ).
 void expectSameCampaign(const CampaignResult &A, const CampaignResult &B,
                         const std::string &At) {
-  EXPECT_EQ(A.Ok, B.Ok) << At;
-  EXPECT_EQ(A.Table, B.Table) << At;
-  EXPECT_EQ(A.Violations, B.Violations) << At;
-  EXPECT_EQ(A.ReferenceSteps, B.ReferenceSteps) << At;
-  EXPECT_EQ(A.StatesTypechecked, B.StatesTypechecked) << At;
-  EXPECT_EQ(A.ProgramHash, B.ProgramHash) << At;
-  // The convergence counters fold by sum and max, so they are
-  // shard-invariant too.
-  EXPECT_EQ(A.Stats.EarlyExits, B.Stats.EarlyExits) << At;
-  EXPECT_EQ(A.Stats.WindowSum, B.Stats.WindowSum) << At;
-  EXPECT_EQ(A.Stats.MaxWindow, B.Stats.MaxWindow) << At;
-  EXPECT_EQ(A.Stats.StepsSaved, B.Stats.StepsSaved) << At;
-  EXPECT_EQ(A.Stats.LockstepSkips, B.Stats.LockstepSkips) << At;
-  EXPECT_EQ(A.Stats.LockstepSteps, B.Stats.LockstepSteps) << At;
+  EXPECT_EQ(campaignDiff(A, B, FieldClass::ShardInvariant), "") << At;
 }
 
-/// Every field of a shard result outside the timings, including the
-/// strategy counters (lanes, jit side exits) and the CFI tallies: what a
-/// shard run from a shared SweepReference must reproduce of a shard that
-/// recorded its own.
+/// Every field outside the timings: what a shard run from a shared
+/// SweepReference must reproduce of a shard that recorded its own.
 void expectSameShard(const CampaignResult &A, const CampaignResult &B,
                      const std::string &At) {
-  expectSameCampaign(A, B, At);
-  EXPECT_EQ(A.ReferenceTrace, B.ReferenceTrace) << At;
-  const CampaignStats &X = A.Stats, &Y = B.Stats;
-  EXPECT_STREQ(X.Engine, Y.Engine) << At;
-  EXPECT_EQ(X.ThreadsUsed, Y.ThreadsUsed) << At;
-  EXPECT_EQ(X.Tasks, Y.Tasks) << At;
-  EXPECT_EQ(X.ShardCount, Y.ShardCount) << At;
-  EXPECT_EQ(X.ShardIndex, Y.ShardIndex) << At;
-  EXPECT_EQ(X.ShardFirstTask, Y.ShardFirstTask) << At;
-  EXPECT_EQ(X.TotalTasks, Y.TotalTasks) << At;
-  EXPECT_EQ(X.ShardsFolded, Y.ShardsFolded) << At;
-  EXPECT_EQ(X.Pruned, Y.Pruned) << At;
-  EXPECT_EQ(X.PrunedTasks, Y.PrunedTasks) << At;
-  EXPECT_EQ(X.PrunedDetected, Y.PrunedDetected) << At;
-  EXPECT_EQ(X.Converge, Y.Converge) << At;
-  EXPECT_EQ(X.Lanes, Y.Lanes) << At;
-  EXPECT_EQ(X.LaneGroups, Y.LaneGroups) << At;
-  EXPECT_EQ(X.LaneTasks, Y.LaneTasks) << At;
-  EXPECT_EQ(X.LaneDeviations, Y.LaneDeviations) << At;
-  EXPECT_EQ(X.LaneLockstepSteps, Y.LaneLockstepSteps) << At;
-  EXPECT_EQ(X.SimdLaneWidth, Y.SimdLaneWidth) << At;
-  EXPECT_EQ(X.JitNative, Y.JitNative) << At;
-  EXPECT_EQ(X.JitBlocksCompiled, Y.JitBlocksCompiled) << At;
-  EXPECT_EQ(X.JitCodeBytes, Y.JitCodeBytes) << At;
-  EXPECT_EQ(X.JitSideExits, Y.JitSideExits) << At;
-  EXPECT_EQ(A.Recovery.Checkpoints, B.Recovery.Checkpoints) << At;
-  EXPECT_EQ(A.Recovery.Rollbacks, B.Recovery.Rollbacks) << At;
-  EXPECT_EQ(A.Recovery.ReplayedOutputs, B.Recovery.ReplayedOutputs) << At;
-  EXPECT_EQ(X.CfiChecked, Y.CfiChecked) << At;
-  EXPECT_EQ(X.CfiCommits, Y.CfiCommits) << At;
-  EXPECT_EQ(X.CfiViolations, Y.CfiViolations) << At;
-  EXPECT_EQ(A.CfiFirstViolation, B.CfiFirstViolation) << At;
+  EXPECT_EQ(campaignDiff(A, B, ~FieldClass::Timing), "") << At;
 }
+
+/// A campaign as the wire carries it (campaignFromJson): the reference
+/// trace stays behind.
+CampaignResult overTheWire(const CampaignResult &R) {
+  std::string Err;
+  std::optional<JsonValue> V = JsonValue::parse(campaignJsonLine(R), &Err);
+  CampaignResult Out;
+  EXPECT_TRUE(V && campaignFromJson(*V, Out, Err)) << Err;
+  return Out;
+}
+
+/// The unsharded campaign a server must serve for the TAL submission
+/// \p Spec, less the reference trace, which the wire does not carry.
+CampaignResult directCampaign(const SubmitSpec &Spec) {
+  TypeContext TC;
+  DiagnosticEngine Diags;
+  Expected<Program> P = parseAndLayoutTalProgram(TC, Spec.Source, Diags);
+  EXPECT_TRUE(bool(P)) << Diags.str();
+  CampaignOptions Direct;
+  applySpecOptions(Spec, Direct);
+  CampaignResult R;
+  if (P)
+    R = runSingleFaultCampaign(*P, theoremConfig(Spec, Spec.Stride), Direct);
+  R.ReferenceTrace.clear();
+  return R;
+}
+
+SubmitSpec talSpec(const NamedProgram &NP, uint64_t Stride) {
+  SubmitSpec Spec;
+  Spec.Name = NP.Name;
+  Spec.Lang = "tal";
+  Spec.Source = NP.Source;
+  Spec.Stride = Stride;
+  return Spec;
+}
+
+/// One sweep a pool test streams: a TAL program at a stride, compiled here
+/// for the in-process shards every streamed shard must equal.
+struct Sweep {
+  SubmitSpec Spec;
+  TypeContext TC;
+  std::optional<Program> P;
+  std::unique_ptr<ExecEngine> Vm; // the spec's default engine
+
+  Sweep(unsigned Prog, uint64_t Stride, bool Prune = false) {
+    Spec = talSpec(allPrograms()[Prog], Stride);
+    Spec.Prune = Prune;
+    P.emplace(parseOrDie(TC, allPrograms()[Prog]));
+    Vm = vm::createEngine(P->code());
+  }
+
+  std::string name() const {
+    return Spec.Name + " stride " + std::to_string(Spec.Stride) +
+           (Spec.Prune ? " pruned" : "");
+  }
+
+  /// The worker request for this sweep, minus the shard range.
+  std::string request() const {
+    std::string Req = submitRequestJson(Spec);
+    Req.insert(Req.rfind('}'),
+               formatv(", \"resolved_stride\": %llu, \"campaign_threads\": 1",
+                       (unsigned long long)Spec.Stride));
+    return Req;
+  }
+
+  /// Shard \p I of \p N run in-process, as the wire carries it.
+  CampaignResult shard(unsigned I, unsigned N) const {
+    CampaignOptions Opts;
+    applySpecOptions(Spec, Opts);
+    Opts.Engine = Vm.get();
+    Opts.ShardCount = N;
+    Opts.ShardIndex = I;
+    return overTheWire(
+        runSingleFaultCampaign(*P, theoremConfig(Spec, Spec.Stride), Opts));
+  }
+
+  /// The unsharded campaign every fold of this sweep must equal.
+  CampaignResult whole() const { return directCampaign(Spec); }
+};
 
 /// Runs every shard of \p Config's sweep from one SweepReference for each
 /// shard count in \p Ns (0 stands for three more shards than tasks), folds
@@ -252,38 +291,21 @@ void expectShardFolds(const Program &P, const TheoremConfig &Config,
     }
     if (OwnShards)
       expectSameShard(Own, Shared, AtN + " folded");
-    // The fold is the whole campaign, slice provenance and all.
+    // The fold is the whole campaign, reference trace included, apart from
+    // the slice provenance and the strategy counts a shard boundary moves
+    // (FieldClass::ShardStrategy). The CFI commits fold because shard 0
+    // alone counts the reference run's.
+    // (A block a shard boundary splits rebuilds its base state on both
+    // sides, which could count a commit twice more; on these programs none
+    // does.)
     expectSameCampaign(Shared, Whole, AtN + " vs whole");
-    EXPECT_EQ(Shared.ReferenceTrace, Whole.ReferenceTrace) << AtN;
-    const CampaignStats &F = Shared.Stats, &W = Whole.Stats;
+    const CampaignStats &F = Shared.Stats;
     EXPECT_EQ(F.ShardCount, N) << AtN;
     EXPECT_EQ(F.ShardIndex, 0u) << AtN;
     EXPECT_EQ(F.ShardFirstTask, 0u) << AtN;
-    EXPECT_EQ(F.Tasks, W.Tasks) << AtN;
-    EXPECT_EQ(F.TotalTasks, W.TotalTasks) << AtN;
     // ShardsFolded counts fold operations: 0 marks an unfolded
     // single-shard result, N a genuine N-way fold.
     EXPECT_EQ(F.ShardsFolded, N == 1 ? 0u : N) << AtN;
-    EXPECT_EQ(F.Pruned, W.Pruned) << AtN;
-    EXPECT_EQ(F.PrunedTasks, W.PrunedTasks) << AtN;
-    EXPECT_EQ(F.PrunedDetected, W.PrunedDetected) << AtN;
-    // Lane groups form per pool of one resume step, and a shard boundary
-    // splits the pool it falls in, so the group count alone does not
-    // fold; what the lanes did does.
-    EXPECT_EQ(F.LaneTasks, W.LaneTasks) << AtN;
-    EXPECT_EQ(F.LaneDeviations, W.LaneDeviations) << AtN;
-    EXPECT_EQ(F.LaneLockstepSteps, W.LaneLockstepSteps) << AtN;
-    EXPECT_EQ(Shared.Recovery.Checkpoints, Whole.Recovery.Checkpoints) << AtN;
-    EXPECT_EQ(Shared.Recovery.Rollbacks, Whole.Recovery.Rollbacks) << AtN;
-    EXPECT_EQ(Shared.Recovery.ReplayedOutputs, Whole.Recovery.ReplayedOutputs)
-        << AtN;
-    // Shard 0 alone counts the reference run's commits, so the fold counts
-    // them once. (A block a shard boundary splits rebuilds its base state
-    // on both sides, which could count a commit twice more; on these
-    // programs none does.)
-    EXPECT_EQ(F.CfiCommits, W.CfiCommits) << AtN;
-    EXPECT_EQ(F.CfiViolations, W.CfiViolations) << AtN;
-    EXPECT_EQ(Shared.CfiFirstViolation, Whole.CfiFirstViolation) << AtN;
   }
 }
 
@@ -417,8 +439,6 @@ TEST(ShardFold, FaultToleranceCampaignShardsFoldBitIdentically) {
           foldShardResult(Acc, Shard);
       }
       expectSameCampaign(Acc, Whole, At);
-      EXPECT_EQ(Acc.Stats.CfiCommits, Whole.Stats.CfiCommits) << At;
-      EXPECT_EQ(Acc.Stats.CfiViolations, Whole.Stats.CfiViolations) << At;
     }
   }
 }
@@ -592,82 +612,135 @@ TEST(ServeJson, ParserHandlesTheProtocolSubset) {
   EXPECT_FALSE(JsonValue::parse("", &Err).has_value());
 }
 
-/// A campaign as the wire carries it (campaignFromJson): the reference
-/// trace stays behind.
-CampaignResult overTheWire(const CampaignResult &R) {
-  std::string Err;
-  std::optional<JsonValue> V = JsonValue::parse(campaignJsonLine(R), &Err);
-  CampaignResult Out;
-  EXPECT_TRUE(V && campaignFromJson(*V, Out, Err)) << Err;
-  return Out;
+/// Sets field \p F of \p R to the K-th of two perturbations (K is 1 or
+/// 2): values that differ from a real campaign's and from each other,
+/// that the wire carries exactly, and whose strings need escaping. A
+/// bool's second perturbation keeps it.
+void perturb(const CampaignField &F, CampaignResult &R, unsigned K) {
+  std::string Tag = "\"\n\t~" + std::to_string(K);
+  std::visit(
+      [&](auto P) {
+        using T = std::remove_pointer_t<decltype(P)>;
+        if constexpr (!std::is_pointer_v<decltype(P)>)
+          return; // a derived value
+        else if constexpr (std::is_same_v<T, bool>)
+          *P = K == 1 ? !*P : *P;
+        else if constexpr (std::is_integral_v<T>)
+          *P += 3 * K;
+        else if constexpr (std::is_same_v<T, double>)
+          *P = 2.5 * K;
+        else if constexpr (std::is_same_v<T, const char *>)
+          *P = K == 1 ? "jit" : "vm";
+        else if constexpr (std::is_same_v<T, VerdictTable>)
+          P->Counts[0] = UINT64_MAX - K;
+        else if constexpr (std::is_same_v<T, OutputTrace>)
+          P->push_back({0x40, K});
+        else if constexpr (std::is_same_v<T, std::string>)
+          *P += Tag;
+        else
+          P->push_back(Tag);
+      },
+      F.At(R));
 }
 
-TEST(ServeJson, CampaignRoundTripsThroughTheWireForm) {
-  // CseBroken (index 1) has violations; CountdownLoop (index 2), pruned,
-  // tallies statically detected control-register sites.
-  for (auto [Index, Prune] : {std::pair{1, false}, std::pair{2, true}}) {
-    TypeContext TC;
-    Program P = parseOrDie(TC, allPrograms()[Index]);
-    TheoremConfig Config;
-    Config.InjectionStride = 2;
-    CampaignOptions Opts;
-    Opts.Prune = Prune;
-    CampaignResult R = runSingleFaultCampaign(P, Config, Opts);
-    std::string At = allPrograms()[Index].Name;
-    if (Prune) {
-      EXPECT_GT(R.Stats.PrunedDetected, 0u) << At;
-    }
-
-    std::string Line = campaignJsonLine(R);
-    EXPECT_EQ(Line.find('\n'), std::string::npos);
-    std::string Err;
-    std::optional<JsonValue> V = JsonValue::parse(Line, &Err);
-    ASSERT_TRUE(V.has_value()) << Err;
-    CampaignResult Back;
-    ASSERT_TRUE(campaignFromJson(*V, Back, Err)) << Err;
-    expectSameCampaign(Back, R, At);
-    EXPECT_STREQ(Back.Stats.Engine, R.Stats.Engine) << At;
-    // Every integer stat.
-    auto Ints = [](const CampaignResult &C) {
-      const CampaignStats &S = C.Stats;
-      return std::vector<uint64_t>{
-          S.ThreadsUsed,       S.Tasks,           S.Pruned,
-          S.PrunedTasks,       S.PrunedDetected,  S.Converge,
-          S.EarlyExits,        S.WindowSum,       S.MaxWindow,
-          S.StepsSaved,        S.LockstepSkips,   S.LockstepSteps,
-          S.Lanes,             S.LaneGroups,      S.LaneTasks,
-          S.LaneDeviations,    S.LaneLockstepSteps, S.JitNative,
-          S.JitBlocksCompiled, S.JitCodeBytes,    S.JitSideExits,
-          S.SimdLaneWidth,     S.ShardCount,      S.ShardIndex,
-          S.ShardFirstTask,    S.TotalTasks,      S.ShardsFolded,
-          C.Recovery.Checkpoints, C.Recovery.Rollbacks,
-          C.Recovery.ReplayedOutputs, S.CfiChecked, S.CfiCommits,
-          S.CfiViolations};
-    };
-    EXPECT_EQ(Ints(Back), Ints(R)) << At;
-  }
+/// This test's own reading of an integer fold rule (bools as 0 and 1).
+uint64_t foldOracle(FoldRule Rule, uint64_t A, uint64_t B) {
+  using enum FoldRule;
+  return Rule == Sum             ? A + B
+         : Rule == SaturatingSum ? (B > UINT64_MAX - A ? UINT64_MAX : A + B)
+         : Rule == Max           ? std::max(A, B)
+         : Rule == Min           ? std::min(A, B)
+         : Rule == Or            ? A || B
+         : Rule == And           ? A && B
+         : Rule == First         ? (A ? A : B)
+         : Rule == Shards        ? (A ? A : 1) + (B ? B : 1)
+                                 : UINT64_MAX; // no integer rule
 }
 
-// The "cfi" object travels too: a CfiCheck campaign's tallies, and a
-// first violation whose text needs escaping.
-TEST(ServeJson, CfiObjectRoundTripsThroughTheWireForm) {
+/// Holds field \p F of \p Got, which folded \p B into \p A with cap
+/// \p Cap, to this test's reading of the row's rule.
+void expectFolded(const CampaignField &F, const CampaignResult &A,
+                  const CampaignResult &B, const CampaignResult &Got,
+                  size_t Cap) {
+  std::visit(
+      [&](auto PA) {
+        using Ptr = decltype(PA);
+        if constexpr (std::is_pointer_v<Ptr>) {
+          const auto &X = *PA, &Y = *std::get<Ptr>(F.read(B));
+          const auto &Z = *std::get<Ptr>(F.read(Got));
+          using T = std::decay_t<decltype(X)>;
+          if constexpr (std::is_integral_v<T>) {
+            EXPECT_EQ(Z, foldOracle(F.Fold, X, Y));
+          } else if constexpr (std::is_same_v<T, double>) {
+            const CampaignStats &S = Got.Stats;
+            EXPECT_EQ(Z, F.Fold == FoldRule::Rate ? S.Tasks / S.WallSeconds
+                                                  : X + Y);
+          } else if constexpr (std::is_same_v<T, VerdictTable>) {
+            for (size_t I = 0; I != NumVerdicts; ++I)
+              EXPECT_EQ(Z.Counts[I],
+                        foldOracle(F.Fold, X.Counts[I], Y.Counts[I]));
+          } else if constexpr (std::is_same_v<T, std::vector<std::string>>) {
+            T Cat = X;
+            Cat.insert(Cat.end(), Y.begin(), Y.end());
+            Cat.resize(Cap);
+            EXPECT_EQ(Z, Cat);
+          } else { // a string, the trace or the engine, never empty here
+            EXPECT_EQ(F.Fold, FoldRule::First);
+            EXPECT_EQ(Z, X);
+          }
+        }
+      },
+      F.read(A));
+}
+
+// The field table, row by row, on a real result. Each stored field,
+// perturbed alone, changes the JSON unless it is never written, comes
+// back over the wire unless it never goes there, folds by its row's rule
+// in either shard order, and is the one field campaignDiff flags. The
+// real shards of the same sweep then fold to the whole campaign on every
+// field a fold must keep.
+TEST(CampaignFields, EveryRowWritesReadsFoldsAndCompares) {
   TypeContext TC;
   Program P = parseOrDie(TC, allPrograms()[2]);
+  vm::Engine Vm(P.code());
   TheoremConfig Config;
   Config.InjectionStride = 3;
   CampaignOptions Opts;
+  Opts.Engine = &Vm;
+  Opts.Prune = true;
   Opts.CfiCheck = true;
-  CampaignResult R = runSingleFaultCampaign(P, Config, Opts);
-  ASSERT_TRUE(R.Stats.CfiChecked);
-  ASSERT_GT(R.Stats.CfiCommits, 0u);
-  R.Stats.CfiViolations = 2;
-  R.CfiFirstViolation = "jmp at 0x12 to \"done\"\n\tnot in {0x4}";
-  CampaignResult Back = overTheWire(R);
-  EXPECT_TRUE(Back.Stats.CfiChecked);
-  EXPECT_EQ(Back.Stats.CfiCommits, R.Stats.CfiCommits);
-  EXPECT_EQ(Back.Stats.CfiViolations, 2u);
-  EXPECT_EQ(Back.CfiFirstViolation, R.CfiFirstViolation);
-  expectSameShard(Back, overTheWire(Back), "cfi twice over the wire");
+  CampaignResult Whole = runSingleFaultCampaign(P, Config, Opts);
+  EXPECT_GT(Whole.Stats.PrunedDetected, 0u);
+  EXPECT_GT(Whole.Stats.CfiCommits, 0u);
+  // One line on the wire, which loses the reference trace and rounds the
+  // timings, and only those: read back, they print the same again.
+  EXPECT_EQ(campaignJsonLine(Whole).find('\n'), std::string::npos);
+  CampaignResult R = overTheWire(Whole);
+  EXPECT_EQ(campaignDiff(R, Whole, ~FieldClass::Timing), "reference_trace");
+  R.ReferenceTrace = Whole.ReferenceTrace;
+  R.Violations = {"a violation"};
+  for (const CampaignField &F : campaignFields()) {
+    if (F.Class & FieldClass::Derived)
+      continue;
+    std::string At = F.name();
+    SCOPED_TRACE(At);
+    CampaignResult A = R, B = R;
+    perturb(F, A, 1);
+    perturb(F, B, 2);
+    EXPECT_EQ(campaignDiff(A, R, ~FieldClass::Derived), At);
+    if (F.Format != FieldFormat::Unwritten) {
+      EXPECT_NE(campaignToJson(A), campaignToJson(R));
+      EXPECT_EQ(campaignDiff(overTheWire(A), A, ~0u), "reference_trace");
+    }
+    // The cap cuts the last violation of a perturbed pair.
+    size_t Cap = A.Violations.size() + B.Violations.size() - 1;
+    for (auto [X, Y] : {std::pair{&A, &B}, std::pair{&B, &A}}) {
+      CampaignResult Got = *X;
+      foldShardResult(Got, *Y, Cap);
+      expectFolded(F, *X, *Y, Got, Cap);
+    }
+  }
+  expectShardFolds(P, Config, Opts, {4}, "real shards");
 }
 
 // Contract 3 (key half): every campaign knob lands in the digest, so an
@@ -769,11 +842,8 @@ TEST(MemoStore, DiskPersistenceRoundTripsAndSurvivesRestart) {
   std::string Dir = tempDir() + "/nested/cache";
   ASSERT_FALSE(Dir.empty());
 
-  TypeContext TC;
-  Program P = parseOrDie(TC, allPrograms()[0]);
-  TheoremConfig Config;
-  Config.InjectionStride = 2;
-  CampaignResult R = runSingleFaultCampaign(P, Config, CampaignOptions());
+  // Shard 0 of 4: a partial entry, the drain case.
+  CampaignResult R = Sweep(0, 2).shard(0, 4);
 
   MemoKey Key{R.ProgramHash, 0xabcdef};
   {
@@ -783,7 +853,7 @@ TEST(MemoStore, DiskPersistenceRoundTripsAndSurvivesRestart) {
     E.Name = "PairedStore";
     E.Certification = "typed";
     E.ShardsTotal = 4;
-    E.ShardsDone = 2; // partial: the drain case
+    E.ShardsDone = 1;
     E.Folded = R;
     Store.store(E);
     EXPECT_EQ(Store.stats().DiskStores, 1u);
@@ -797,7 +867,7 @@ TEST(MemoStore, DiskPersistenceRoundTripsAndSurvivesRestart) {
   EXPECT_EQ(Got->Name, "PairedStore");
   EXPECT_EQ(Got->Certification, "typed");
   EXPECT_EQ(Got->ShardsTotal, 4u);
-  EXPECT_EQ(Got->ShardsDone, 2u);
+  EXPECT_EQ(Got->ShardsDone, 1u);
   EXPECT_FALSE(Got->complete());
   expectSameCampaign(Got->Folded, R, "disk roundtrip");
 
@@ -809,6 +879,55 @@ TEST(MemoStore, DiskPersistenceRoundTripsAndSurvivesRestart) {
     Fresh.store(E);
   }
   EXPECT_TRUE(Fresh.lookup(Key).has_value());
+}
+
+// Seeded mutants of a memo file, read through MemoStore::lookup:
+// truncations, bit flips, and edited counts, keys and schema. Each is a
+// miss or an entry whose shard counts agree with its fold; none crashes
+// or hangs the reader.
+TEST(MemoStore, MutatedFilesAreMissesOrConsistentEntries) {
+  CampaignResult R = Sweep(0, 2).shard(0, 4);
+  MemoEntry E{.Key = {R.ProgramHash, 0xabcdef},
+              .ShardsTotal = 4,
+              .ShardsDone = 1,
+              .Folded = R};
+  std::string Dir = tempDir();
+  MemoStore(4, Dir).store(E);
+  ASSERT_TRUE(MemoStore(4, Dir).lookup(E.Key).has_value());
+  std::string Path = MemoStore(4, Dir).entryPath(E.Key);
+  std::ostringstream Valid;
+  Valid << std::ifstream(Path).rdbuf();
+
+  const std::pair<const char *, const char *> Edits[] = {
+      {"\"shards_done\": 1", "\"shards_done\": 5"},
+      {"\"shards_done\": 1", "\"shards_done\": 0"},
+      {"\"shards_total\": 4", "\"shards_total\": 0"},
+      {"\"shards_total\": 4", "\"shards_total\": 4294967300"},
+      {"\"count\": 4", "\"count\": 2"},
+      {"\"program_hash\": \"0x", "\"program_hash\": \"0x1"},
+      {CacheSchema, "talft-serve-cache-v0"},
+  };
+  std::mt19937_64 Rng(0x6d656d6f);
+  for (unsigned I = 0; I != 900; ++I) {
+    std::string Text = Valid.str();
+    if (I % 3 == 0) {
+      Text.resize(Rng() % Text.size());
+    } else if (I % 3 == 1) {
+      for (unsigned Flips = 1 + Rng() % 3; Flips--;)
+        Text[Rng() % Text.size()] ^= (char)(1u << (Rng() % 8));
+    } else {
+      auto [From, To] = Edits[Rng() % std::size(Edits)];
+      Text.replace(Text.find(From), std::strlen(From), To);
+    }
+    ASSERT_TRUE(support::writeFileAtomic(Path, Text));
+    std::optional<MemoEntry> Got = MemoStore(4, Dir).lookup(E.Key);
+    if (!Got)
+      continue;
+    const CampaignStats &S = Got->Folded.Stats;
+    EXPECT_EQ(Got->ShardsDone, std::max(1u, S.ShardsFolded)) << Text;
+    EXPECT_LE(Got->ShardsDone, Got->ShardsTotal) << Text;
+    EXPECT_EQ(S.ShardCount, Got->ShardsTotal) << Text;
+  }
 }
 
 // Contract 5: the full loop over loopback.
@@ -836,12 +955,7 @@ TEST(ServeEndToEnd, ColdSubmitStreamsShardsAndMatchesDirectRun) {
   EXPECT_EQ(Cold.Certification, "typed");
 
   // The same campaign run directly, unsharded: bit-identical fold.
-  TypeContext TC;
-  Program P = parseOrDie(TC, allPrograms()[0]);
-  CampaignOptions Direct;
-  applySpecOptions(Spec, Direct);
-  CampaignResult Whole =
-      runSingleFaultCampaign(P, theoremConfig(Spec, Spec.Stride), Direct);
+  CampaignResult Whole = directCampaign(Spec);
   expectSameCampaign(Cold.Campaign, Whole, "served vs direct");
   EXPECT_EQ(Cold.Campaign.Stats.ShardsFolded, 4u);
 
@@ -945,9 +1059,11 @@ TEST(ServeEndToEnd, DrainLeavesAResumablePartialEntry) {
     ASSERT_TRUE(S.start(&Err)) << Err;
     First = submitProgram("127.0.0.1", S.port(), Spec);
     S.wait(); // the drain hook already stopped it
-    // The drain discarded the shard in flight: no crash, and exactly the
-    // two drained shards retired.
+    // The drain discarded the shard in flight: no crash, no replacement
+    // worker for the pool that is about to stop, and exactly the two
+    // drained shards retired.
     EXPECT_EQ(S.poolStats().Crashes, 0u);
+    EXPECT_EQ(S.poolStats().Spawned, 2u);
     std::optional<JsonValue> Stats = JsonValue::parse(S.statsJson());
     ASSERT_TRUE(Stats && Stats->get("shards"));
     EXPECT_EQ(Stats->get("shards")->u64At("retired", 0), 2u);
@@ -973,25 +1089,8 @@ TEST(ServeEndToEnd, DrainLeavesAResumablePartialEntry) {
   S2.stop();
 
   // The resumed fold equals an uninterrupted direct run.
-  TypeContext TC;
-  DiagnosticEngine Diags;
-  Expected<Program> P =
-      parseAndLayoutTalProgram(TC, progs::CountdownLoop, Diags);
-  ASSERT_TRUE(bool(P)) << Diags.str();
-  CampaignOptions Direct;
-  applySpecOptions(Spec, Direct);
-  CampaignResult Whole =
-      runSingleFaultCampaign(*P, theoremConfig(Spec, Spec.Stride), Direct);
-  expectSameCampaign(Second.Campaign, Whole, "resumed vs direct");
-}
-
-SubmitSpec talSpec(const NamedProgram &NP, uint64_t Stride) {
-  SubmitSpec Spec;
-  Spec.Name = NP.Name;
-  Spec.Lang = "tal";
-  Spec.Source = NP.Source;
-  Spec.Stride = Stride;
-  return Spec;
+  expectSameCampaign(Second.Campaign, directCampaign(Spec),
+                     "resumed vs direct");
 }
 
 /// The "front_end" object of \p S's stats document.
@@ -1089,16 +1188,6 @@ TEST(FrontEndMemo, KnownSourcesSkipTheFrontEndAtAnyOptions) {
       EXPECT_LE(FE.u64At("entries", 0), SO.CacheEntries) << At;
       EXPECT_EQ(FE.u64At("capacity", 0), SO.CacheEntries) << At;
     };
-    auto Direct = [](const SubmitSpec &Spec, uint64_t Stride) {
-      TypeContext TC;
-      DiagnosticEngine Diags;
-      Expected<Program> P = parseAndLayoutTalProgram(TC, Spec.Source, Diags);
-      EXPECT_TRUE(bool(P)) << Diags.str();
-      CampaignOptions Opts;
-      applySpecOptions(Spec, Opts);
-      return runSingleFaultCampaign(*P, theoremConfig(Spec, Stride), Opts);
-    };
-
     SubmitSpec Countdown = talSpec(allPrograms()[2], 2);
     Countdown.Engine = "reference";
     SubmitOutcome Cold = submitProgram("127.0.0.1", S.port(), Countdown);
@@ -1121,7 +1210,7 @@ TEST(FrontEndMemo, KnownSourcesSkipTheFrontEndAtAnyOptions) {
     EXPECT_EQ(New.ShardEvents, 4u) << At;
     EXPECT_EQ(New.ProgramHash, Cold.ProgramHash) << At;
     EXPECT_EQ(New.Certification, Cold.Certification) << At;
-    expectSameCampaign(New.Campaign, Direct(Stride3, 3), At + " stride 3");
+    expectSameCampaign(New.Campaign, directCampaign(Stride3), At + " stride 3");
     ExpectCounts(2, 1, "stride 3");
 
     SubmitSpec Adaptive = Countdown;
@@ -1129,9 +1218,9 @@ TEST(FrontEndMemo, KnownSourcesSkipTheFrontEndAtAnyOptions) {
     SubmitOutcome Probed = submitProgram("127.0.0.1", S.port(), Adaptive);
     ASSERT_TRUE(Probed.GotResult) << At << ": " << Probed.Error;
     EXPECT_EQ(Probed.Cache, "miss") << At;
-    uint64_t Steps = Probed.Campaign.ReferenceSteps;
-    expectSameCampaign(Probed.Campaign,
-                       Direct(Adaptive, std::max<uint64_t>(1, Steps / 12)),
+    Adaptive.Stride =
+        std::max<uint64_t>(1, Probed.Campaign.ReferenceSteps / 12);
+    expectSameCampaign(Probed.Campaign, directCampaign(Adaptive),
                        At + " adaptive stride");
     ExpectCounts(3, 1, "the adaptive stride");
 
@@ -1195,13 +1284,8 @@ TEST(WorkerPoolE2E, CrashedShardsAreRetriedBitIdentically) {
   EXPECT_EQ(P.Poisoned, 0u);
   EXPECT_EQ(P.Alive, SO.PoolWorkers); // dead workers were respawned
 
-  TypeContext TC;
-  Program Prog = parseOrDie(TC, allPrograms()[0]);
-  CampaignOptions Direct;
-  applySpecOptions(Spec, Direct);
-  CampaignResult Whole =
-      runSingleFaultCampaign(Prog, theoremConfig(Spec, Spec.Stride), Direct);
-  expectSameCampaign(O.Campaign, Whole, "chaos-retried vs direct");
+  expectSameCampaign(O.Campaign, directCampaign(Spec),
+                     "chaos-retried vs direct");
   S.stop();
 }
 
@@ -1240,16 +1324,7 @@ TEST(WorkerPoolE2E, OneWorkerSharesItsSweepReferenceAcrossShards) {
     EXPECT_EQ(O.ShardEvents, 4u) << Spec.Name;
     std::string At = Spec.Name + " stride " + std::to_string(Spec.Stride);
     expectSameShard(O.Campaign, servedInProcess(Spec), At + " vs in-process");
-    TypeContext TC;
-    DiagnosticEngine Diags;
-    Expected<Program> P = parseAndLayoutTalProgram(TC, Spec.Source, Diags);
-    ASSERT_TRUE(bool(P)) << Diags.str();
-    CampaignOptions Direct;
-    applySpecOptions(Spec, Direct);
-    expectSameCampaign(
-        O.Campaign,
-        runSingleFaultCampaign(*P, theoremConfig(Spec, Spec.Stride), Direct),
-        At + " vs direct");
+    expectSameCampaign(O.Campaign, directCampaign(Spec), At + " vs direct");
   };
 
   SubmitSpec Countdown = talSpec(allPrograms()[2], 2);
@@ -1272,56 +1347,41 @@ TEST(WorkerPoolE2E, OneWorkerSharesItsSweepReferenceAcrossShards) {
   S.stop();
 }
 
-/// One sweep a pool test streams: a TAL program at a stride, compiled here
-/// for the in-process shards every streamed shard must equal.
-struct Sweep {
-  SubmitSpec Spec;
-  TypeContext TC;
-  std::optional<Program> P;
-  std::unique_ptr<ExecEngine> Vm; // the spec's default engine
-
-  Sweep(unsigned Prog, uint64_t Stride, bool Prune = false) {
-    Spec = talSpec(allPrograms()[Prog], Stride);
-    Spec.Prune = Prune;
-    P.emplace(parseOrDie(TC, allPrograms()[Prog]));
-    Vm = vm::createEngine(P->code());
-  }
-
-  std::string name() const {
-    return Spec.Name + " stride " + std::to_string(Spec.Stride) +
-           (Spec.Prune ? " pruned" : "");
-  }
-
-  /// The worker request for this sweep, minus the shard range.
-  std::string request() const {
-    std::string Req = submitRequestJson(Spec);
-    Req.insert(Req.rfind('}'),
-               formatv(", \"resolved_stride\": %llu, \"campaign_threads\": 1",
-                       (unsigned long long)Spec.Stride));
-    return Req;
-  }
-
-  /// Shard \p I of \p N run in-process, as the wire carries it.
-  CampaignResult shard(unsigned I, unsigned N) const {
-    CampaignOptions Opts;
-    applySpecOptions(Spec, Opts);
-    Opts.Engine = Vm.get();
-    Opts.ShardCount = N;
-    Opts.ShardIndex = I;
-    return overTheWire(
-        runSingleFaultCampaign(*P, theoremConfig(Spec, Spec.Stride), Opts));
-  }
-
-  /// The unsharded campaign every fold of this sweep must equal.
-  CampaignResult whole() const {
-    CampaignOptions Direct;
-    applySpecOptions(Spec, Direct);
-    return runSingleFaultCampaign(*P, theoremConfig(Spec, Spec.Stride),
-                                  Direct);
-  }
-};
-
 /// A shard as a stream sink saw it.
+// A memo file whose shard counts disagree with its fold is a miss, on the
+// pool path and in process: the server reruns the campaign rather than
+// serve a prefix as finished or resume past the last shard.
+TEST(ServeEndToEnd, MangledMemoCountsAreMisses) {
+  Sweep W(0, 2);
+  W.Spec.Shards = 4;
+  CampaignResult Whole = W.whole();
+  std::string Dir = tempDir();
+  // Shard 0's fold stored under counts that run past the last shard, name
+  // no partition, cover nothing, or a partition it was not cut under.
+  for (auto [Done, Total] : {std::pair{9u, 4u}, std::pair{1u, 0u},
+                             std::pair{0u, 4u}, std::pair{1u, 2u}})
+    for (unsigned Workers : {2u, 0u}) {
+      std::string At = formatv("done=%u total=%u workers=%u", Done, Total,
+                               Workers);
+      MemoStore(4, Dir).store({.Key = {Whole.ProgramHash,
+                                       optionsDigest(W.Spec)},
+                               .ShardsTotal = Total,
+                               .ShardsDone = Done,
+                               .Folded = W.shard(0, 4)});
+      ServerOptions SO;
+      SO.CacheDir = Dir;
+      SO.PoolWorkers = Workers;
+      Server S(SO);
+      std::string Err;
+      ASSERT_TRUE(S.start(&Err)) << Err;
+      SubmitOutcome O = submitProgram("127.0.0.1", S.port(), W.Spec);
+      S.stop();
+      ASSERT_TRUE(O.GotResult) << At << ": " << O.Error;
+      EXPECT_EQ(O.Cache, "miss") << At;
+      expectSameCampaign(O.Campaign, Whole, At);
+    }
+}
+
 struct Delivered {
   unsigned Index = 0;
   unsigned Attempts = 0;
@@ -1515,14 +1575,7 @@ TEST(WorkerPoolE2E, RespawnedWorkerRecordsItsOwnReference) {
   S.stop();
 
   expectSameShard(O.Campaign, servedInProcess(Spec), "chaos vs in-process");
-  TypeContext TC;
-  Program Prog = parseOrDie(TC, allPrograms()[2]);
-  CampaignOptions Direct;
-  applySpecOptions(Spec, Direct);
-  expectSameCampaign(
-      O.Campaign,
-      runSingleFaultCampaign(Prog, theoremConfig(Spec, Spec.Stride), Direct),
-      "chaos vs direct");
+  expectSameCampaign(O.Campaign, directCampaign(Spec), "chaos vs direct");
 }
 
 // A shard that crashes on *every* attempt is a deterministic crasher:
@@ -2071,13 +2124,7 @@ TEST(WalE2E, ServerReplaysUnretiredSubmissionsOnStartup) {
   EXPECT_EQ(O.Cache, "hit");
   EXPECT_EQ(O.ShardEvents, 0u);
 
-  TypeContext TC;
-  Program Prog = parseOrDie(TC, allPrograms()[0]);
-  CampaignOptions Direct;
-  applySpecOptions(Spec, Direct);
-  CampaignResult Whole =
-      runSingleFaultCampaign(Prog, theoremConfig(Spec, Spec.Stride), Direct);
-  expectSameCampaign(O.Campaign, Whole, "replayed vs direct");
+  expectSameCampaign(O.Campaign, directCampaign(Spec), "replayed vs direct");
   S.stop();
 
   // The replay retired its record: a restarted log recovers nothing.

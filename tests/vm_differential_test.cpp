@@ -17,7 +17,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "check/ProgramChecker.h"
-#include "fault/Campaign.h"
+#include "fault/CampaignFields.h"
 #include "sim/ExecEngine.h"
 #include "tal/Parser.h"
 #include "vm/Engine.h"
@@ -320,11 +320,7 @@ TEST(VmDifferential, InjectionPlanCampaignsAgree) {
     VmOpts.Engine = Vm.get();
     CampaignResult OnVm = runInjectionPlans(Spec, VmOpts);
 
-    EXPECT_EQ(OnRef.Ok, OnVm.Ok) << NP.Name;
-    EXPECT_EQ(OnRef.ReferenceSteps, OnVm.ReferenceSteps) << NP.Name;
-    EXPECT_EQ(OnRef.ReferenceTrace, OnVm.ReferenceTrace) << NP.Name;
-    EXPECT_EQ(OnRef.Table, OnVm.Table) << NP.Name;
-    EXPECT_EQ(OnRef.Violations, OnVm.Violations) << NP.Name;
+    EXPECT_EQ(campaignDiff(OnRef, OnVm, FieldClass::Outcome), "") << NP.Name;
     EXPECT_STREQ(OnRef.Stats.Engine, "reference");
     EXPECT_STREQ(OnVm.Stats.Engine, "vm");
   }
@@ -358,11 +354,7 @@ TEST(VmDifferential, FaultToleranceCampaignsAgree) {
       std::string At = std::string(NP.Name) +
                        (Resume == ResumeMode::Snapshot ? "/snapshot"
                                                        : "/replay");
-      EXPECT_EQ(OnRef.Ok, OnVm.Ok) << At;
-      EXPECT_EQ(OnRef.ReferenceSteps, OnVm.ReferenceSteps) << At;
-      EXPECT_EQ(OnRef.ReferenceTrace, OnVm.ReferenceTrace) << At;
-      EXPECT_EQ(OnRef.Table, OnVm.Table) << At;
-      EXPECT_EQ(OnRef.Violations, OnVm.Violations) << At;
+      EXPECT_EQ(campaignDiff(OnRef, OnVm, FieldClass::Outcome), "") << At;
       EXPECT_TRUE(OnVm.Ok) << At;
     }
   }
@@ -454,11 +446,7 @@ TEST(JitDifferential, CampaignsAgreeWithVm) {
       std::string At = std::string(NP.Name) +
                        (Resume == ResumeMode::Snapshot ? "/snapshot"
                                                        : "/replay");
-      EXPECT_EQ(OnVm.Ok, OnJit.Ok) << At;
-      EXPECT_EQ(OnVm.ReferenceSteps, OnJit.ReferenceSteps) << At;
-      EXPECT_EQ(OnVm.ReferenceTrace, OnJit.ReferenceTrace) << At;
-      EXPECT_EQ(OnVm.Table, OnJit.Table) << At;
-      EXPECT_EQ(OnVm.Violations, OnJit.Violations) << At;
+      EXPECT_EQ(campaignDiff(OnVm, OnJit, FieldClass::Outcome), "") << At;
       EXPECT_STREQ(OnJit.Stats.Engine, "jit") << At;
       EXPECT_TRUE(OnJit.Ok) << At;
     }
@@ -507,10 +495,7 @@ TEST(JitDifferential, Fig10KernelCampaignsAgreeWithVm) {
     JitOpts.Engine = &Jit;
     CampaignResult OnJit = runSingleFaultCampaign(CP->Prog, Config, JitOpts);
 
-    EXPECT_EQ(OnVm.Ok, OnJit.Ok) << K.Name;
-    EXPECT_EQ(OnVm.ReferenceSteps, OnJit.ReferenceSteps) << K.Name;
-    EXPECT_EQ(OnVm.Table, OnJit.Table) << K.Name;
-    EXPECT_EQ(OnVm.Violations, OnJit.Violations) << K.Name;
+    EXPECT_EQ(campaignDiff(OnVm, OnJit, FieldClass::Outcome), "") << K.Name;
     ++Checked;
   }
   EXPECT_EQ(Checked, wile::benchmarkKernels().size());
